@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from vertexsim import RMatrix, VertexModel
+from vertexsim import ApplyUnitary, CircuitPlan, MeasureAll, RMatrix, VertexModel, dilate
 from vertexsim.rng import stream_u64, to_unit
 
 # 4x4 Boltzmann gate used as the reference fixture throughout the suite
@@ -42,6 +42,26 @@ def positive_state(dim: int, seed: int) -> np.ndarray:
     """Seeded random entrywise-positive unit vector."""
     v = to_unit(stream_u64(seed, dim)) + 1e-12
     return v / np.linalg.norm(v)
+
+
+def mid_circuit_plan() -> CircuitPlan:
+    """State preparation + dilation, then one measure per qubit: the classic
+    two-unitary, three-measurement protocol.  The data qubits are measured
+    mid-circuit and the ancilla lands in select bit 2."""
+    d = np.array([1.0, 0.5, 0.3, 0.1])
+    prep = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0]
+    return CircuitPlan(
+        n_qubits=3,
+        n_classical_bits=3,
+        instructions=[
+            ApplyUnitary(matrix=prep, targets=(0, 1)),
+            ApplyUnitary(matrix=dilate(d).matrix, targets=(0, 1, 2)),
+            MeasureAll(qubits=(0,), cbits=(0,)),
+            MeasureAll(qubits=(1,), cbits=(1,)),
+            MeasureAll(qubits=(2,), cbits=(2,)),
+        ],
+        n_data_bits=2,
+    )
 
 
 def estimator_bound(t: np.ndarray, psi0: np.ndarray, psi: np.ndarray) -> float:

@@ -2,13 +2,10 @@ import numpy as np
 import pytest
 
 from vertexsim import (
-    ApplyUnitary,
     CircuitPlan,
-    MeasureAll,
     ValidationError,
     build_d_test_plan,
     build_t_plan,
-    dilate,
     export_circuit_text,
     generate_model,
     init_state,
@@ -18,7 +15,7 @@ from vertexsim import (
     svd_scaled,
 )
 
-from conftest import positive_state
+from conftest import mid_circuit_plan, positive_state
 
 
 def test_empty_plan_exports_header_only():
@@ -29,22 +26,8 @@ def test_empty_plan_exports_header_only():
 
 
 def test_d_test_plan_line_shape():
-    # state preparation + dilation, one measure line per qubit: the classic
-    # two-unitary, three-measurement protocol
-    d = np.array([1.0, 0.5, 0.3, 0.1])
-    prep = np.linalg.qr(np.random.default_rng(1).normal(size=(4, 4)))[0]
-    plan = CircuitPlan(
-        n_qubits=3,
-        n_classical_bits=3,
-        instructions=[
-            ApplyUnitary(matrix=prep, targets=(0, 1)),
-            ApplyUnitary(matrix=dilate(d).matrix, targets=(0, 1, 2)),
-            MeasureAll(qubits=(0,), cbits=(0,)),
-            MeasureAll(qubits=(1,), cbits=(1,)),
-            MeasureAll(qubits=(2,), cbits=(2,)),
-        ],
-        n_data_bits=2,
-    )
+    # two unitaries, one measure line per qubit
+    plan = mid_circuit_plan()
     lines = export_circuit_text(plan).splitlines()
     assert sum(ln.startswith("unitary") for ln in lines) == 2
     assert sum(ln.startswith("measure ") for ln in lines) == 3

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -14,6 +16,8 @@ from vertexsim import (
     acceptance_probability,
     apply_unitary,
     build_d_test_plan,
+    build_t_plan,
+    build_terashima_plan,
     dilate,
     generate_model,
     init_state,
@@ -26,7 +30,7 @@ from vertexsim import (
 from vertexsim.dilation import X_GATE
 from vertexsim.rng import stream_u64, to_unit
 
-from conftest import positive_state
+from conftest import mid_circuit_plan, positive_state
 
 # chi-square 0.999 quantile for 7 degrees of freedom (8-bin histogram)
 CHI2_999_DF7 = 24.3219
@@ -310,3 +314,99 @@ def test_register_width_guard():
     )
     with pytest.raises(ValidationError, match="64"):
         run_shots(plan, basis_state(2, 0), 10, seed=0)
+
+
+# ---------------------------------------------------------------- golden histograms
+
+# sha256 of json.dumps([counts, meaningful_shots], sort_keys=True) for
+# GOLDEN_SHOTS and 2 * GOLDEN_SHOTS shots, pinned from the engine that split
+# a branch for every realized outcome, dead ones included.  Any change to
+# the sampler must reproduce them bit for bit.
+GOLDEN_SHOTS = 300
+GOLDEN_DIGESTS = {
+    ("t_2_1", 3): (
+        "f60733548e91acb66a15737ddf2efd4374e4e5fecc9563c97104dbf4db3d234b",
+        "7f3fd5a3894754e1d0f8bb45bb366e083bf59d2b38ccc1cd8a0077e34d2467e1",
+    ),
+    ("t_2_1", 11): (
+        "b2a0a31b024851d44914b3d09c563caf8f1b0ab212e25b61953a3d196455fe34",
+        "e452984a4c6ea7be0e2e4cb13c0a6aafc6ac6849c8cc2e2afc819080a2d3023c",
+    ),
+    ("t_4_3", 3): (
+        "cc14d0015c98931defc220b24724ae7112a7fb088090d6a6abfef580dbd5172d",
+        "aea93ae454651a4a02aa8e8ed8d083ea300e43ead60de0954bcd6ec14ea7b0dc",
+    ),
+    ("t_4_3", 11): (
+        "3994a5d1fae9efc0ed7c29ed30c46d56c15c20574d51b615d162cb5758386e46",
+        "d4075a3db7a85cc5aec58155a2ffc2d937ec18c752da2797a8f3daa16cec3ed0",
+    ),
+    ("t_6_2", 3): (
+        "4d222b3fd7f8809a9fc3084db266d2f25826ec4e0674499ab9555d127a839bae",
+        "f7221900e47ab6394e221f7e85f0745b739b104d1d65c982572f15980d0df9b9",
+    ),
+    ("t_6_2", 11): (
+        "15cfc8fec90731a413e9673bc8a7b9eb440d89ca41cd908dd05f7b0abd49fee1",
+        "70b125d74df7af36208c34822e0dc7ec529f58f4fdbffce566a852721d790476",
+    ),
+    ("d_test", 3): (
+        "67a689d55e48142100374fb9e26b7f1df308cded36320b477bb334783a139cfb",
+        "c80a9986dd8722d69724a639f9542a866f98dea6d9f54d820485c6829a04f08f",
+    ),
+    ("d_test", 11): (
+        "730f3c2703f34568cc9b3560668913be6836a4080af766300fad6847f3757ae0",
+        "42c1bd911c7644b86e592b0a1be03ad6947ba8cb72715c670a4283cd3e3e9e11",
+    ),
+    ("terashima", 3): (
+        "aceba6193d6f4649a4f71367bfdb90f556a85c590a1a535cb6035d7f6329e502",
+        "6f3ab9c0993dea39500b03b40310ba37d996f62b50de3354ebfdd8285bc803a8",
+    ),
+    ("terashima", 11): (
+        "331ea1380b05c220ec5036f2344fbe1db82caee0b787470afcd3a56ebe96aed9",
+        "2fb8e492612717c0fb360d99630fe20690c7cb8000fe33caf4ff9057933fdda6",
+    ),
+    ("mid_circuit", 3): (
+        "fdc74cde9718ea269246fbc212406e0b21226143095e7c0f5b6ee70b904bff82",
+        "8366d5c4b5ca900dd5df82ba3b72d4c4183e9ac3fc25683872b006c90a1eb7ce",
+    ),
+    ("mid_circuit", 11): (
+        "ebebd354f05446b9a5cd23bbd694c056805b962129500f8bf6c64438f9600308",
+        "de0903e53df1a4b4afe0b9e28e975f8e68e484bdd01b6248e6a947453c37d4b8",
+    ),
+}
+
+
+def _golden_case(name: str):
+    from vertexsim.experiments import _embed_input
+
+    d = np.array([1.0, 0.8, 0.5, 0.2])
+    if name.startswith("t_"):
+        n, m = (int(x) for x in name.split("_")[1:])
+        factors = svd_scaled(r_matrix(generate_model(0.4, 2.0, 7)))
+        return build_t_plan(factors, n, m), _embed_input(positive_state(2 ** (n + 1), 44), n)
+    plan = {
+        "d_test": build_d_test_plan,
+        "terashima": build_terashima_plan,
+        "mid_circuit": lambda _: mid_circuit_plan(),
+    }[name](d)
+    return plan, dilation_state(d, positive_state(4, 8))
+
+
+def _digest(hist) -> str:
+    blob = json.dumps([hist.counts, hist.meaningful_shots], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+@pytest.mark.parametrize("name", ["t_2_1", "t_4_3", "t_6_2", "d_test", "terashima", "mid_circuit"])
+def test_golden_histograms(name, seed):
+    plan, state = _golden_case(name)
+    want_s, want_2s = GOLDEN_DIGESTS[name, seed]
+    small = run_shots(plan, state, GOLDEN_SHOTS, seed)
+    chunked = run_shots(plan, state, GOLDEN_SHOTS, seed, chunk_size=17)
+    large = run_shots(plan, state, 2 * GOLDEN_SHOTS, seed)
+    assert _digest(small) == _digest(chunked) == want_s
+    assert _digest(large) == want_2s
+    # shot k draws from substream (seed, k) alone, so s shots are a prefix of 2s
+    assert small.meaningful_shots <= large.meaningful_shots
+    for key, count in small.counts.items():
+        assert count <= large.counts.get(key, 0)
