@@ -15,8 +15,10 @@ Conventions
 
 Shot execution shares work across shots: between measurements all shots see
 the same deterministic evolution, so the engine tracks one state per distinct
-measurement record (branch) and a per-shot branch id, splitting branches only
-at measurement events.
+measurement record (branch) and a per-shot branch id.  A shot is dropped at
+its first failed post-selection (the first measurement that sets a select
+bit), so only live shots draw, and branches split only where live shots
+disagree on a data bit.  Post-selected circuits therefore run on one branch.
 """
 
 from __future__ import annotations
@@ -84,32 +86,42 @@ def apply_unitary(state: QuantumState, matrix: np.ndarray, targets: list[int] | 
     return state
 
 
-def _prob_zero(amps: np.ndarray, qubit: int, n_qubits: int) -> float:
-    axis = n_qubits - 1 - qubit
+def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index).
+
+    Not renormalized: on a unit state they sum to 1 up to rounding.
+    """
+    m = len(qubits)
     dens = np.abs(amps.reshape([2] * n_qubits)) ** 2
-    return float(dens.take(0, axis=axis).sum())
+    axes = [n_qubits - 1 - q for q in reversed(qubits)]
+    dens = np.moveaxis(dens, axes, range(m))
+    return dens.reshape(2 ** m, -1).sum(axis=1)
 
 
-def _collapse_qubit(amps: np.ndarray, qubit: int, outcome: int, n_qubits: int) -> np.ndarray:
-    """Project a qubit onto an outcome and renormalize (probability must be > 0)."""
+def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
+                      n_qubits: int) -> np.ndarray:
+    """Project `qubits` onto an outcome and renormalize (weight must be > 0)."""
     view = amps.reshape([2] * n_qubits).copy()
-    index = [slice(None)] * n_qubits
-    index[n_qubits - 1 - qubit] = 1 - outcome
-    view[tuple(index)] = 0.0
+    keep = [slice(None)] * n_qubits
+    for j, q in enumerate(qubits):
+        keep[n_qubits - 1 - q] = (outcome >> j) & 1
+    mask = np.zeros_like(view, dtype=bool)
+    mask[tuple(keep)] = True
+    view[~mask] = 0.0
     flat = view.reshape(-1)
     p = float(np.linalg.norm(flat))
     if p == 0.0:
-        raise ImpossiblePostselectionError(f"qubit {qubit} has zero weight on outcome {outcome}")
+        raise ImpossiblePostselectionError("measurement collapsed onto a zero-weight outcome")
     return flat / p
 
 
 def postselect_ancilla0(state: QuantumState) -> tuple[QuantumState, float]:
     """Project the ancilla (highest qubit) onto 0 and renormalize in place."""
     q = state.n_qubits - 1
-    p0 = _prob_zero(state.amplitudes, q, state.n_qubits)
+    p0 = float(_marginal_probs(state.amplitudes, (q,), state.n_qubits)[0])
     if p0 <= 0.0:
         raise ImpossiblePostselectionError("ancilla has no weight on |0>")
-    state.amplitudes = _collapse_qubit(state.amplitudes, q, 0, state.n_qubits)
+    state.amplitudes = _collapse_outcome(state.amplitudes, (q,), 0, state.n_qubits)
     return state, p0
 
 
@@ -241,120 +253,74 @@ def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumStat
         if isinstance(ins, ApplyUnitary):
             amps = apply_matrix(amps, ins.matrix, ins.targets, plan.n_qubits)
         elif isinstance(ins, MeasureAncillaPostselect0):
-            p0 = _prob_zero(amps, ins.qubit, plan.n_qubits)
+            p0 = float(_marginal_probs(amps, (ins.qubit,), plan.n_qubits)[0])
             if p0 <= 0.0:
                 raise ImpossiblePostselectionError(
                     f"post-selection on qubit {ins.qubit} has probability zero"
                 )
-            amps = _collapse_qubit(amps, ins.qubit, 0, plan.n_qubits)
+            amps = _collapse_outcome(amps, (ins.qubit,), 0, plan.n_qubits)
             keep *= p0
         # MeasureAll: exact mode returns the pre-measurement state
     return QuantumState(plan.n_qubits, amps), keep
 
 
-def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Outcome distribution over `qubits` (qubits[0] = LSB of the outcome index)."""
-    m = len(qubits)
-    dens = np.abs(amps.reshape([2] * n_qubits)) ** 2
-    axes = [n_qubits - 1 - q for q in reversed(qubits)]
-    dens = np.moveaxis(dens, axes, range(m))
-    probs = dens.reshape(2 ** m, -1).sum(axis=1)
-    total = probs.sum()
-    return probs / total
-
-
-def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
-                      n_qubits: int) -> np.ndarray:
-    view = amps.reshape([2] * n_qubits).copy()
-    index = [slice(None)] * n_qubits
-    keep = [slice(None)] * n_qubits
-    for j, q in enumerate(qubits):
-        keep[n_qubits - 1 - q] = (outcome >> j) & 1
-    mask = np.zeros_like(view, dtype=bool)
-    mask[tuple(keep)] = True
-    view[~mask] = 0.0
-    flat = view.reshape(-1)
-    p = float(np.linalg.norm(flat))
-    if p == 0.0:
-        raise ImpossiblePostselectionError("measurement collapsed onto a zero-weight outcome")
-    return flat / p
-
-
 def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
-                    stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """(data word, post-selection word) per shot for shots [start, stop).
+                    stop: int) -> np.ndarray:
+    """Data words of the meaningful shots among shots [start, stop).
 
     Classical bits below n_data_bits land in the data word at their own
-    position, the rest in the select word; a shot is meaningful iff its
-    select word is 0.
+    position; every bit above is a select bit, and a shot is dropped at the
+    first measurement that sets one.  A post-selection is a one-qubit
+    measurement into a select bit.
     """
-    n_shots = stop - start
     nq = plan.n_qubits
     nd = plan.n_data_bits
     subs = substream_seed(seed, np.arange(start, stop, dtype=np.uint64))
     states: list[np.ndarray] = [amps0]
-    branch = np.zeros(n_shots, dtype=np.int64)
-    data_word = np.zeros(n_shots, dtype=np.uint64)
-    sel_word = np.zeros(n_shots, dtype=np.uint64)
-
-    def record(bits: np.ndarray, cbit: int) -> None:
-        if cbit < nd:
-            np.bitwise_or(data_word, bits.astype(np.uint64) << np.uint64(cbit), out=data_word)
-        else:
-            np.bitwise_or(sel_word, bits.astype(np.uint64) << np.uint64(cbit - nd), out=sel_word)
-
+    branch = np.zeros(stop - start, dtype=np.int64)
+    data_word = np.zeros(stop - start, dtype=np.uint64)
     event = 0
     last = len(plan.instructions) - 1
     for pos, ins in enumerate(plan.instructions):
         if isinstance(ins, ApplyUnitary):
             states = [apply_matrix(s, ins.matrix, ins.targets, nq) for s in states]
-        elif isinstance(ins, MeasureAncillaPostselect0):
-            u = to_unit(substream_value(subs, event))
-            event += 1
-            p0 = np.array([_prob_zero(s, ins.qubit, nq) for s in states])
-            outcome = (u >= p0[branch]).astype(np.int64)
-            record(outcome, ins.cbit)
-            if pos == last:
-                continue
-            key = 2 * branch + outcome
-            realized, branch = np.unique(key, return_inverse=True)
-            states = [
-                _collapse_qubit(states[k >> 1], ins.qubit, int(k & 1), nq) for k in realized
-            ]
-        elif isinstance(ins, MeasureAll):
-            u = to_unit(substream_value(subs, event))
-            event += 1
-            m = len(ins.qubits)
-            out = np.zeros(n_shots, dtype=np.int64)
-            for bi, s in enumerate(states):
-                sel = branch == bi
-                if not np.any(sel):
-                    continue
-                cum = np.cumsum(_marginal_probs(s, ins.qubits, nq))
-                cum[-1] = 1.0
-                out[sel] = np.minimum(
-                    np.searchsorted(cum, u[sel], side="right"), 2 ** m - 1
-                )
-            for j, cb in enumerate(ins.cbits):
-                record((out >> j) & 1, cb)
-            if pos == last:
-                continue
-            key = branch * (2 ** m) + out
-            realized, branch = np.unique(key, return_inverse=True)
-            states = [
-                _collapse_outcome(states[k // (2 ** m)], ins.qubits, int(k % (2 ** m)), nq)
-                for k in realized
-            ]
-    return data_word, sel_word
+            continue
+        if isinstance(ins, MeasureAncillaPostselect0):
+            qubits, cbits = (ins.qubit,), (ins.cbit,)
+        else:
+            qubits, cbits = ins.qubits, ins.cbits
+        u = to_unit(substream_value(subs, event))
+        event += 1
+        out = np.empty(len(branch), dtype=np.int64)
+        for bi, s in enumerate(states):
+            sel = branch == bi
+            cum = np.cumsum(_marginal_probs(s, qubits, nq))
+            cum[-1] = 1.0
+            out[sel] = np.searchsorted(cum, u[sel], side="right")
+        live = np.ones(len(branch), dtype=bool)
+        for j, cb in enumerate(cbits):
+            bit = (out >> j) & 1
+            if cb < nd:
+                data_word |= bit.astype(np.uint64) << np.uint64(cb)
+            else:
+                live &= bit == 0
+        subs, branch, out, data_word = subs[live], branch[live], out[live], data_word[live]
+        if pos == last or not len(branch):
+            break
+        m = 2 ** len(qubits)
+        realized, branch = np.unique(branch * m + out, return_inverse=True)
+        states = [_collapse_outcome(states[k // m], qubits, int(k % m), nq) for k in realized]
+    return data_word
 
 
 def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: int,
               chunk_size: int = 1 << 16) -> ShotHistogram:
     """Sample the plan shot by shot and histogram the meaningful records.
 
-    Every measurement samples via the Born rule and the shot continues
-    (mid-circuit outcomes are recorded, never forced); records whose
-    post-selection bits are not all 0 are dropped at histogram time.
+    Every measurement samples via the Born rule (mid-circuit outcomes are
+    recorded, never forced).  A shot is dropped at its first failed
+    post-selection, that is, the first measurement that sets a select bit;
+    the shots that survive every measurement are the meaningful ones.
     """
     if shots < 1:
         raise ValidationError(f"need at least one shot, got {shots}")
@@ -362,21 +328,17 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
         raise DimensionError(
             f"input has {input_state.n_qubits} qubits, plan needs {plan.n_qubits}"
         )
-    if plan.n_data_bits > 64 or plan.n_classical_bits - plan.n_data_bits > 64:
+    if plan.n_data_bits > 64:
         raise ValidationError(
-            "classical register too wide to sample: data and post-selection "
-            "sections are limited to 64 bits each"
+            "classical register too wide to sample: the data section is limited to 64 bits"
         )
     amps0 = input_state.amplitudes.astype(np.complex128)
     counts: dict[int, int] = {}
     meaningful = 0
     for begin in range(0, shots, chunk_size):
-        data_word, sel_word = _simulate_chunk(
-            plan, amps0, seed, begin, min(begin + chunk_size, shots)
-        )
-        mask = sel_word == 0
-        meaningful += int(mask.sum())
-        vals, cnts = np.unique(data_word[mask], return_counts=True)
+        data_word = _simulate_chunk(plan, amps0, seed, begin, min(begin + chunk_size, shots))
+        meaningful += len(data_word)
+        vals, cnts = np.unique(data_word, return_counts=True)
         for v, cn in zip(vals.tolist(), cnts.tolist()):
             counts[v] = counts.get(v, 0) + cn
     width = plan.n_classical_bits
