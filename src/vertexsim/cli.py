@@ -155,8 +155,14 @@ def _load_input_vector(path: Path, dim: int) -> np.ndarray:
         line = line.strip()
         if not line or line.startswith("index"):
             continue
-        idx, val = line.split(",")
-        v[int(idx)] = float(val)
+        try:
+            idx_s, val_s = line.split(",")
+            idx, val = int(idx_s), float(val_s)
+        except ValueError as exc:
+            raise ValidationError(f"input file {path}: want 'index,value', got {line!r}") from exc
+        if not 0 <= idx < dim:
+            raise ValidationError(f"input file {path}: index {idx} out of range for {dim} amplitudes")
+        v[idx] = val
     if not np.any(v):
         raise ValidationError(f"input file {path} holds no amplitudes")
     return v / np.linalg.norm(v)
@@ -253,6 +259,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    if args.inputs < 1:
+        raise ValidationError(f"--inputs must be at least 1, got {args.inputs}")
     seed = _resolve_seed(args)
     model = _load_model(args, seed)
     dim = 2 ** (args.n + 1)

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 
 def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Return matrix applied to `amps` on the given target qubits.
@@ -29,7 +31,7 @@ def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: list[int] | tupl
 
 def check_targets(targets, n_qubits: int) -> None:
     if len(set(targets)) != len(targets):
-        raise ValueError(f"target qubits must be distinct, got {tuple(targets)}")
+        raise ValidationError(f"target qubits must be distinct, got {tuple(targets)}")
     for q in targets:
         if not 0 <= q < n_qubits:
-            raise ValueError(f"target qubit {q} out of range for {n_qubits} qubits")
+            raise ValidationError(f"target qubit {q} out of range for {n_qubits} qubits")

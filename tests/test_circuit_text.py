@@ -76,3 +76,7 @@ def test_parser_rejects_malformed_input():
         )
     with pytest.raises(ValidationError):
         parse_circuit_text("circuit qubits=2 cbits=1 databits=1\nmeasure 0 -> q3\n")
+    with pytest.raises(ValidationError):
+        parse_circuit_text("circuit qubits=2 cbits=2 databits=2\nmeasure 0 0 -> c0 c1\n")
+    with pytest.raises(ValidationError):
+        parse_circuit_text("circuit qubits=2 cbits=1 databits=1\nmeasure 5 -> c0\n")

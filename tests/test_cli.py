@@ -113,6 +113,25 @@ def test_estimate_exact_backend(tmp_path):
     assert payload["backend"] == "exact"
 
 
+def test_estimate_rejects_zero_inputs(tmp_path):
+    rc = run_cli("estimate", "--c", "0.4", "--beta", "2", "--seed", "11", "--n", "2",
+                 "--inputs", "0", "--out", str(tmp_path))
+    assert rc == 2
+
+
+def test_estimate_input_file_lines(tmp_path):
+    def estimate(body):
+        path = tmp_path / "input.csv"
+        path.write_text("index,value\n" + body)
+        return run_cli("estimate", "--c", "0.4", "--beta", "2", "--seed", "11", "--n", "2",
+                       "--mode", "exact", "--input-file", str(path), "--out", str(tmp_path))
+
+    assert estimate("0,0.5\n3,0.5\n7,0.7\n") == 0
+    assert estimate("0 0.5\n") == 2  # no comma
+    assert estimate("99,0.5\n") == 2  # past the 8 amplitudes at n=2
+    assert estimate("-1,0.5\n") == 2  # would wrap to the last amplitude
+
+
 def test_export_circuit_round_trips(tmp_path):
     rc = run_cli("export-circuit", "--c", "0.4", "--beta", "2", "--seed", "2", "--n", "3",
                  "--m", "2", "--out", str(tmp_path))
