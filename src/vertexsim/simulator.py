@@ -101,14 +101,13 @@ def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) ->
 def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
                       n_qubits: int) -> np.ndarray:
     """Project `qubits` onto an outcome and renormalize (weight must be > 0)."""
-    view = amps.reshape([2] * n_qubits).copy()
+    view = amps.reshape([2] * n_qubits)
     keep = [slice(None)] * n_qubits
     for j, q in enumerate(qubits):
         keep[n_qubits - 1 - q] = (outcome >> j) & 1
-    mask = np.zeros_like(view, dtype=bool)
-    mask[tuple(keep)] = True
-    view[~mask] = 0.0
-    flat = view.reshape(-1)
+    kept = np.zeros_like(view)
+    kept[tuple(keep)] = view[tuple(keep)]
+    flat = kept.reshape(-1)
     p = float(np.linalg.norm(flat))
     if p == 0.0:
         raise ImpossiblePostselectionError("measurement collapsed onto a zero-weight outcome")

@@ -113,13 +113,11 @@ def test_estimate_exact_backend(tmp_path):
     assert payload["backend"] == "exact"
 
 
-def test_estimate_rejects_zero_inputs(tmp_path):
+def test_estimate_input_validation(tmp_path):
     rc = run_cli("estimate", "--c", "0.4", "--beta", "2", "--seed", "11", "--n", "2",
                  "--inputs", "0", "--out", str(tmp_path))
     assert rc == 2
 
-
-def test_estimate_input_file_lines(tmp_path):
     def estimate(body):
         path = tmp_path / "input.csv"
         path.write_text("index,value\n" + body)
