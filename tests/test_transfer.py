@@ -144,6 +144,24 @@ def test_power_and_dense_backends_agree():
             assert np.linalg.norm(a.psi0_right - b.psi0_right) < 1e-7
 
 
+SPECTRAL_GOLDENS = [
+    # (c, seed, n, lambda0, ratio, iterations); the last two widen the block
+    (0.4, 7, 9, 0.037704954811444834, 0.05603663273455123, 66),
+    (0.0, 0, 5, 11.260293642349216, 0.11720441046805723, 72),
+    (0.4, 2, 6, 0.015313578822767723, 0.07067964961812169, 68),
+]
+
+
+@pytest.mark.parametrize("c, seed, n, lambda0, ratio, iterations", SPECTRAL_GOLDENS)
+def test_spectral_goldens(c, seed, n, lambda0, ratio, iterations):
+    t = assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n)
+    s = spectral_summary(t)
+    assert abs(s.lambda0 - lambda0) <= 1e-12 * lambda0
+    assert abs(s.ratio - ratio) <= 1e-12 * ratio
+    assert s.iterations == iterations
+    assert abs(s.ratio - spectral_summary(t, method="dense").ratio) < 1e-10
+
+
 def test_perron_frobenius_properties():
     t = assemble_transfer(r_matrix(generate_model(0.0, 2.0, 21)), 3)
     s = spectral_summary(t)
