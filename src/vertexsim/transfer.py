@@ -87,8 +87,16 @@ class SpectralSummary:
     ratio: float
     psi0_right: np.ndarray
     residual: float
-    iterations: int = 0
+    iterations_right: int = 0
+    iterations_left: int = 0
+    iterations_deflation: int = 0
+    widenings: int = 0
     method: str = "power"
+
+    @property
+    def iterations(self) -> int:
+        """Matvec iterations over all three power-method phases."""
+        return self.iterations_right + self.iterations_left + self.iterations_deflation
 
 
 def assemble_transfer(r: RMatrix, n: int) -> TransferOperator:
@@ -135,7 +143,7 @@ def apply_row_product(r: RMatrix, n: int, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _power_dominant(matvec, dim: int, tol: float, max_iterations: int, seed: int = 17):
+def _power_dominant(matvec, dim: int, tol: float, max_iterations: int):
     """Power iteration for the dominant (Perron) eigenpair of a positive map."""
     v = np.full(dim, dim ** -0.5)
     best = math.inf
@@ -153,51 +161,57 @@ def _power_dominant(matvec, dim: int, tol: float, max_iterations: int, seed: int
     raise ConvergenceError(f"power iteration did not converge in {max_iterations} steps", best)
 
 
-def _deflated_second(t: TransferOperator, lam0: float, psi_r: np.ndarray, psi_l: np.ndarray,
+def _deflated_second(matvec, dim: int, lam0: float, psi_r: np.ndarray, psi_l: np.ndarray,
                      tol: float, max_iterations: int):
     """|Lambda_1| by block subspace iteration on T with (lam0, psi_r, psi_l) deflated.
+
+    The deflation is the rank-one update T - lam0 psi_r psi_l^T / (psi_l . psi_r),
+    applied to a real dim x block array.  Each iteration costs one block
+    matvec: its product is both the Rayleigh block of this iteration and the
+    iterate of the next, and the Ritz residual follows from it by linearity.
+    Widening the block costs one extra block matvec.
 
     Convergence is judged on the dominant Ritz pair alone (its residual and
     the drift of its magnitude), so clustered or complex second eigenvalues
     inside the block do not stall the test; if the residual stagnates the
-    block is widened to swallow the cluster.  Only the magnitude is returned.
+    block is widened to swallow the cluster.  Returns the magnitude, its
+    residual, the iteration count and the number of widenings.
     """
-    dim = t.dim
-    proj = np.outer(psi_r, psi_l) / (psi_l @ psi_r)
+    scale = lam0 / (psi_l @ psi_r)
 
     def defl(x):
-        return t.entries @ x - lam0 * (proj @ x)
+        return matvec(x) - np.outer(psi_r, scale * (psi_l @ x))
 
     block = min(4, dim - 1)
-    q = np.linalg.qr(uniforms(29, dim * block).reshape(dim, block) - 0.5)[0]
+    z = defl(np.linalg.qr(uniforms(29, dim * block).reshape(dim, block) - 0.5)[0])
     best = math.inf
     lam1 = math.inf
     last_resid = math.inf
     stall = 0
+    widenings = 0
     for it in range(1, max_iterations + 1):
-        z = defl(q)
         if float(np.linalg.norm(z)) <= tol * abs(lam0):
             # deflated operator numerically vanishes on the block: rank-one regime
-            return float(np.linalg.norm(z)) / math.sqrt(block), 0.0, it
+            return float(np.linalg.norm(z)) / math.sqrt(block), 0.0, it, widenings
         q, _ = np.linalg.qr(z)
-        h = q.T @ defl(q)
-        w, vecs = np.linalg.eig(h)
+        z = defl(q)
+        w, vecs = np.linalg.eig(q.T @ z)
         j = int(np.argmax(np.abs(w)))
-        mu = w[j]
-        y = q @ vecs[:, j]
-        resid = float(np.linalg.norm(defl(y) - mu * y)) / abs(lam0)
+        mu, x = w[j], vecs[:, j]
+        resid = float(np.linalg.norm(z @ x - mu * (q @ x))) / abs(lam0)
         best = min(best, resid)
         new = float(abs(mu))
         drift = abs(new - lam1) / abs(lam0) if math.isfinite(lam1) else math.inf
         lam1 = new
         if resid < tol and drift < tol:
-            return lam1, resid, it
+            return lam1, resid, it, widenings
         stall = stall + 1 if resid > 0.5 * last_resid else 0
         last_resid = resid
         if stall >= 40 and block < min(16, dim - 1):
             block = min(2 * block, 16, dim - 1)
             fresh = uniforms(31 + block, dim * block).reshape(dim, block) - 0.5
-            q = np.linalg.qr(np.hstack([q, fresh]))[0][:, :block]
+            z = defl(np.linalg.qr(np.hstack([q, fresh]))[0][:, :block])
+            widenings += 1
             stall = 0
             last_resid = math.inf
     raise ConvergenceError(
@@ -217,7 +231,11 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
         return _dense_summary(t, tol)
     if method != "power":
         raise ValidationError(f"unknown spectral method {method!r}")
-    lam0, psi0, resid, it_r = _power_dominant(lambda x: t.entries @ x, t.dim, tol, max_iterations)
+
+    def matvec(x):
+        return t.entries @ x
+
+    lam0, psi0, resid, it_r = _power_dominant(matvec, t.dim, tol, max_iterations)
     if lam0 <= 0:
         raise NumericalError(f"dominant eigenvalue must be positive, got {lam0}")
     if psi0.sum() < 0:
@@ -225,7 +243,8 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     _, psi0_l, _, it_l = _power_dominant(lambda x: t.entries.T @ x, t.dim, tol, max_iterations)
     if psi0_l.sum() < 0:
         psi0_l = -psi0_l
-    lam1_abs, _, it_d = _deflated_second(t, lam0, psi0, psi0_l, tol, max_iterations)
+    lam1_abs, _, it_d, widenings = _deflated_second(matvec, t.dim, lam0, psi0, psi0_l, tol,
+                                                    max_iterations)
     lam1_abs = min(lam1_abs, lam0)  # guard fp overshoot; Perron gives strict inequality
     return SpectralSummary(
         lambda0=lam0,
@@ -233,7 +252,10 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
         ratio=lam1_abs / lam0,
         psi0_right=psi0,
         residual=resid,
-        iterations=it_r + it_l + it_d,
+        iterations_right=it_r,
+        iterations_left=it_l,
+        iterations_deflation=it_d,
+        widenings=widenings,
         method="power",
     )
 
@@ -257,7 +279,6 @@ def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
         ratio=lam1_abs / lam0,
         psi0_right=psi0,
         residual=resid,
-        iterations=0,
         method="dense",
     )
 
@@ -379,6 +400,10 @@ def summary_to_json(s: SpectralSummary) -> str:
             "ratio": s.ratio,
             "residual": s.residual,
             "iterations": s.iterations,
+            "iterations_right": s.iterations_right,
+            "iterations_left": s.iterations_left,
+            "iterations_deflation": s.iterations_deflation,
+            "widenings": s.widenings,
             "method": s.method,
             "psi0_right": s.psi0_right.tolist(),
         },

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from vertexsim import (
     r_matrix,
     spectral_summary,
 )
-from vertexsim.transfer import DENSE_CAP_QUBITS, TransferOperator
+from vertexsim.transfer import DENSE_CAP_QUBITS, TransferOperator, summary_to_json
 
 from conftest import positive_state
 from test_model import ramp_model
@@ -145,7 +146,7 @@ def test_power_and_dense_backends_agree():
 
 
 SPECTRAL_GOLDENS = [
-    # (c, seed, n, lambda0, ratio, iterations); the last two widen the block
+    # (c, seed, n, lambda0, ratio, iterations); each widens the block once
     (0.4, 7, 9, 0.037704954811444834, 0.05603663273455123, 66),
     (0.0, 0, 5, 11.260293642349216, 0.11720441046805723, 72),
     (0.4, 2, 6, 0.015313578822767723, 0.07067964961812169, 68),
@@ -160,6 +161,21 @@ def test_spectral_goldens(c, seed, n, lambda0, ratio, iterations):
     assert abs(s.ratio - ratio) <= 1e-12 * ratio
     assert s.iterations == iterations
     assert abs(s.ratio - spectral_summary(t, method="dense").ratio) < 1e-10
+
+
+def test_spectral_phase_counts():
+    phases = []
+    for c, seed, n, *_ in SPECTRAL_GOLDENS:
+        s = spectral_summary(assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n))
+        assert s.iterations == s.iterations_right + s.iterations_left + s.iterations_deflation
+        assert s.widenings >= 1
+        phases.append((s.iterations_right, s.iterations_left, s.iterations_deflation))
+    assert phases[0] == (10, 10, 46)
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 3)
+    assert spectral_summary(t).widenings == 0
+    dense = json.loads(summary_to_json(spectral_summary(t, method="dense")))
+    assert [dense[k] for k in ("iterations", "iterations_right", "iterations_left",
+                               "iterations_deflation", "widenings")] == [0] * 5
 
 
 def test_perron_frobenius_properties():
