@@ -37,7 +37,6 @@ from .rng import stream_u64, to_unit
 from .simulator import histogram_meta_json, histogram_to_csv
 from .svgplot import Chart, render
 from .transfer import (
-    DENSE_CAP_QUBITS,
     assemble_transfer,
     spectral_summary,
     summary_to_json,
@@ -182,10 +181,6 @@ def cmd_gen_model(args) -> int:
 def cmd_spectrum(args) -> int:
     seed = _resolve_seed(args)
     model = _load_model(args, seed)
-    if args.n + 1 > DENSE_CAP_QUBITS:
-        raise ValidationError(
-            f"spectrum needs dense assembly, capped at n <= {DENSE_CAP_QUBITS - 1}"
-        )
     t = assemble_transfer(r_matrix(model), args.n)
     summary = spectral_summary(t, tol=args.tol, method=args.method)
     out = _outdir(args)

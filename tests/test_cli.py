@@ -44,6 +44,9 @@ def test_spectrum_outputs_and_entropy_seed_recorded(tmp_path):
     meta = json.loads((tmp_path / "spectrum.json").read_text())
     assert isinstance(meta["seed"], int)  # drawn from entropy, recorded
     assert 0 < meta["ratio"] < 1
+    assert meta["iterations"] == (meta["iterations_right"] + meta["iterations_left"]
+                                  + meta["iterations_deflation"])
+    assert meta["widenings"] >= 0
     assert (tmp_path / "spectrum.csv").exists()
     assert (tmp_path / "psi0.csv").exists()
 
