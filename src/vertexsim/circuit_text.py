@@ -60,8 +60,8 @@ def parse_circuit_text(text: str) -> CircuitPlan:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("circuit "):
         raise ValidationError("circuit text must start with a 'circuit' header line")
-    header = dict(part.split("=") for part in lines[0].split()[1:])
     try:
+        header = dict(part.split("=") for part in lines[0].split()[1:])
         n_qubits = int(header["qubits"])
         n_cbits = int(header["cbits"])
         n_data = int(header["databits"])
@@ -84,7 +84,10 @@ def parse_circuit_text(text: str) -> CircuitPlan:
             for j in range(dim):
                 if i + 1 + j >= len(lines):
                     raise ValidationError(f"matrix {mid} is truncated")
-                rows.append([complex(tok) for tok in lines[i + 1 + j].split()])
+                try:
+                    rows.append([complex(tok) for tok in lines[i + 1 + j].split()])
+                except ValueError as exc:
+                    raise ValidationError(f"matrix {mid} row {j} has a bad entry") from exc
                 if len(rows[-1]) != dim:
                     raise ValidationError(f"matrix {mid} row {j} has wrong width")
             m = np.array(rows)
@@ -100,22 +103,21 @@ def parse_circuit_text(text: str) -> CircuitPlan:
     for ln in body:
         parts = ln.split()
         if parts[0] == "unitary":
-            mid = parts[1]
-            if mid not in matrices:
-                raise ValidationError(f"instruction references unknown matrix {mid}")
-            targets = tuple(int(p) for p in parts[2:])
-            instructions.append(ApplyUnitary(matrix=matrices[mid], targets=targets))
+            if len(parts) < 2 or parts[1] not in matrices:
+                raise ValidationError(f"instruction references an unknown matrix: {ln!r}")
+            targets = tuple(_qubit(p) for p in parts[2:])
+            instructions.append(ApplyUnitary(matrix=matrices[parts[1]], targets=targets))
         elif parts[0] == "measure_postselect0":
             if len(parts) != 4 or parts[2] != "->":
                 raise ValidationError(f"bad post-selection line {ln!r}")
             instructions.append(
-                MeasureAncillaPostselect0(qubit=int(parts[1]), cbit=_cbit(parts[3]))
+                MeasureAncillaPostselect0(qubit=_qubit(parts[1]), cbit=_cbit(parts[3]))
             )
         elif parts[0] == "measure":
             if "->" not in parts:
                 raise ValidationError(f"bad measure line {ln!r}")
             arrow = parts.index("->")
-            qubits = tuple(int(p) for p in parts[1:arrow])
+            qubits = tuple(_qubit(p) for p in parts[1:arrow])
             cbits = tuple(_cbit(p) for p in parts[arrow + 1:])
             instructions.append(MeasureAll(qubits=qubits, cbits=cbits))
         else:
@@ -128,7 +130,17 @@ def parse_circuit_text(text: str) -> CircuitPlan:
     )
 
 
+def _qubit(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError as exc:
+        raise ValidationError(f"qubit index must be an integer, got {tok!r}") from exc
+
+
 def _cbit(tok: str) -> int:
-    if not tok.startswith("c"):
-        raise ValidationError(f"classical bit reference must look like c3, got {tok!r}")
-    return int(tok[1:])
+    try:
+        if tok.startswith("c"):
+            return int(tok[1:])
+    except ValueError:
+        pass
+    raise ValidationError(f"classical bit reference must look like c3, got {tok!r}")

@@ -80,3 +80,15 @@ def test_parser_rejects_malformed_input():
         parse_circuit_text("circuit qubits=2 cbits=2 databits=2\nmeasure 0 0 -> c0 c1\n")
     with pytest.raises(ValidationError):
         parse_circuit_text("circuit qubits=2 cbits=1 databits=1\nmeasure 5 -> c0\n")
+    header = "circuit qubits=2 cbits=1 databits=1\n"
+    for text in (
+        "circuit qubits=2 cbits=1 databits=1 junk\n",
+        header + "measure_postselect0 a -> c0\n",
+        header + "unitary m0 x\nmatrix m0 2\n1 0\n0 1\n",
+        header + "measure a -> c0\n",
+        header + "measure 0 -> cx\n",
+        header + "matrix m0 2\n1 zz\n0 1\n",
+        header + "unitary\n",
+    ):
+        with pytest.raises(ValidationError):
+            parse_circuit_text(text)
