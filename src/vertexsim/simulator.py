@@ -69,9 +69,13 @@ def init_state(n: int, amplitudes: np.ndarray) -> QuantumState:
 
 
 def _check_unitary(matrix: np.ndarray, k: int) -> np.ndarray:
+    if k < 1:
+        raise ValidationError("unitary needs at least one target qubit")
     m = np.asarray(matrix, dtype=np.complex128)
     if m.shape != (2 ** k, 2 ** k):
         raise DimensionError(f"matrix on {k} qubits must be {2 ** k}x{2 ** k}, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValidationError("matrix entries must be finite")
     defect = np.max(np.abs(m.conj().T @ m - np.eye(2 ** k)))
     if defect > UNITARITY_TOL:
         raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
@@ -195,6 +199,8 @@ class CircuitPlan:
                 if not 0 <= ins.cbit < self.n_classical_bits:
                     raise ValidationError(f"classical bit {ins.cbit} out of range")
             elif isinstance(ins, MeasureAll):
+                if not ins.qubits:
+                    raise ValidationError("measure needs at least one qubit")
                 check_targets(ins.qubits, self.n_qubits)
                 if len(ins.cbits) != len(ins.qubits):
                     raise ValidationError("measure needs one classical bit per qubit")

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from vertexsim import (
+    ApplyUnitary,
     CircuitPlan,
+    MeasureAll,
     ValidationError,
     build_d_test_plan,
     build_t_plan,
@@ -89,6 +91,21 @@ def test_parser_rejects_malformed_input():
         header + "measure 0 -> cx\n",
         header + "matrix m0 2\n1 zz\n0 1\n",
         header + "unitary\n",
+        header + "unitary m0 0\nmatrix m0 2\nnan 0\n0 1\n",
+        header + "unitary m0 0\nmatrix m0 2\ninf 0\n0 1\n",
+        header + "unitary m0 0\nmatrix m0 2\n1 0\n0 -inf\n",
+        header + "unitary m0\nmatrix m0 1\n1\n",
+        header + "measure -> \n",
     ):
         with pytest.raises(ValidationError):
             parse_circuit_text(text)
+
+
+def test_plan_rejects_non_finite_matrix_and_empty_targets():
+    for ins in (
+        ApplyUnitary(matrix=np.array([[np.nan, 0.0], [0.0, 1.0]]), targets=(0,)),
+        ApplyUnitary(matrix=np.eye(1), targets=()),
+        MeasureAll(qubits=(), cbits=()),
+    ):
+        with pytest.raises(ValidationError):
+            CircuitPlan(n_qubits=2, n_classical_bits=1, instructions=[ins])
