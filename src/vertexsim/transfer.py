@@ -34,7 +34,9 @@ from .errors import (
     NumericalError,
     ValidationError,
 )
-from .gates import apply_matrix
+# unused here since the row product stopped calling it; perfbench's tracer test
+# still expects this binding (see ROADMAP item 3)
+from .gates import apply_matrix  # noqa: F401
 from .model import RMatrix, VertexModel
 from .rng import uniforms
 
@@ -66,7 +68,13 @@ class LatticeShape:
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """Dense row-transfer matrix of one lattice row of N vertices."""
+    """Row-transfer operator of one lattice row of N vertices.
+
+    `source` is the Boltzmann gate R: the power oracle of `spectral_summary`
+    applies T and T^T from it gate by gate.  `entries` is the dense matrix,
+    kept for `method="dense"` (the LAPACK cross-check), `apply_transfer` and
+    `partition_element`.
+    """
 
     entries: np.ndarray
     n: int
@@ -87,6 +95,7 @@ class SpectralSummary:
     ratio: float
     psi0_right: np.ndarray
     residual: float
+    residual_deflation: float = 0.0
     iterations_right: int = 0
     iterations_left: int = 0
     iterations_deflation: int = 0
@@ -127,20 +136,49 @@ def apply_transfer(t: TransferOperator, v: np.ndarray) -> np.ndarray:
     return t.entries @ v
 
 
+# gate rows reordered from (l, d) to (d, l): the lateral bond leaves each gate
+# as the minor bit, next to the vertical bit the following gate consumes
+_BOND_LAST = [0, 2, 1, 3]
+
+
+def _row_sweep(g: np.ndarray, n: int, x: np.ndarray, reverse: bool) -> np.ndarray:
+    """T @ x (g = R[_BOND_LAST], reverse=False) or T^T @ x (g.T, reverse=True).
+
+    x is (dim,) or (dim, b).  Forward, the lateral bond r is first moved in
+    front of the vertical bits, (r, u_N, ..., u_1); after the j finished d
+    bits the bond and the next vertical bit u_k (k = N - j) then sit side by
+    side, so gate k is one batched 4x4 matmul over the contiguous view
+    (2^j, 4, rest) that writes (d_k, bond) in their place.  After gate 1 the
+    axes read (d_N, ..., d_1, l), the natural order.  Reverse runs the
+    transposed steps back to front (gate 1 first) and moves the bond from
+    the front to the back at the end.  Either way one copy moves the bond.
+    """
+    if reverse:
+        y = x
+        for j in range(n - 1, -1, -1):
+            y = g @ y.reshape(2 ** j, 4, -1)
+        return y.reshape(2, 2 ** n, -1).transpose(1, 0, 2).reshape(x.shape)
+    y = x.reshape(2 ** n, 2, -1).transpose(1, 0, 2)
+    for j in range(n):
+        y = g @ y.reshape(2 ** j, 4, -1)
+    return y.reshape(x.shape)
+
+
 def apply_row_product(r: RMatrix, n: int, v: np.ndarray) -> np.ndarray:
-    """Matrix-free T @ v: contract one gate at a time over the state vector.
+    """Matrix-free T @ v for a vector (dim,) or a block of columns (dim, b).
 
     Works for any n; this is the only transfer application available above
     the dense cap.  Gate k couples qubit k (vertical bond) with qubit 0
-    (lateral bond); the rightmost factor k = n acts first.
+    (lateral bond); the rightmost factor k = n acts first.  The transpose
+    T^T, which `spectral_summary` applies the same way, takes R^T in the
+    reverse order, k = 1 first.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.shape != (2 ** (n + 1),):
-        raise DimensionError(f"vector has shape {v.shape}, expected ({2 ** (n + 1)},)")
-    out = v
-    for k in range(n, 0, -1):
-        out = apply_matrix(out, r.entries, [k, 0], n + 1)
-    return out
+    if v.ndim not in (1, 2) or v.shape[0] != 2 ** (n + 1):
+        raise DimensionError(
+            f"array has shape {v.shape}, expected ({2 ** (n + 1)},) or ({2 ** (n + 1)}, b)"
+        )
+    return _row_sweep(r.entries[_BOND_LAST], n, v, reverse=False)
 
 
 def _power_dominant(matvec, dim: int, tol: float, max_iterations: int):
@@ -224,27 +262,35 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     """Top of the spectrum: Lambda_0, |Lambda_1|, their ratio and Psi_0^R.
 
     method="power" (default) runs power iteration plus one deflation and
-    needs nothing beyond matvecs; method="dense" is the LAPACK cross-check
-    backend.  Residuals are relative to Lambda_0.
+    needs nothing beyond matvecs: it applies T and T^T as row products of
+    `t.source` and never reads `t.entries`.  method="dense" is the LAPACK
+    cross-check backend.  Residuals are relative to Lambda_0: `residual` is
+    that of (Lambda_0, Psi_0^R), `residual_deflation` that of the dominant
+    Ritz pair behind |Lambda_1| (0.0 for the dense method).
     """
     if method == "dense":
         return _dense_summary(t, tol)
     if method != "power":
         raise ValidationError(f"unknown spectral method {method!r}")
 
+    g = t.source.entries[_BOND_LAST]
+
     def matvec(x):
-        return t.entries @ x
+        return _row_sweep(g, t.n, x, reverse=False)
+
+    def rmatvec(x):
+        return _row_sweep(g.T, t.n, x, reverse=True)
 
     lam0, psi0, resid, it_r = _power_dominant(matvec, t.dim, tol, max_iterations)
     if lam0 <= 0:
         raise NumericalError(f"dominant eigenvalue must be positive, got {lam0}")
     if psi0.sum() < 0:
         psi0 = -psi0
-    _, psi0_l, _, it_l = _power_dominant(lambda x: t.entries.T @ x, t.dim, tol, max_iterations)
+    _, psi0_l, _, it_l = _power_dominant(rmatvec, t.dim, tol, max_iterations)
     if psi0_l.sum() < 0:
         psi0_l = -psi0_l
-    lam1_abs, _, it_d, widenings = _deflated_second(matvec, t.dim, lam0, psi0, psi0_l, tol,
-                                                    max_iterations)
+    lam1_abs, resid_d, it_d, widenings = _deflated_second(matvec, t.dim, lam0, psi0, psi0_l,
+                                                          tol, max_iterations)
     lam1_abs = min(lam1_abs, lam0)  # guard fp overshoot; Perron gives strict inequality
     return SpectralSummary(
         lambda0=lam0,
@@ -252,6 +298,7 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
         ratio=lam1_abs / lam0,
         psi0_right=psi0,
         residual=resid,
+        residual_deflation=resid_d,
         iterations_right=it_r,
         iterations_left=it_l,
         iterations_deflation=it_d,
@@ -399,6 +446,7 @@ def summary_to_json(s: SpectralSummary) -> str:
             "lambda1_abs": s.lambda1_abs,
             "ratio": s.ratio,
             "residual": s.residual,
+            "residual_deflation": s.residual_deflation,
             "iterations": s.iterations,
             "iterations_right": s.iterations_right,
             "iterations_left": s.iterations_left,

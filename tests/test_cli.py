@@ -47,6 +47,7 @@ def test_spectrum_outputs_and_entropy_seed_recorded(tmp_path):
     assert meta["iterations"] == (meta["iterations_right"] + meta["iterations_left"]
                                   + meta["iterations_deflation"])
     assert meta["widenings"] >= 0
+    assert 0 <= meta["residual_deflation"] < 1e-10  # the default --tol
     assert (tmp_path / "spectrum.csv").exists()
     assert (tmp_path / "psi0.csv").exists()
 
@@ -56,6 +57,7 @@ def test_spectrum_dense_method(tmp_path):
                    "--method", "dense", "--out", str(tmp_path)) == 0
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 8  # header plus every eigenvalue magnitude
+    assert json.loads((tmp_path / "spectrum.json").read_text())["residual_deflation"] == 0.0
 
 
 def test_spectrum_cap_is_a_validation_error(tmp_path):

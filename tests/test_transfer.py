@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexsim import (
     ConvergenceError,
@@ -23,7 +25,13 @@ from vertexsim import (
     r_matrix,
     spectral_summary,
 )
-from vertexsim.transfer import DENSE_CAP_QUBITS, TransferOperator, summary_to_json
+from vertexsim.transfer import (
+    _BOND_LAST,
+    DENSE_CAP_QUBITS,
+    TransferOperator,
+    _row_sweep,
+    summary_to_json,
+)
 
 from conftest import positive_state
 from test_model import ramp_model
@@ -116,6 +124,40 @@ def test_matrix_free_apply_matches_dense():
         )
 
 
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 16),
+    c=st.sampled_from([0.0, 0.4, 2.0]),
+    b=st.integers(1, 5),
+)
+def test_row_product_and_transpose_match_dense(n, seed, c, b):
+    R = r_matrix(generate_model(c, 2.0, seed))
+    T = assemble_transfer(R, n).entries
+    rng = np.random.default_rng(seed)
+    for x in (rng.uniform(-1, 1, T.shape[0]), rng.uniform(-1, 1, (T.shape[0], b))):
+        for dense, got in (
+            (T, apply_row_product(R, n, x)),
+            (T.T, _row_sweep(R.entries[_BOND_LAST].T, n, x, reverse=True)),
+        ):
+            assert got.shape == x.shape
+            # componentwise: rounding scales with |T| |x|, not with |T x|
+            assert np.all(np.abs(got - dense @ x) <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+
+
+def test_power_oracle_never_reads_dense_entries():
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 4)
+    blind = TransferOperator(entries=np.full_like(t.entries, np.nan), n=t.n, source=t.source)
+    a, b = spectral_summary(t), spectral_summary(blind)
+    assert (a.lambda0, a.ratio, a.iterations) == (b.lambda0, b.ratio, b.iterations)
+
+
+def test_row_product_rejects_bad_shapes():
+    for shape in ((7,), (16, 2), (32, 2, 1)):
+        with pytest.raises(DimensionError):
+            apply_row_product(ones_r(), 4, np.ones(shape))
+
+
 def test_spectral_rank_one_regime():
     # pure ramp: exactly one nonzero eigenvalue, dominant vector near |0...0>
     t = assemble_transfer(r_matrix(ramp_model()), 4)
@@ -188,11 +230,13 @@ def test_perron_frobenius_properties():
 
 
 def test_ratio_is_scale_free():
-    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 31)), 3)
-    base = spectral_summary(t).ratio
-    for kappa in (1e-3, 7.0, 1e4):
-        scaled = TransferOperator(entries=kappa * t.entries, n=t.n, source=t.source)
-        assert abs(spectral_summary(scaled).ratio - base) < 1e-12
+    # kappa * R gives kappa^n * T; both methods must see the same ratio
+    r = r_matrix(generate_model(0.4, 2.0, 31))
+    for method in ("power", "dense"):
+        base = spectral_summary(assemble_transfer(r, 3), method=method).ratio
+        for kappa in (1e-3, 7.0, 1e4):
+            scaled = assemble_transfer(RMatrix(entries=kappa * r.entries), 3)
+            assert abs(spectral_summary(scaled, method=method).ratio - base) < 1e-12
 
 
 def test_spectral_nonconvergence_reports_residual():
