@@ -10,7 +10,10 @@ counts.  The construction:
 
 where mix64 is the SplitMix64 output permutation (Steele, Lea & Flood 2014)
 and GOLDEN = 2^64 / phi.  Uniform[0,1) doubles take the top 53 bits:
-u = (x >> 11) * 2^-53.
+u = (x >> 11) * 2^-53.  So u is the 53-bit integer key k = x >> 11 scaled
+exactly, and for any double c, u >= c holds exactly when k >= ceil(c * 2^53)
+(c * 2^53 is exact, and k is an integer).  The shot engine compares such
+integer keys against integer thresholds instead of forming u.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     """SplitMix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
     x = np.asarray(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        x = (x ^ (x >> np.uint64(30))) * _M1
-        x = (x ^ (x >> np.uint64(27))) * _M2
-        return x ^ (x >> np.uint64(31))
+        x = x ^ (x >> np.uint64(30))  # a new array: the steps below work in place
+        x *= _M1
+        x ^= x >> np.uint64(27)
+        x *= _M2
+        x ^= x >> np.uint64(31)
+        return x
 
 
 def _u64(seed: int) -> np.uint64:
@@ -63,5 +69,5 @@ def substream_value(sub_seeds: np.ndarray, index: int) -> np.ndarray:
 
 
 def to_unit(x: np.ndarray) -> np.ndarray:
-    """Map uint64 to Uniform[0,1) using the top 53 bits."""
+    """Map uint64 to Uniform[0,1) using the top 53 bits: (x >> 11) * 2^-53."""
     return (x >> np.uint64(11)).astype(np.float64) * 2.0 ** -53

@@ -10,15 +10,22 @@ Conventions
   in the LOW bits, hence "meaningful" records are exactly those with value
   < 2^n_data_bits.
 * Shot k draws its randomness from the counter-based substream (seed, k):
-  one uniform per measurement instruction, in program order.  Results are
+  one value per measurement instruction, in program order.  Results are
   therefore independent of chunking or execution order.
+* A measurement picks outcome searchsorted(cum, u, side="right") for the
+  uniform u = to_unit(x) and the cumulative Born weights cum (last entry
+  pinned to 1).  The engine makes the same choice in integers: u >= c
+  exactly when the 53-bit key x >> 11 is >= ceil(c * 2^53) (see rng), so
+  it compares keys against the thresholds ceil(cum * 2^53).
 
 Shot execution shares work across shots: between measurements all shots see
 the same deterministic evolution, so the engine tracks one state per distinct
-measurement record (branch) and a per-shot branch id.  A shot is dropped at
-its first failed post-selection (the first measurement that sets a select
-bit), so only live shots draw, and branches split only where live shots
-disagree on a data bit.  Post-selected circuits therefore run on one branch.
+measurement record (branch).  A shot is dropped at its first failed
+post-selection (the first measurement that sets a select bit), so only live
+shots draw, and branches split only where live shots disagree on a data bit.
+Post-selected circuits therefore run on one branch, and there a
+post-selection costs one draw, one comparison and one compaction per live
+shot.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .gates import apply_matrix, check_targets
-from .rng import substream_seed, substream_value, to_unit
+from .rng import substream_seed, substream_value
 
 UNITARITY_TOL = 1e-10
 
@@ -93,13 +100,15 @@ def apply_unitary(state: QuantumState, matrix: np.ndarray, targets: list[int] | 
 def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index).
 
-    Not renormalized: on a unit state they sum to 1 up to rounding.
+    `amps` is one state or a stack of states along its leading axes.  Not
+    renormalized: on a unit state they sum to 1 up to rounding.
     """
     m = len(qubits)
-    dens = np.abs(amps.reshape([2] * n_qubits)) ** 2
-    axes = [n_qubits - 1 - q for q in reversed(qubits)]
-    dens = np.moveaxis(dens, axes, range(m))
-    return dens.reshape(2 ** m, -1).sum(axis=1)
+    lead = amps.shape[:-1]
+    dens = np.abs(amps.reshape(lead + (2,) * n_qubits)) ** 2
+    axes = [len(lead) + n_qubits - 1 - q for q in reversed(qubits)]
+    dens = np.moveaxis(dens, axes, range(len(lead), len(lead) + m))
+    return dens.reshape(lead + (2 ** m, -1)).sum(axis=-1)
 
 
 def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
@@ -229,13 +238,18 @@ class CircuitPlan:
 @dataclass(frozen=True)
 class ShotHistogram:
     """Meaningful-record histogram: keys are full-width register strings
-    whose post-selection bits are all 0; sum(counts) == meaningful_shots."""
+    whose post-selection bits are all 0; sum(counts) == meaningful_shots.
+
+    survivors[i] counts the shots still live after the plan's i-th
+    measurement, so it never increases and ends at meaningful_shots.
+    """
 
     counts: dict[str, int]
     total_shots: int
     meaningful_shots: int
     seed: int
     width: int
+    survivors: tuple[int, ...] = ()
 
     @property
     def meaningful_fraction(self) -> float:
@@ -270,23 +284,41 @@ def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumStat
 
 
 def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
-                    stop: int) -> np.ndarray:
-    """Data words of the meaningful shots among shots [start, stop).
+                    stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Data words of the meaningful shots among shots [start, stop), and the
+    number of live shots after each measurement.
 
     Classical bits below n_data_bits land in the data word at their own
     position; every bit above is a select bit, and a shot is dropped at the
     first measurement that sets one.  A post-selection is a one-qubit
     measurement into a select bit.
+
+    Each branch's thresholds ceil(cum * 2^53) are searched with the shot's
+    53-bit key, which gives searchsorted's outcome exactly (module notes).
+    cum is non-decreasing except its pinned last entry, and no key reaches
+    that entry's threshold 2^53, so `threshold <= key` holds on a prefix of
+    each row: all a binary search needs.  The search runs over every live
+    shot at once, one comparison per measured qubit, so a post-selection on
+    one branch is the single test key >= threshold.  (One searchsorted over
+    all branches would need (branch, key) as a single sort key: 53 bits plus
+    log2 of the branch count, more than 64 past 2048 branches.)
+
+    Besides its substream seed, a shot carries `branch` (which state it sits
+    on) only once a data bit has split the live shots over several states,
+    and `data_word` only once a data bit has been written.  A measurement
+    that writes only select bits leaves every live shot on outcome 0, so it
+    collapses each live branch onto outcome 0 and splits none.
     """
     nq = plan.n_qubits
     nd = plan.n_data_bits
+    n_measures = sum(not isinstance(ins, ApplyUnitary) for ins in plan.instructions)
+    survivors = np.zeros(n_measures, dtype=np.int64)
     subs = substream_seed(seed, np.arange(start, stop, dtype=np.uint64))
-    states: list[np.ndarray] = [amps0]
-    branch = np.zeros(stop - start, dtype=np.int64)
-    data_word = np.zeros(stop - start, dtype=np.uint64)
+    states = [amps0]
+    branch = None
+    data_word = None
     event = 0
-    last = len(plan.instructions) - 1
-    for pos, ins in enumerate(plan.instructions):
+    for ins in plan.instructions:
         if isinstance(ins, ApplyUnitary):
             states = [apply_matrix(s, ins.matrix, ins.targets, nq) for s in states]
             continue
@@ -294,28 +326,53 @@ def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
             qubits, cbits = (ins.qubit,), (ins.cbit,)
         else:
             qubits, cbits = ins.qubits, ins.cbits
-        u = to_unit(substream_value(subs, event))
-        event += 1
-        out = np.empty(len(branch), dtype=np.int64)
-        for bi, s in enumerate(states):
-            sel = branch == bi
-            cum = np.cumsum(_marginal_probs(s, qubits, nq))
-            cum[-1] = 1.0
-            out[sel] = np.searchsorted(cum, u[sel], side="right")
-        live = np.ones(len(branch), dtype=bool)
+        m = 1 << len(qubits)
+        cum = np.cumsum(_marginal_probs(np.stack(states), qubits, nq), axis=1)
+        cum[:, -1] = 1.0
+        thresholds = np.ceil(cum * 2.0 ** 53).astype(np.uint64).ravel()
+        key = substream_value(subs, event) >> np.uint64(11)
+        written, select = np.zeros(m, dtype=np.uint64), 0
         for j, cb in enumerate(cbits):
-            bit = (out >> j) & 1
             if cb < nd:
-                data_word |= bit.astype(np.uint64) << np.uint64(cb)
+                written |= ((np.arange(m) >> j) & 1).astype(np.uint64) << np.uint64(cb)
             else:
-                live &= bit == 0
-        subs, branch, out, data_word = subs[live], branch[live], out[live], data_word[live]
-        if pos == last or not len(branch):
+                select |= 1 << j
+        splits = bool(written.any())
+        # flat index into thresholds: branch * m + outcome
+        idx = 0 if branch is None else branch * m
+        for j in reversed(range(len(qubits))):
+            idx = idx + (key >= thresholds[(1 << j) - 1:][idx]) * (1 << j)
+        if select:
+            keep = np.flatnonzero((idx & select) == 0)
+            subs = subs[keep]
+            if splits:
+                idx = idx[keep]
+            if branch is not None:
+                branch = branch[keep]
+            if data_word is not None:
+                data_word = data_word[keep]
+        survivors[event] = len(subs)
+        event += 1
+        if splits:
+            bits = written[idx & (m - 1)]
+            data_word = bits if data_word is None else data_word | bits
+        if event == n_measures or not len(subs):
             break
-        m = 2 ** len(qubits)
-        realized, branch = np.unique(branch * m + out, return_inverse=True)
-        states = [_collapse_outcome(states[k // m], qubits, int(k % m), nq) for k in realized]
-    return data_word
+        if splits:
+            realized, inverse = np.unique(idx, return_inverse=True)
+            states = [_collapse_outcome(states[k // m], qubits, k % m, nq)
+                      for k in realized.tolist()]
+            branch = inverse if len(realized) > 1 else None
+            continue
+        if branch is not None:
+            held = np.bincount(branch, minlength=len(states)) > 0
+            if not held.all():
+                states = [s for s, h in zip(states, held) if h]
+                branch = (np.cumsum(held) - 1)[branch]
+        states = [_collapse_outcome(s, qubits, 0, nq) for s in states]
+    if data_word is None:
+        data_word = np.zeros(len(subs), dtype=np.uint64)
+    return data_word, survivors
 
 
 def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: int,
@@ -327,8 +384,9 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
     post-selection, that is, the first measurement that sets a select bit;
     the shots that survive every measurement are the meaningful ones.
     """
-    if shots < 1:
-        raise ValidationError(f"need at least one shot, got {shots}")
+    for name, value in (("shots", shots), ("chunk_size", chunk_size)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
     if input_state.n_qubits != plan.n_qubits:
         raise DimensionError(
             f"input has {input_state.n_qubits} qubits, plan needs {plan.n_qubits}"
@@ -340,9 +398,11 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
     amps0 = input_state.amplitudes.astype(np.complex128)
     counts: dict[int, int] = {}
     meaningful = 0
+    survivors = 0
     for begin in range(0, shots, chunk_size):
-        data_word = _simulate_chunk(plan, amps0, seed, begin, min(begin + chunk_size, shots))
+        data_word, live = _simulate_chunk(plan, amps0, seed, begin, min(begin + chunk_size, shots))
         meaningful += len(data_word)
+        survivors = survivors + live
         vals, cnts = np.unique(data_word, return_counts=True)
         for v, cn in zip(vals.tolist(), cnts.tolist()):
             counts[v] = counts.get(v, 0) + cn
@@ -354,6 +414,7 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
         meaningful_shots=meaningful,
         seed=seed,
         width=width,
+        survivors=tuple(survivors.tolist()),
     )
 
 
@@ -365,6 +426,7 @@ def histogram_to_csv(h: ShotHistogram) -> str:
 
 def histogram_meta_json(h: ShotHistogram) -> str:
     return json.dumps(
-        {"total_shots": h.total_shots, "meaningful_shots": h.meaningful_shots, "seed": h.seed},
+        {"total_shots": h.total_shots, "meaningful_shots": h.meaningful_shots, "seed": h.seed,
+         "survivors": list(h.survivors)},
         indent=2,
     )

@@ -77,6 +77,10 @@ def test_simulate_writes_everything(tmp_path):
     meta = json.loads((tmp_path / "simulate.json").read_text())
     assert meta["seed"] == 6
     assert meta["shots_used"] == 4000
+    survivors = meta["histogram"]["survivors"]
+    assert len(survivors) == 3  # two post-selections, then the data measurement
+    assert survivors == sorted(survivors, reverse=True)
+    assert survivors[-1] == meta["histogram"]["meaningful_shots"]
     # simulated column tracks the expected column loosely at 4k shots
     rows = (tmp_path / "action.csv").read_text().strip().splitlines()[1:]
     sim, exp = zip(*[(float(r.split(",")[1]), float(r.split(",")[2])) for r in rows])

@@ -44,3 +44,29 @@ def test_mix64_scalar_matches_array():
 def test_to_unit_uses_top_53_bits():
     assert to_unit(np.array([0], dtype=np.uint64))[0] == 0.0
     assert to_unit(np.array([(1 << 64) - 1], dtype=np.uint64))[0] == 1.0 - 2.0 ** -53
+
+
+def test_integer_key_decides_threshold_comparisons_exactly():
+    # to_unit(x) = k * 2^-53 with the integer key k = x >> 11, so for any
+    # double c: to_unit(x) >= c  iff  k >= ceil(c * 2^53)
+    xs = np.concatenate([
+        stream_u64(21, 300),
+        np.array([0, 1 << 11, (1 << 11) - 1, (1 << 63) + 12345, (1 << 64) - 1], dtype=np.uint64),
+    ])
+    u = to_unit(xs)
+    keys = xs >> np.uint64(11)
+    near = [u]
+    for direction in (2.0, -1.0):
+        c = u
+        for _ in range(3):
+            c = np.nextafter(c, direction)
+            near.append(c)
+    cs = np.concatenate(near + [np.array([
+        0.0, 5e-324, 2.0 ** -53, 0.5, 1.0 - 2.0 ** -53, 1.0,
+        np.nextafter(1.0, 2.0), 1.0 + 2.0 ** -40,
+    ])])
+    thresholds = np.ceil(cs * 2.0 ** 53).astype(np.uint64)
+    assert np.array_equal(u[None, :] >= cs[:, None], keys[None, :] >= thresholds[:, None])
+    # the edges: every key meets c = 0, none meets c = 1 or anything above it
+    assert thresholds[-8] == 0 and thresholds[-3] == 1 << 53
+    assert np.all(keys < 1 << 53)

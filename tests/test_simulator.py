@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from vertexsim import (
     ApplyUnitary,
@@ -28,7 +30,9 @@ from vertexsim import (
     svd_scaled,
 )
 from vertexsim.dilation import X_GATE
-from vertexsim.rng import stream_u64, to_unit
+from vertexsim.gates import apply_matrix
+from vertexsim.rng import stream_u64, substream_seed, substream_value, to_unit
+from vertexsim.simulator import _collapse_outcome, _marginal_probs
 
 from conftest import mid_circuit_plan, positive_state
 
@@ -316,6 +320,52 @@ def test_register_width_guard():
         run_shots(plan, basis_state(2, 0), 10, seed=0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"chunk_size": -5},
+    {"chunk_size": 0},
+    {"chunk_size": 2.5},
+    {"shots": True},
+    {"shots": 2.5},
+    {"shots": 0},
+    {"shots": -3},
+    {"shots": "10"},
+])
+def test_run_shots_rejects_bad_counts(kwargs):
+    plan = CircuitPlan(n_qubits=1, n_classical_bits=1,
+                       instructions=[MeasureAll(qubits=(0,), cbits=(0,))])
+    args = {"shots": 10, "seed": 0, **kwargs}
+    with pytest.raises(ValidationError):
+        run_shots(plan, basis_state(1, 0), **args)
+
+
+def test_run_shots_accepts_numpy_integer_counts():
+    plan = CircuitPlan(n_qubits=1, n_classical_bits=1,
+                       instructions=[MeasureAll(qubits=(0,), cbits=(0,))])
+    hist = run_shots(plan, basis_state(1, 1), np.int64(10), seed=0, chunk_size=np.int64(3))
+    assert hist.counts == {"1": 10}
+    assert hist.survivors == (10,)
+
+
+def test_survivors_follow_the_first_postselection():
+    plan, state = _golden_case("t_4_3")
+    shots = 20_000
+    hist = run_shots(plan, state, shots, seed=5)
+    s = hist.survivors
+    assert len(s) == plan.count_postselects() + 1
+    assert all(a >= b for a, b in zip(s, s[1:]))
+    assert s[-1] == hist.meaningful_shots
+    # summed over chunks, the counts do not depend on the chunking
+    assert run_shots(plan, state, shots, seed=5, chunk_size=6999).survivors == s
+
+    first = next(i for i, ins in enumerate(plan.instructions)
+                 if isinstance(ins, MeasureAncillaPostselect0))
+    cut = CircuitPlan(plan.n_qubits, plan.n_classical_bits, plan.instructions[:first + 1],
+                      plan.n_data_bits)
+    _, keep = run_exact(cut, state)
+    sigma = math.sqrt(keep * (1 - keep) / shots)
+    assert abs(s[0] / shots - keep) < 5 * sigma
+
+
 # ---------------------------------------------------------------- golden histograms
 
 # sha256 of json.dumps([counts, meaningful_shots], sort_keys=True) for
@@ -410,3 +460,107 @@ def test_golden_histograms(name, seed):
     assert small.meaningful_shots <= large.meaningful_shots
     for key, count in small.counts.items():
         assert count <= large.counts.get(key, 0)
+
+
+# ---------------------------------------------------------------- reference sampler
+
+
+def reference_shots(plan, state, shots, seed):
+    """Shot-by-shot sampler in plain Python, the definition run_shots must meet.
+
+    Each measurement draws the float u = to_unit(value e of substream (seed, k))
+    and picks searchsorted(cumsum of the Born weights, last pinned to 1.0, u,
+    side="right"); a shot is dropped at its first select bit.  Returns the
+    histogram, the meaningful count and the live count after each measurement.
+    """
+    nq, nd = plan.n_qubits, plan.n_data_bits
+    n_measures = sum(not isinstance(i, ApplyUnitary) for i in plan.instructions)
+    survivors = [0] * n_measures
+    counts: dict[str, int] = {}
+    for k in range(shots):
+        sub = substream_seed(seed, np.array([k], dtype=np.uint64))
+        amps = state.amplitudes.astype(np.complex128)
+        word, event, alive = 0, 0, True
+        for ins in plan.instructions:
+            if isinstance(ins, ApplyUnitary):
+                amps = apply_matrix(amps, ins.matrix, ins.targets, nq)
+                continue
+            if isinstance(ins, MeasureAncillaPostselect0):
+                qubits, cbits = (ins.qubit,), (ins.cbit,)
+            else:
+                qubits, cbits = ins.qubits, ins.cbits
+            cum = np.cumsum(_marginal_probs(amps, qubits, nq))
+            cum[-1] = 1.0
+            out = int(np.searchsorted(cum, to_unit(substream_value(sub, event))[0], side="right"))
+            for j, cb in enumerate(cbits):
+                bit = (out >> j) & 1
+                if cb < nd:
+                    word |= bit << cb
+                elif bit:
+                    alive = False
+            if not alive:
+                break
+            survivors[event] += 1
+            event += 1
+            amps = _collapse_outcome(amps, qubits, out, nq)
+        if alive:
+            key = format(word, f"0{plan.n_classical_bits}b")
+            counts[key] = counts.get(key, 0) + 1
+    return counts, sum(counts.values()), tuple(survivors)
+
+
+def _haar(rng, k):
+    z = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@hs.composite
+def mixed_plans(draw):
+    """Random unitaries between measurements that mix data and select bits.
+
+    The top qubit starts in |0> and the first measurement includes it, so
+    that measurement has outcomes of probability exactly zero; a qubit
+    measured twice with no unitary in between has them too.
+    """
+    nq = draw(hs.integers(2, 4))
+    nd = draw(hs.integers(1, 3))
+    width = nd + draw(hs.integers(1, 3))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    qubit = hs.integers(0, nq - 1)
+    cbit = hs.integers(0, width - 1)
+
+    def measure(first):
+        qubits = draw(hs.lists(qubit, min_size=1, max_size=nq, unique=True))
+        if first and nq - 1 not in qubits:
+            qubits.append(nq - 1)
+        return MeasureAll(qubits=tuple(qubits),
+                          cbits=tuple(draw(cbit) for _ in qubits))
+
+    ins = [measure(first=True)]
+    for _ in range(draw(hs.integers(1, 3))):
+        for _ in range(draw(hs.integers(0, 2))):
+            targets = tuple(draw(hs.lists(qubit, min_size=1, max_size=2, unique=True)))
+            ins.append(ApplyUnitary(matrix=_haar(rng, len(targets)), targets=targets))
+        if draw(hs.booleans()):
+            ins.append(measure(first=False))
+        else:
+            ins.append(MeasureAncillaPostselect0(qubit=draw(qubit),
+                                                 cbit=draw(hs.integers(nd, width - 1))))
+    plan = CircuitPlan(n_qubits=nq, n_classical_bits=width, instructions=ins, n_data_bits=nd)
+    low = rng.normal(size=2 ** (nq - 1)) + 1j * rng.normal(size=2 ** (nq - 1))
+    amps = np.concatenate([low, np.zeros_like(low)])
+    return plan, init_state(nq, amps / np.linalg.norm(amps))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(case=mixed_plans(), seed=hs.integers(0, 2 ** 32 - 1), small_chunk=hs.integers(1, 7))
+def test_run_shots_matches_reference_sampler(case, seed, small_chunk):
+    plan, state = case
+    shots = 120
+    counts, meaningful, survivors = reference_shots(plan, state, shots, seed)
+    for chunk_size in (1 << 16, small_chunk):
+        hist = run_shots(plan, state, shots, seed, chunk_size=chunk_size)
+        assert hist.counts == counts
+        assert hist.meaningful_shots == meaningful
+        assert hist.survivors == survivors
