@@ -30,7 +30,6 @@ from .experiments import (
     build_d_test_plan,
     build_t_plan,
     build_terashima_plan,
-    convergence_csv,
     convergence_report,
     dense_from_wire,
     estimate_lambda1,

@@ -4,6 +4,8 @@ ValidationError covers bad user input (CLI exit code 2), the statistics and
 numerics errors map to exit codes 3 and 4 respectively.
 """
 
+from numbers import Integral
+
 
 class VertexSimError(Exception):
     """Base class for all library errors."""
@@ -43,3 +45,9 @@ class InsufficientStatisticsError(VertexSimError):
     def __init__(self, message: str, fraction: float):
         super().__init__(f"{message} (meaningful fraction {fraction:.4g})")
         self.fraction = fraction
+
+
+def require_positive_int(name: str, value) -> None:
+    """Raise ValidationError unless value is an integer >= 1 (bools excluded)."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+        raise ValidationError(f"{name} must be a positive integer, got {value!r}")

@@ -434,13 +434,3 @@ def convergence_report(model: VertexModel, n_list: list[int], m_list: list[int],
             )
             prev = vec
     return rows
-
-
-def convergence_csv(rows: list[ConvergenceRow]) -> str:
-    lines = ["N,M,distance,shots,meaningful_fraction,oracle"]
-    for r in rows:
-        lines.append(
-            f"{r.n},{r.m},{r.distance!r},{r.shots_used},"
-            f"{r.meaningful_fraction!r},{int(r.oracle_available)}"
-        )
-    return "\n".join(lines) + "\n"

@@ -39,6 +39,7 @@ from .errors import (
     DimensionError,
     ImpossiblePostselectionError,
     ValidationError,
+    require_positive_int,
 )
 from .gates import apply_matrix, check_targets
 from .rng import substream_seed, substream_value
@@ -384,9 +385,8 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
     post-selection, that is, the first measurement that sets a select bit;
     the shots that survive every measurement are the meaningful ones.
     """
-    for name, value in (("shots", shots), ("chunk_size", chunk_size)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
-            raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    require_positive_int("shots", shots)
+    require_positive_int("chunk_size", chunk_size)
     if input_state.n_qubits != plan.n_qubits:
         raise DimensionError(
             f"input has {input_state.n_qubits} qubits, plan needs {plan.n_qubits}"

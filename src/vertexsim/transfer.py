@@ -24,6 +24,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,15 +34,17 @@ from .errors import (
     EnumerationBudgetError,
     NumericalError,
     ValidationError,
+    require_positive_int,
 )
 # unused here since the row product stopped calling it; perfbench's tracer test
-# still expects this binding (see ROADMAP item 3)
+# still expects this binding (see ROADMAP item 2)
 from .gates import apply_matrix  # noqa: F401
 from .model import RMatrix, VertexModel
 from .rng import uniforms
 
 DENSE_CAP_QUBITS = 13  # N + 1 <= 13: dense storage grows as 4^(N+1)
 ENUMERATION_BUDGET = 1 << 26
+_ASSEMBLY_BLOCK = 256  # identity columns per sweep in `entries`; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -52,13 +55,8 @@ class LatticeShape:
     n_rows: int
 
     def __post_init__(self):
-        if self.n_cols < 1 or self.n_rows < 1:
-            raise ValidationError(f"lattice must be at least 1x1, got {self.n_cols}x{self.n_rows}")
-
-    @property
-    def n_bonds(self) -> int:
-        """Total bond count: N(M+1) vertical plus NM+1 distinct horizontal."""
-        return 2 * self.n_cols * self.n_rows + self.n_cols + 1
+        require_positive_int("n_cols", self.n_cols)
+        require_positive_int("n_rows", self.n_rows)
 
     @property
     def n_free_bonds(self) -> int:
@@ -68,24 +66,30 @@ class LatticeShape:
 
 @dataclass(frozen=True)
 class TransferOperator:
-    """Row-transfer operator of one lattice row of N vertices.
+    """Row-transfer operator of one lattice row of N vertices, held as its gate R.
 
-    `source` is the Boltzmann gate R: the power oracle of `spectral_summary`
-    applies T and T^T from it gate by gate.  `entries` is the dense matrix,
-    kept for `method="dense"` (the LAPACK cross-check), `apply_transfer` and
-    `partition_element`.
+    Every product with T or T^T is a row sweep of `source` (`_row_sweep`).
+    `entries`, the dense matrix, is swept from the identity in column blocks
+    on first read and cached read-only; only `method="dense"` (the LAPACK
+    cross-check), `apply_transfer` and the CLI's spectrum listing read it.
     """
 
-    entries: np.ndarray
     n: int
     source: RMatrix
-
-    def __post_init__(self):
-        self.entries.setflags(write=False)
 
     @property
     def dim(self) -> int:
         return 2 ** (self.n + 1)
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        g = _gate(self.source)
+        out = np.empty((self.dim, self.dim))
+        for s in range(0, self.dim, _ASSEMBLY_BLOCK):
+            b = min(_ASSEMBLY_BLOCK, self.dim - s)
+            out[:, s:s + b] = _row_sweep(g, self.n, np.eye(self.dim, b, -s), reverse=False)
+        out.setflags(write=False)
+        return out
 
 
 @dataclass(frozen=True)
@@ -109,24 +113,14 @@ class SpectralSummary:
 
 
 def assemble_transfer(r: RMatrix, n: int) -> TransferOperator:
-    """Contract n Boltzmann gates into the dense 2^(n+1) transfer matrix."""
-    if n < 1:
-        raise ValidationError(f"need at least one column, got n={n}")
+    """Transfer operator of n gates R in a row; `entries` is built only when read."""
+    require_positive_int("n (columns)", n)
     if n + 1 > DENSE_CAP_QUBITS:
         raise DimensionError(
             f"dense assembly capped at n+1 <= {DENSE_CAP_QUBITS} qubits "
             f"(dim {2 ** DENSE_CAP_QUBITS}); got n={n}"
         )
-    r4 = r.entries.reshape(2, 2, 2, 2)  # axes (l, d, r, u)
-    chain = np.transpose(r4, (0, 1, 3, 2))  # axes (l, d1, u1, b1)
-    for _ in range(n - 1):
-        chain = np.tensordot(chain, r4, axes=([-1], [0]))
-        chain = np.moveaxis(chain, -2, -1)  # -> (..., d_k, u_k, b_k)
-    # axes now (l, d1, u1, ..., dN, uN, rN); row bits MSB->LSB are dN..d1,l
-    row_axes = [2 * k - 1 for k in range(n, 0, -1)] + [0]
-    col_axes = [2 * k for k in range(n, 0, -1)] + [2 * n + 1]
-    dense = np.transpose(chain, row_axes + col_axes).reshape(2 ** (n + 1), 2 ** (n + 1))
-    return TransferOperator(entries=np.ascontiguousarray(dense), n=n, source=r)
+    return TransferOperator(n=n, source=r)
 
 
 def apply_transfer(t: TransferOperator, v: np.ndarray) -> np.ndarray:
@@ -136,13 +130,17 @@ def apply_transfer(t: TransferOperator, v: np.ndarray) -> np.ndarray:
     return t.entries @ v
 
 
-# gate rows reordered from (l, d) to (d, l): the lateral bond leaves each gate
-# as the minor bit, next to the vertical bit the following gate consumes
-_BOND_LAST = [0, 2, 1, 3]
+def _gate(r: RMatrix) -> np.ndarray:
+    """R with rows reordered from (l, d) to (d, l), as `_row_sweep` applies it.
+
+    The lateral bond then leaves each gate as the minor bit, next to the
+    vertical bit the following gate consumes.  T^T applies the transpose.
+    """
+    return r.entries[[0, 2, 1, 3]]
 
 
 def _row_sweep(g: np.ndarray, n: int, x: np.ndarray, reverse: bool) -> np.ndarray:
-    """T @ x (g = R[_BOND_LAST], reverse=False) or T^T @ x (g.T, reverse=True).
+    """T @ x (g = _gate(R), reverse=False) or T^T @ x (g.T, reverse=True).
 
     x is (dim,) or (dim, b).  Forward, the lateral bond r is first moved in
     front of the vertical bits, (r, u_N, ..., u_1); after the j finished d
@@ -173,12 +171,13 @@ def apply_row_product(r: RMatrix, n: int, v: np.ndarray) -> np.ndarray:
     T^T, which `spectral_summary` applies the same way, takes R^T in the
     reverse order, k = 1 first.
     """
+    require_positive_int("n (columns)", n)
     v = np.asarray(v, dtype=np.float64)
     if v.ndim not in (1, 2) or v.shape[0] != 2 ** (n + 1):
         raise DimensionError(
             f"array has shape {v.shape}, expected ({2 ** (n + 1)},) or ({2 ** (n + 1)}, b)"
         )
-    return _row_sweep(r.entries[_BOND_LAST], n, v, reverse=False)
+    return _row_sweep(_gate(r), n, v, reverse=False)
 
 
 def _power_dominant(matvec, dim: int, tol: float, max_iterations: int):
@@ -268,12 +267,15 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     that of (Lambda_0, Psi_0^R), `residual_deflation` that of the dominant
     Ritz pair behind |Lambda_1| (0.0 for the dense method).
     """
+    if not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+    require_positive_int("max_iterations", max_iterations)
     if method == "dense":
         return _dense_summary(t, tol)
     if method != "power":
         raise ValidationError(f"unknown spectral method {method!r}")
 
-    g = t.source.entries[_BOND_LAST]
+    g = _gate(t.source)
 
     def matvec(x):
         return _row_sweep(g, t.n, x, reverse=False)
@@ -344,16 +346,17 @@ def partition_element(t: TransferOperator, m: int, bottom: str, top: str) -> flo
 
     `bottom` reads "d_N ... d_1 d_0" with d_0 the bottom-left corner bond,
     `top` reads "u_N ... u_1 u_0" with u_0 the top-right corner bond; both
-    are plain binary renderings of the basis index.
+    are plain binary renderings of the basis index.  Computed as m row
+    sweeps of the basis vector |top>, O(m N 2^N); `t.entries` is not built.
     """
-    if m < 1:
-        raise ValidationError(f"need m >= 1 rows, got {m}")
+    require_positive_int("m (rows)", m)
     row = _parse_boundary(bottom, t.n, "bottom")
     col = _parse_boundary(top, t.n, "top")
+    g = _gate(t.source)
     v = np.zeros(t.dim)
     v[col] = 1.0
     for _ in range(m):
-        v = t.entries @ v
+        v = _row_sweep(g, t.n, v, reverse=False)
     return float(v[row])
 
 
@@ -434,8 +437,8 @@ def boundary_strings(bottom_cols: str, top_cols: str, corners: tuple[int, int]) 
 
 def free_energy_density(z: float, shape: LatticeShape, beta: float) -> float:
     """Free energy per vertex, -ln(z) / (beta * N * M)."""
-    if not (z > 0):
-        raise ValidationError(f"partition function must be positive, got {z}")
+    if not 0 < z < math.inf:
+        raise ValidationError(f"partition function must be positive and finite, got {z}")
     return -math.log(z) / (beta * shape.n_cols * shape.n_rows)
 
 
@@ -464,11 +467,4 @@ def vector_to_csv(v: np.ndarray) -> str:
     out.write("index,value\n")
     for i, x in enumerate(v):
         out.write(f"{i},{float(x)!r}\n")
-    return out.getvalue()
-
-
-def matrix_to_csv(m: np.ndarray) -> str:
-    out = io.StringIO()
-    for row in m:
-        out.write(",".join(repr(float(x)) for x in row) + "\n")
     return out.getvalue()

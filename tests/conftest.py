@@ -38,6 +38,24 @@ def fixture_model() -> VertexModel:
     return VertexModel(energies=tuple(flat), beta=FIXTURE_BETA)
 
 
+def dense_transfer_reference(r: RMatrix, n: int) -> np.ndarray:
+    """T contracted gate by gate with tensordot, independent of the row sweep.
+
+    Axes of R reshaped to (l, d, r, u); the chain keeps (l, d1, u1, ..., b_k)
+    and the final transpose orders rows "d_N ... d_1 l" and columns
+    "u_N ... u_1 r_N", the package's basis convention.
+    """
+    r4 = r.entries.reshape(2, 2, 2, 2)
+    chain = np.transpose(r4, (0, 1, 3, 2))  # axes (l, d1, u1, b1)
+    for _ in range(n - 1):
+        chain = np.tensordot(chain, r4, axes=([-1], [0]))
+        chain = np.moveaxis(chain, -2, -1)  # -> (..., d_k, u_k, b_k)
+    row_axes = [2 * k - 1 for k in range(n, 0, -1)] + [0]
+    col_axes = [2 * k for k in range(n, 0, -1)] + [2 * n + 1]
+    dim = 2 ** (n + 1)
+    return np.ascontiguousarray(np.transpose(chain, row_axes + col_axes).reshape(dim, dim))
+
+
 def positive_state(dim: int, seed: int) -> np.ndarray:
     """Seeded random entrywise-positive unit vector."""
     v = to_unit(stream_u64(seed, dim)) + 1e-12

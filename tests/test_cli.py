@@ -65,6 +65,13 @@ def test_spectrum_cap_is_a_validation_error(tmp_path):
                    "--out", str(tmp_path)) == 2
 
 
+def test_spectrum_bad_tolerance_is_a_validation_error(tmp_path):
+    for tol in ("0", "-1e-10", "nan", "inf"):
+        assert run_cli("spectrum", "--c", "0.4", "--beta", "2", "--seed", "4", "--n", "3",
+                       f"--tol={tol}", "--out", str(tmp_path)) == 2
+    assert not (tmp_path / "spectrum.json").exists()
+
+
 def test_simulate_writes_everything(tmp_path):
     rc = run_cli("simulate", "--c", "0.4", "--beta", "2", "--seed", "6", "--n", "2",
                  "--m", "1", "--shots", "4000", "--meaningful-floor", "100",

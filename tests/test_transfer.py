@@ -26,14 +26,13 @@ from vertexsim import (
     spectral_summary,
 )
 from vertexsim.transfer import (
-    _BOND_LAST,
     DENSE_CAP_QUBITS,
-    TransferOperator,
+    _gate,
     _row_sweep,
     summary_to_json,
 )
 
-from conftest import positive_state
+from conftest import dense_transfer_reference, positive_state
 from test_model import ramp_model
 
 
@@ -88,6 +87,26 @@ def test_dense_cap_error_names_cap():
         assemble_transfer(r_matrix(m), DENSE_CAP_QUBITS)
 
 
+def test_assemble_transfer_rejects_non_integer_width():
+    for n in (0, -1, 2.5, 2.0, True, "3", None):
+        with pytest.raises(ValidationError):
+            assemble_transfer(ones_r(), n)
+
+
+@pytest.mark.parametrize("c", [0.0, 0.4, 2.0])
+def test_entries_match_tensordot_reference_cached_and_read_only(c):
+    for n in range(1, 10):
+        r = r_matrix(generate_model(c, 2.0, n))
+        t = assemble_transfer(r, n)
+        assert "entries" not in vars(t)  # nothing is built until read
+        ref = dense_transfer_reference(r, n)
+        assert np.all(np.abs(t.entries - ref) <= 1e-14 * ref)
+        assert t.entries is t.entries
+        assert not t.entries.flags.writeable
+        with pytest.raises(ValueError):
+            t.entries[0, 0] = 1.0
+
+
 def test_apply_transfer_columns_and_eigvec():
     m = generate_model(0.4, 2.0, 12)
     t = assemble_transfer(r_matrix(m), 3)
@@ -117,10 +136,9 @@ def test_matrix_free_apply_matches_dense():
     for seed, n in [(1, 1), (2, 2), (3, 4), (4, 5)]:
         m = generate_model(0.2, 2.0, seed)
         R = r_matrix(m)
-        t = assemble_transfer(R, n)
-        v = positive_state(t.dim, 100 + seed)
+        v = positive_state(2 ** (n + 1), 100 + seed)
         np.testing.assert_allclose(
-            apply_row_product(R, n, v), apply_transfer(t, v), rtol=1e-13, atol=1e-15
+            apply_row_product(R, n, v), dense_transfer_reference(R, n) @ v, rtol=1e-13, atol=1e-15
         )
 
 
@@ -133,12 +151,12 @@ def test_matrix_free_apply_matches_dense():
 )
 def test_row_product_and_transpose_match_dense(n, seed, c, b):
     R = r_matrix(generate_model(c, 2.0, seed))
-    T = assemble_transfer(R, n).entries
+    T = dense_transfer_reference(R, n)
     rng = np.random.default_rng(seed)
     for x in (rng.uniform(-1, 1, T.shape[0]), rng.uniform(-1, 1, (T.shape[0], b))):
         for dense, got in (
             (T, apply_row_product(R, n, x)),
-            (T.T, _row_sweep(R.entries[_BOND_LAST].T, n, x, reverse=True)),
+            (T.T, _row_sweep(_gate(R).T, n, x, reverse=True)),
         ):
             assert got.shape == x.shape
             # componentwise: rounding scales with |T| |x|, not with |T x|
@@ -147,15 +165,17 @@ def test_row_product_and_transpose_match_dense(n, seed, c, b):
 
 def test_power_oracle_never_reads_dense_entries():
     t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 4)
-    blind = TransferOperator(entries=np.full_like(t.entries, np.nan), n=t.n, source=t.source)
-    a, b = spectral_summary(t), spectral_summary(blind)
-    assert (a.lambda0, a.ratio, a.iterations) == (b.lambda0, b.ratio, b.iterations)
+    spectral_summary(t)
+    assert "entries" not in vars(t)
 
 
 def test_row_product_rejects_bad_shapes():
     for shape in ((7,), (16, 2), (32, 2, 1)):
         with pytest.raises(DimensionError):
             apply_row_product(ones_r(), 4, np.ones(shape))
+    for n in (0, True, 1.0):
+        with pytest.raises(ValidationError):
+            apply_row_product(ones_r(), n, np.ones(4))
 
 
 def test_spectral_rank_one_regime():
@@ -239,6 +259,17 @@ def test_ratio_is_scale_free():
             assert abs(spectral_summary(scaled, method=method).ratio - base) < 1e-12
 
 
+def test_spectral_summary_rejects_bad_tolerance():
+    t = assemble_transfer(ones_r(), 2)
+    for method in ("power", "dense"):
+        for tol in (0.0, -1e-10, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                spectral_summary(t, tol=tol, method=method)
+        for max_iterations in (0, -3, 2.5, True):
+            with pytest.raises(ValidationError):
+                spectral_summary(t, max_iterations=max_iterations, method=method)
+
+
 def test_spectral_nonconvergence_reports_residual():
     t = assemble_transfer(r_matrix(generate_model(0.0, 2.0, 2)), 2)
     with pytest.raises(ConvergenceError) as err:
@@ -266,6 +297,28 @@ def test_partition_element_validates():
         partition_element(t, 1, "00", "000")
     with pytest.raises(ValidationError):
         partition_element(t, 1, "0a0", "000")
+    for m in (2.0, True, -1, "2"):
+        with pytest.raises(ValidationError):
+            partition_element(t, m, "000", "000")
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 7),
+    m=st.integers(1, 4),
+    seed=st.integers(0, 2 ** 16),
+    c=st.sampled_from([0.0, 0.4, 2.0]),
+    data=st.data(),
+)
+def test_partition_element_matches_matrix_power(n, m, seed, c, data):
+    r = r_matrix(generate_model(c, 2.0, seed))
+    t = assemble_transfer(r, n)
+    row = data.draw(st.integers(0, t.dim - 1))
+    col = data.draw(st.integers(0, t.dim - 1))
+    bottom, top = format(row, f"0{n + 1}b"), format(col, f"0{n + 1}b")
+    want = np.linalg.matrix_power(dense_transfer_reference(r, n), m)[row, col]
+    assert abs(partition_element(t, m, bottom, top) - want) <= 1e-12 * want
+    assert "entries" not in vars(t)
 
 
 def test_partition_all_ones_counts_configurations():
@@ -326,8 +379,16 @@ def test_enumeration_budget_guard():
 def test_free_energy_density_values():
     assert free_energy_density(1.0, LatticeShape(3, 3), 2.0) == 0.0
     assert abs(free_energy_density(math.exp(-2.0), LatticeShape(1, 1), 2.0) - 1.0) < 1e-15
-    with pytest.raises(ValidationError):
-        free_energy_density(0.0, LatticeShape(1, 1), 2.0)
+    for z in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValidationError):
+            free_energy_density(z, LatticeShape(1, 1), 2.0)
+
+
+def test_lattice_shape_rejects_non_integer_sizes():
+    for cols, rows in ((0, 1), (1, 0), (1.5, 2), (2, 2.0), (True, 2), (2, "3")):
+        with pytest.raises(ValidationError):
+            LatticeShape(cols, rows)
+    assert LatticeShape(np.int64(2), 3).n_free_bonds == 9
 
 
 def test_free_energy_scaling_roughly_matches_lambda0():
