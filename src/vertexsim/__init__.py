@@ -66,7 +66,6 @@ from .transfer import (
     LatticeShape,
     SpectralSummary,
     TransferOperator,
-    apply_row_product,
     apply_transfer,
     assemble_transfer,
     boundary_strings,

@@ -75,11 +75,10 @@ def parse_circuit_text(text: str) -> CircuitPlan:
     while i < len(lines):
         ln = lines[i]
         if ln.startswith("matrix "):
-            try:
-                _, mid, dim_s = ln.split()
-                dim = int(dim_s)
-            except ValueError as exc:
-                raise ValidationError(f"bad matrix header {ln!r}") from exc
+            parts = ln.split()
+            if len(parts) != 3 or not parts[2].isdecimal() or int(parts[2]) < 1:
+                raise ValidationError(f"bad matrix header {ln!r}")
+            mid, dim = parts[1], int(parts[2])
             rows = []
             for j in range(dim):
                 if i + 1 + j >= len(lines):

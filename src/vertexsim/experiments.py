@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dilation import SVDFactors, X_GATE, controlled_reflection, dilate, svd_scaled, terashima_decomposition
-from .errors import ConvergenceError, InsufficientStatisticsError, ValidationError
+from .errors import ConvergenceError, InsufficientStatisticsError, ValidationError, require_positive_int
 from .model import VertexModel, r_matrix
 from .rng import substream_seed
 from .simulator import (
@@ -55,8 +55,8 @@ class TCircuitSpec:
     mode: str = "deep"
 
     def __post_init__(self):
-        if self.n < 1 or self.m_power < 1:
-            raise ValidationError(f"need n >= 1 and m >= 1, got n={self.n}, m={self.m_power}")
+        require_positive_int("n", self.n)
+        require_positive_int("m_power", self.m_power)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
 
@@ -79,8 +79,8 @@ def wire_from_dense(dense_vec: np.ndarray, n: int) -> np.ndarray:
 
 def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     """Post-selected circuit applying m_power transfer blocks to n+1 data qubits."""
-    if n < 1 or m_power < 1:
-        raise ValidationError(f"need n >= 1 and m_power >= 1, got n={n}, m={m_power}")
+    require_positive_int("n", n)
+    require_positive_int("m_power", m_power)
     ancilla = n + 1
     width = n * m_power + n + 1
     dil = dilate(factors.d).matrix
@@ -208,8 +208,7 @@ def simulated_t_action(model: VertexModel, n: int, m_power: int, input_amplitude
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    if m_power < 1:
-        raise ValidationError(f"need m_power >= 1, got {m_power}")
+    require_positive_int("m_power", m_power)
     vec = _validate_positive_input(input_amplitudes, n)
     factors = svd_scaled(r_matrix(model))
 
@@ -266,13 +265,13 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
     """
     if backend not in ("shot", "exact"):
         raise ValidationError(f"backend must be 'shot' or 'exact', got {backend!r}")
+    require_positive_int("max_steps", max_steps)
+    plan = build_t_plan(svd_scaled(r_matrix(model)), n, 1)
     if start is None:
         vec = np.zeros(2 ** (n + 1))
         vec[0] = 1.0
     else:
         vec = _validate_positive_input(start, n)
-    factors = svd_scaled(r_matrix(model))
-    plan = build_t_plan(factors, n, 1)
     shots_used = 0
     delta = math.inf
     for step in range(1, max_steps + 1):
@@ -319,8 +318,7 @@ class EstimatorReport:
 def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
                      shots: int = 100_000, seed: int = 0, backend: str = "shot",
                      psi0_iterations: int = 6,
-                     meaningful_floor: int = DEFAULT_MEANINGFUL_FLOOR,
-                     compute_oracle: bool = True) -> EstimatorReport:
+                     meaningful_floor: int = DEFAULT_MEANINGFUL_FLOOR) -> EstimatorReport:
     """Lower-bound style estimator of |Lambda_1| / Lambda_0 from overlaps.
 
     Resolves the dominant eigenvector by refeed iteration, then forms
@@ -335,9 +333,11 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     tan(theta(T psi, psi0)) / tan(theta(psi, psi0)).  It is <= lambda_1
     when T is normal.  For any T it is <= ||(I-P) T (I-P)||_2 <psi0,psi> /
     <psi0,T psi> with P = psi0 psi0^T, which is lambda_1 for normal T; on
-    non-normal T the estimate can exceed lambda_1.
+    non-normal T the estimate can exceed lambda_1.  `oracle_lambda1` is the
+    power-method `spectral_summary` ratio, None above the dense cap.
     """
     vec = _validate_positive_input(input_amplitudes, n)
+    require_positive_int("psi0_iterations", psi0_iterations)
     if backend == "exact":
         psi0 = power_iterate_psi0(
             model, n, seed=seed, max_steps=400, tol=1e-13, backend="exact", start=vec
@@ -362,7 +362,7 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     shots_used = psi0.shots_used + diag.shots_used
 
     oracle = None
-    if compute_oracle and n + 1 <= DENSE_CAP_QUBITS:
+    if n + 1 <= DENSE_CAP_QUBITS:
         oracle = spectral_summary(assemble_transfer(r_matrix(model), n)).ratio
 
     num = f1 ** -2 - 1.0
@@ -400,8 +400,12 @@ def convergence_report(model: VertexModel, n_list: list[int], m_list: list[int],
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
+    for m in m_list:
+        if m != 0 or isinstance(m, (bool, float)):
+            require_positive_int("nonzero m in m_list", m)
     rows: list[ConvergenceRow] = []
     for n in n_list:
+        require_positive_int("n", n)
         oracle = None
         if n + 1 <= DENSE_CAP_QUBITS:
             oracle = spectral_summary(assemble_transfer(r_matrix(model), n)).psi0_right

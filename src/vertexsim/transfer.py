@@ -68,14 +68,23 @@ class LatticeShape:
 class TransferOperator:
     """Row-transfer operator of one lattice row of N vertices, held as its gate R.
 
-    Every product with T or T^T is a row sweep of `source` (`_row_sweep`).
-    `entries`, the dense matrix, is swept from the identity in column blocks
-    on first read and cached read-only; only `method="dense"` (the LAPACK
-    cross-check), `apply_transfer` and the CLI's spectrum listing read it.
+    The constructor rejects n unless it is a positive integer with
+    n + 1 <= DENSE_CAP_QUBITS.  Products with T and T^T are row sweeps of
+    `source` (`_row_sweep`); `apply_transfer` is the public T product.
+    `entries`, the dense matrix, is swept from the identity on first read and
+    cached read-only for `method="dense"` and the CLI's dense listing.
     """
 
     n: int
     source: RMatrix
+
+    def __post_init__(self):
+        require_positive_int("n (columns)", self.n)
+        if self.n + 1 > DENSE_CAP_QUBITS:
+            raise DimensionError(
+                f"dense assembly capped at n+1 <= {DENSE_CAP_QUBITS} qubits "
+                f"(dim {2 ** DENSE_CAP_QUBITS}); got n={self.n}"
+            )
 
     @property
     def dim(self) -> int:
@@ -114,20 +123,21 @@ class SpectralSummary:
 
 def assemble_transfer(r: RMatrix, n: int) -> TransferOperator:
     """Transfer operator of n gates R in a row; `entries` is built only when read."""
-    require_positive_int("n (columns)", n)
-    if n + 1 > DENSE_CAP_QUBITS:
-        raise DimensionError(
-            f"dense assembly capped at n+1 <= {DENSE_CAP_QUBITS} qubits "
-            f"(dim {2 ** DENSE_CAP_QUBITS}); got n={n}"
-        )
     return TransferOperator(n=n, source=r)
 
 
-def apply_transfer(t: TransferOperator, v: np.ndarray) -> np.ndarray:
-    v = np.asarray(v, dtype=np.float64)
-    if v.shape != (t.dim,):
-        raise DimensionError(f"vector has shape {v.shape}, operator needs ({t.dim},)")
-    return t.entries @ v
+def apply_transfer(t: TransferOperator, x: np.ndarray) -> np.ndarray:
+    """T @ x by one row sweep, O(N 2^N) per column, without reading `t.entries`.
+
+    x is a vector (dim,) or a block of columns (dim, b); any other shape
+    raises DimensionError.  The rightmost gate k = n acts first.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim not in (1, 2) or x.shape[0] != t.dim or x.size == 0:
+        raise DimensionError(
+            f"array has shape {x.shape}, operator needs ({t.dim},) or ({t.dim}, b)"
+        )
+    return _row_sweep(_gate(t.source), t.n, x, reverse=False)
 
 
 def _gate(r: RMatrix) -> np.ndarray:
@@ -160,24 +170,6 @@ def _row_sweep(g: np.ndarray, n: int, x: np.ndarray, reverse: bool) -> np.ndarra
     for j in range(n):
         y = g @ y.reshape(2 ** j, 4, -1)
     return y.reshape(x.shape)
-
-
-def apply_row_product(r: RMatrix, n: int, v: np.ndarray) -> np.ndarray:
-    """Matrix-free T @ v for a vector (dim,) or a block of columns (dim, b).
-
-    Works for any n; this is the only transfer application available above
-    the dense cap.  Gate k couples qubit k (vertical bond) with qubit 0
-    (lateral bond); the rightmost factor k = n acts first.  The transpose
-    T^T, which `spectral_summary` applies the same way, takes R^T in the
-    reverse order, k = 1 first.
-    """
-    require_positive_int("n (columns)", n)
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim not in (1, 2) or v.shape[0] != 2 ** (n + 1):
-        raise DimensionError(
-            f"array has shape {v.shape}, expected ({2 ** (n + 1)},) or ({2 ** (n + 1)}, b)"
-        )
-    return _row_sweep(_gate(r), n, v, reverse=False)
 
 
 def _power_dominant(matvec, dim: int, tol: float, max_iterations: int):
@@ -439,6 +431,8 @@ def free_energy_density(z: float, shape: LatticeShape, beta: float) -> float:
     """Free energy per vertex, -ln(z) / (beta * N * M)."""
     if not 0 < z < math.inf:
         raise ValidationError(f"partition function must be positive and finite, got {z}")
+    if not 0 < beta < math.inf:
+        raise ValidationError(f"beta must be positive and finite, got {beta}")
     return -math.log(z) / (beta * shape.n_cols * shape.n_rows)
 
 

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vertexsim import ApplyUnitary, CircuitPlan, MeasureAll, RMatrix, VertexModel, dilate
 from vertexsim.rng import stream_u64, to_unit
+
+# every property runs the same examples on every run and has no time limit;
+# a test's own @settings sets only max_examples
+settings.register_profile("vertexsim", derandomize=True, deadline=None)
+settings.load_profile("vertexsim")
 
 # 4x4 Boltzmann gate used as the reference fixture throughout the suite
 # (printed to four decimals; its generating seed is unknown, so it can only

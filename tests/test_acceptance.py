@@ -266,7 +266,7 @@ def test_criterion_8a_estimator_bound_exact():
         t = assemble_transfer(r_matrix(model), n)
         s = spectral_summary(t, method="dense")
         psi = positive_state(2 ** (n + 1), 8300 + seed)
-        rep = estimate_lambda1(model, n, psi, backend="exact", compute_oracle=False)
+        rep = estimate_lambda1(model, n, psi, backend="exact")
         if not rep.degenerate:
             bound = estimator_bound(t.entries, s.psi0_right, psi)
             if rep.estimate > bound + 1e-9:

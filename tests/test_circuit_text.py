@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexsim import (
     ApplyUnitary,
@@ -96,6 +98,10 @@ def test_parser_rejects_malformed_input():
         header + "unitary m0 0\nmatrix m0 2\n1 0\n0 -inf\n",
         header + "unitary m0\nmatrix m0 1\n1\n",
         header + "measure -> \n",
+        # a matrix dimension below 1 used to stall the matrix-table scan
+        header + "matrix m0 -1\n1 0\n0 1\n",
+        header + "matrix m0 -3\n",
+        header + "matrix m0 0\n",
     ):
         with pytest.raises(ValidationError):
             parse_circuit_text(text)
@@ -109,3 +115,28 @@ def test_plan_rejects_non_finite_matrix_and_empty_targets():
     ):
         with pytest.raises(ValidationError):
             CircuitPlan(n_qubits=2, n_classical_bits=1, instructions=[ins])
+
+
+FUZZ_TEXT = export_circuit_text(build_t_plan(svd_scaled(r_matrix(generate_model(0.4, 2.0, 3))), 2))
+FUZZ_TOKENS = ["nan", "-1", "0", "99", "2.5", "1e999", "c", "c-1", "->", "=", "matrix", "unitary", ""]
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_parser_token_edits_parse_or_raise_validation_error(data):
+    lines = [ln.split(" ") for ln in FUZZ_TEXT.splitlines()]
+    for _ in range(data.draw(st.integers(1, 2))):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, len(lines[i])))
+        op = data.draw(st.sampled_from(["delete", "insert", "replace"]))
+        tok = data.draw(st.sampled_from(FUZZ_TOKENS))
+        if op == "insert" or j == len(lines[i]):
+            lines[i].insert(j, tok)
+        elif op == "delete":
+            del lines[i][j]
+        else:
+            lines[i][j] = tok
+    try:
+        parse_circuit_text("\n".join(" ".join(ln) for ln in lines) + "\n")
+    except ValidationError:
+        pass

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexsim import (
     ConvergenceError,
@@ -10,6 +12,7 @@ from vertexsim import (
     MeasureAncillaPostselect0,
     TCircuitSpec,
     ValidationError,
+    apply_transfer,
     assemble_transfer,
     build_t_plan,
     convergence_report,
@@ -93,6 +96,27 @@ def test_exact_block_reproduces_transfer_action():
         assert abs(diag.keep_probability - keep) < 1e-12
 
 
+@settings(max_examples=12)
+@given(
+    n=st.integers(1, 4),
+    m=st.integers(1, 3),
+    seed=st.integers(0, 2 ** 16),
+    c=st.sampled_from([0.0, 0.4, 2.0]),
+)
+def test_exact_keep_probability_is_transfer_norm(n, m, seed, c):
+    # post-selection keeps ||T^m psi||^2 / d0_raw^(2Nm): each block is T / d0_raw^N
+    model = generate_model(c, 2.0, seed)
+    psi = positive_state(2 ** (n + 1), seed)
+    _, diag = simulated_t_action(model, n, m, psi, mode="exact")
+    t = assemble_transfer(r_matrix(model), n)
+    v = psi
+    for _ in range(m):
+        v = apply_transfer(t, v)
+    want = float(v @ v) / svd_scaled(r_matrix(model)).d0_raw ** (2 * n * m)
+    assert abs(diag.keep_probability - want) <= 1e-12 * want
+    assert "entries" not in vars(t)
+
+
 def test_run_exact_on_raw_plan_keeps_ancilla_zero():
     model = generate_model(0.4, 2.0, 5)
     factors = svd_scaled(r_matrix(model))
@@ -127,6 +151,34 @@ def test_action_validates_input():
         simulated_t_action(model, 2, 1, np.ones(8), mode="sideways")
     with pytest.raises(ValidationError):
         TCircuitSpec(n=0, factors=None, m_power=1)
+
+
+_MODEL = generate_model(0.4, 2.0, 8)
+_FACTORS = svd_scaled(r_matrix(_MODEL))
+_PSI = positive_state(8, 1)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: build_t_plan(_FACTORS, 2, 2.5), id="plan-m2.5"),
+    pytest.param(lambda: build_t_plan(_FACTORS, True), id="plan-nTrue"),
+    pytest.param(lambda: build_t_plan(_FACTORS, 2, 0), id="plan-m0"),
+    pytest.param(lambda: TCircuitSpec(n=2, factors=_FACTORS, m_power=1.5), id="spec-m1.5"),
+    pytest.param(lambda: simulated_t_action(_MODEL, 2, 1.5, _PSI, mode="exact"), id="action-m1.5"),
+    pytest.param(lambda: simulated_t_action(_MODEL, 2.0, 1, _PSI, mode="exact"), id="action-n2.0"),
+    pytest.param(lambda: simulated_t_action(_MODEL, 2, 0, _PSI, mode="refeed"), id="refeed-m0"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, max_steps=2.5, backend="exact"),
+                 id="psi0-steps2.5"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, max_steps=0, backend="exact"),
+                 id="psi0-steps0"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2.5, backend="exact"), id="psi0-n2.5"),
+    pytest.param(lambda: estimate_lambda1(_MODEL, 2, _PSI, psi0_iterations=0), id="estimate-it0"),
+    pytest.param(lambda: convergence_report(_MODEL, [2], [-1]), id="report-m-1"),
+    pytest.param(lambda: convergence_report(_MODEL, [2], [0.0, 1]), id="report-m0.0"),
+    pytest.param(lambda: convergence_report(_MODEL, [2.5], [0]), id="report-n2.5"),
+])
+def test_experiment_counts_must_be_positive_integers(call):
+    with pytest.raises(ValidationError):
+        call()
 
 
 def test_insufficient_statistics_raises_with_fraction():

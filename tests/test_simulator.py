@@ -553,9 +553,10 @@ def mixed_plans(draw):
     return plan, init_state(nq, amps / np.linalg.norm(amps))
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(case=mixed_plans(), seed=hs.integers(0, 2 ** 32 - 1), small_chunk=hs.integers(1, 7))
-def test_run_shots_matches_reference_sampler(case, seed, small_chunk):
+@settings(max_examples=30)
+@given(case=mixed_plans(), seed=hs.integers(0, 2 ** 32 - 1), small_chunk=hs.integers(1, 7),
+       fewer=hs.integers(1, 119))
+def test_run_shots_matches_reference_sampler(case, seed, small_chunk, fewer):
     plan, state = case
     shots = 120
     counts, meaningful, survivors = reference_shots(plan, state, shots, seed)
@@ -564,3 +565,7 @@ def test_run_shots_matches_reference_sampler(case, seed, small_chunk):
         assert hist.counts == counts
         assert hist.meaningful_shots == meaningful
         assert hist.survivors == survivors
+    # the first `fewer` shots are a prefix of the full run: nothing can grow
+    head = run_shots(plan, state, fewer, seed)
+    assert all(count <= counts.get(key, 0) for key, count in head.counts.items())
+    assert all(a <= b for a, b in zip(head.survivors, survivors, strict=True))

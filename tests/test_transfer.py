@@ -12,9 +12,9 @@ from vertexsim import (
     EnumerationBudgetError,
     LatticeShape,
     RMatrix,
+    TransferOperator,
     ValidationError,
     VertexModel,
-    apply_row_product,
     apply_transfer,
     assemble_transfer,
     boundary_strings,
@@ -109,11 +109,17 @@ def test_entries_match_tensordot_reference_cached_and_read_only(c):
 
 def test_apply_transfer_columns_and_eigvec():
     m = generate_model(0.4, 2.0, 12)
+    for n in range(1, 8):
+        # the identity block is the sweep that builds `entries` (one block up to dim 256)
+        t = assemble_transfer(r_matrix(m), n)
+        np.testing.assert_array_equal(apply_transfer(t, np.eye(t.dim)), t.entries)
     t = assemble_transfer(r_matrix(m), 3)
+    ref = dense_transfer_reference(t.source, 3)
     for k in (0, 5, 15):
         e = np.zeros(t.dim)
         e[k] = 1.0
-        np.testing.assert_array_equal(apply_transfer(t, e), t.entries[:, k])
+        # a single-vector sweep may round differently in the last bit
+        assert np.all(np.abs(apply_transfer(t, e) - ref[:, k]) <= 1e-14 * ref[:, k])
     s = spectral_summary(t)
     resid = np.linalg.norm(apply_transfer(t, s.psi0_right) - s.lambda0 * s.psi0_right)
     assert resid / s.lambda0 < 1e-9
@@ -138,11 +144,12 @@ def test_matrix_free_apply_matches_dense():
         R = r_matrix(m)
         v = positive_state(2 ** (n + 1), 100 + seed)
         np.testing.assert_allclose(
-            apply_row_product(R, n, v), dense_transfer_reference(R, n) @ v, rtol=1e-13, atol=1e-15
+            apply_transfer(assemble_transfer(R, n), v), dense_transfer_reference(R, n) @ v,
+            rtol=1e-13, atol=1e-15,
         )
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(
     n=st.integers(1, 6),
     seed=st.integers(0, 2 ** 16),
@@ -155,7 +162,7 @@ def test_row_product_and_transpose_match_dense(n, seed, c, b):
     rng = np.random.default_rng(seed)
     for x in (rng.uniform(-1, 1, T.shape[0]), rng.uniform(-1, 1, (T.shape[0], b))):
         for dense, got in (
-            (T, apply_row_product(R, n, x)),
+            (T, apply_transfer(assemble_transfer(R, n), x)),
             (T.T, _row_sweep(_gate(R).T, n, x, reverse=True)),
         ):
             assert got.shape == x.shape
@@ -170,12 +177,16 @@ def test_power_oracle_never_reads_dense_entries():
 
 
 def test_row_product_rejects_bad_shapes():
-    for shape in ((7,), (16, 2), (32, 2, 1)):
+    t = assemble_transfer(ones_r(), 4)
+    for shape in ((7,), (16, 2), (32, 2, 1), (32, 0), ()):
         with pytest.raises(DimensionError):
-            apply_row_product(ones_r(), 4, np.ones(shape))
-    for n in (0, True, 1.0):
-        with pytest.raises(ValidationError):
-            apply_row_product(ones_r(), n, np.ones(4))
+            apply_transfer(t, np.ones(shape))
+    # the operator checks its own width, however it is built
+    for n in (0, True, 1.0, 2.5, DENSE_CAP_QUBITS):
+        for build in (lambda n: TransferOperator(n=n, source=ones_r()),
+                      lambda n: assemble_transfer(ones_r(), n)):
+            with pytest.raises(ValidationError):
+                build(n)
 
 
 def test_spectral_rank_one_regime():
@@ -302,7 +313,7 @@ def test_partition_element_validates():
             partition_element(t, m, "000", "000")
 
 
-@settings(derandomize=True, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(
     n=st.integers(1, 7),
     m=st.integers(1, 4),
@@ -382,6 +393,9 @@ def test_free_energy_density_values():
     for z in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValidationError):
             free_energy_density(z, LatticeShape(1, 1), 2.0)
+    for beta in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValidationError):
+            free_energy_density(2.0, LatticeShape(1, 1), beta)
 
 
 def test_lattice_shape_rejects_non_integer_sizes():
