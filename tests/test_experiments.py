@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -415,3 +417,110 @@ def test_monotone_sequence_bound_on_symmetric_transfer():
             fm = float(psi0 @ (v / np.linalg.norm(v)))
             seq = ((fm ** -2 - 1) / (f0 ** -2 - 1)) ** (1.0 / (2 * m))
             assert seq <= s.ratio + 1e-9
+
+
+# ---------------------------------------------------------------- golden experiment outputs
+
+# Pinned from the experiments layer before its block step was shared.  Shot
+# paths are pinned exactly: sha256 of the histogram counts and of float.hex of
+# every float they produce.  Exact paths are pinned to 1e-12 relative.
+_GOLDEN_MODEL = generate_model(0.4, 2.0, 7)
+_GOLDEN_SHOTS, _GOLDEN_SEED, _GOLDEN_FLOOR = 4000, 3, 100
+_GOLDEN_SHOT_DIGESTS = {
+    ("deep", 2, 2): "b51cf0c0e9439d00760bc2f20080c10effa0e9ef46f3ab47bf63e48e4080add0",
+    ("refeed", 2, 2): "39130fb4f0c9c39d82304e5a70bc9ca87140c98cfd71f5cc4efbc1ad6c0ee049",
+    ("deep", 3, 1): "b4f3d50abc8c75589d3f8bec5bd486a9cb038a231a3311f206ca7bfb379b15a3",
+    ("refeed", 3, 1): "64598efc5faecaaf781cbd450f4edba937f94ea99e3e53a60884f849d8ec7a4d",
+    ("psi0", 2): "b02f80e74210f91ab31d6b72a021d4b0a85f00114a342d7c570b91b6705ff8fc",
+    ("estimate", 2): "1d6ac3129ee2653dcab44abcb93bcfc9eae888d6d13a357486a4d8688061647d",
+    ("estimate", 3): "fe58e1fa77d07fda0a92b148e16a33e0c1dfb1914c9cd218a5a3c38b8e1422c5",
+}
+_GOLDEN_EXACT_ACTION = {
+    (2, 2): ([0.7187617391594847, 0.5188847140636541, 0.30774888154167995, 0.055089942946686406,
+              0.271879332645101, 0.17647855568729934, 0.10491990455445781, 0.018019473320588203],
+             0.4290061183362303),
+    (3, 1): ([0.7116692735280312, 0.41140283703487596, 0.2801336773230422, 0.04850341887831108,
+              0.26748361896158224, 0.14136975613795288, 0.0965461304428255, 0.015901045957014665,
+              0.29409025880912093, 0.16757459063944197, 0.11441790682895003,
+              0.019689257201727123, 0.10056208022731615, 0.05318992570650165,
+              0.03623982820005897, 0.005960345802084121],
+             0.42793960807265463),
+}
+# n: (f0, f1, estimate, oracle_lambda1, psi0_iterations) of the exact backend
+_GOLDEN_EXACT_ESTIMATE = {
+    2: (0.7499036362723556, 0.9948991570047843, 0.11493362183281178, 0.0755589325808171, 13),
+    3: (0.7005613567700761, 0.9953480249761711, 0.09502746796520024, 0.06936964955244906, 13),
+}
+
+
+def _hex(values) -> list[str]:
+    return [float(x).hex() for x in np.ravel(values)]
+
+
+def _golden_digest(*parts) -> str:
+    return hashlib.sha256(json.dumps(parts, sort_keys=True).encode()).hexdigest()
+
+
+def _golden_psi(n):
+    return positive_state(2 ** (n + 1), 44)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (3, 1)])
+def test_golden_experiment_actions(n, m):
+    for mode in ("deep", "refeed"):
+        vec, diag = simulated_t_action(
+            _GOLDEN_MODEL, n, m, _golden_psi(n), shots=_GOLDEN_SHOTS, seed=_GOLDEN_SEED,
+            mode=mode, meaningful_floor=_GOLDEN_FLOOR,
+        )
+        hist = diag.final_histogram
+        got = _golden_digest(_hex(vec), hist.counts, hist.meaningful_shots, diag.shots_used,
+                             _hex(diag.meaningful_fractions))
+        assert got == _GOLDEN_SHOT_DIGESTS[mode, n, m], mode
+    vec, diag = simulated_t_action(_GOLDEN_MODEL, n, m, _golden_psi(n), mode="exact")
+    want_vec, want_keep = _GOLDEN_EXACT_ACTION[n, m]
+    np.testing.assert_allclose(vec, want_vec, rtol=1e-12, atol=0)
+    assert abs(diag.keep_probability - want_keep) <= 1e-12 * want_keep
+
+
+def test_golden_power_iteration():
+    res = power_iterate_psi0(
+        _GOLDEN_MODEL, 2, shots_per_step=_GOLDEN_SHOTS, seed=_GOLDEN_SEED, max_steps=3, tol=0.0,
+        backend="shot", start=_golden_psi(2), meaningful_floor=_GOLDEN_FLOOR,
+    )
+    got = _golden_digest(_hex(res.vector), _hex([res.last_delta]), res.steps, res.converged,
+                         res.shots_used)
+    assert got == _GOLDEN_SHOT_DIGESTS["psi0", 2]
+    res = power_iterate_psi0(_GOLDEN_MODEL, 2, max_steps=3, tol=0.0, backend="exact",
+                             start=_golden_psi(2))
+    np.testing.assert_allclose(res.vector, [
+        0.7181005126205741, 0.5155212947627731, 0.3076621050396409, 0.055077270774702786,
+        0.2775087944824679, 0.17916642208923256, 0.10691949025864253, 0.01834275252606135,
+    ], rtol=1e-12, atol=0)
+    assert abs(res.last_delta - 0.007401068806640745) <= 1e-12 * 0.007401068806640745
+    assert (res.steps, res.converged, res.shots_used) == (3, False, 0)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_golden_estimates(n):
+    f0, f1, estimate, oracle, iterations = _GOLDEN_EXACT_ESTIMATE[n]
+    rep = estimate_lambda1(_GOLDEN_MODEL, n, _golden_psi(n), shots=_GOLDEN_SHOTS,
+                           seed=_GOLDEN_SEED, backend="shot", meaningful_floor=_GOLDEN_FLOOR)
+    got = _golden_digest(_hex([rep.f0, rep.f1, rep.estimate]), rep.shots_used,
+                         rep.psi0_iterations, rep.degenerate)
+    assert got == _GOLDEN_SHOT_DIGESTS["estimate", n]
+    assert abs(rep.oracle_lambda1 - oracle) <= 1e-12 * oracle
+    rep = estimate_lambda1(_GOLDEN_MODEL, n, _golden_psi(n), backend="exact")
+    np.testing.assert_allclose([rep.f0, rep.f1, rep.estimate, rep.oracle_lambda1],
+                               [f0, f1, estimate, oracle], rtol=1e-12, atol=0)
+    assert (rep.psi0_iterations, rep.shots_used, rep.degenerate) == (iterations, 0, False)
+
+
+def test_golden_convergence_report_refeed():
+    rows = convergence_report(_GOLDEN_MODEL, [2], [0, 1, 2], shots=_GOLDEN_SHOTS,
+                              seed=_GOLDEN_SEED, mode="refeed", meaningful_floor=_GOLDEN_FLOOR)
+    np.testing.assert_allclose([r.distance for r in rows],
+                               [0.7504654194948229, 0.10211157462604918, 0.03767242380506961],
+                               rtol=1e-12, atol=0)
+    assert [(r.m, r.shots_used, _hex([r.meaningful_fraction])[0], r.oracle_available)
+            for r in rows] == [(0, 0, (1.0).hex(), True), (1, 4000, (0.37925).hex(), True),
+                               (2, 8000, (0.37925).hex(), True)]
