@@ -26,7 +26,6 @@ from .experiments import (
     ActionDiagnostics,
     ConvergenceRow,
     EstimatorReport,
-    TCircuitSpec,
     build_d_test_plan,
     build_t_plan,
     build_terashima_plan,
@@ -55,9 +54,7 @@ from .simulator import (
     MeasureAncillaPostselect0,
     QuantumState,
     ShotHistogram,
-    apply_unitary,
     init_state,
-    postselect_ancilla0,
     run_exact,
     run_shots,
 )

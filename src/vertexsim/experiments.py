@@ -45,22 +45,6 @@ DEFAULT_MEANINGFUL_FLOOR = 1000
 MODES = ("deep", "refeed", "exact")
 
 
-@dataclass(frozen=True)
-class TCircuitSpec:
-    """Configuration record for a transfer-block circuit run."""
-
-    n: int
-    factors: SVDFactors
-    m_power: int
-    mode: str = "deep"
-
-    def __post_init__(self):
-        require_positive_int("n", self.n)
-        require_positive_int("m_power", self.m_power)
-        if self.mode not in MODES:
-            raise ValidationError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-
 def wire_to_dense_map(n: int) -> np.ndarray:
     """dense_index[wire_index]: rotate the lateral bond from wire n to qubit 0."""
     w = np.arange(2 ** (n + 1))
@@ -147,6 +131,10 @@ class ActionDiagnostics:
 
 
 def _validate_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray:
+    if np.iscomplexobj(input_amplitudes):
+        raise ValidationError(
+            "input amplitudes must be real; split a complex vector into positive pieces"
+        )
     v = np.asarray(input_amplitudes, dtype=np.float64).ravel()
     if v.shape != (2 ** (n + 1),):
         raise ValidationError(
@@ -160,6 +148,16 @@ def _validate_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray
     return v / nrm
 
 
+def _backend_shots(backend: str, shots: int) -> int | None:
+    """Shots per block run: None for the exact backend, a positive count for "shot"."""
+    if backend == "exact":
+        return None
+    if backend != "shot":
+        raise ValidationError(f"backend must be 'shot' or 'exact', got {backend!r}")
+    require_positive_int("shots", shots)
+    return shots
+
+
 def _embed_input(dense_vec: np.ndarray, n: int) -> QuantumState:
     """Dense-basis data vector -> wire-basis full state with ancilla |0>."""
     full = np.zeros(2 ** (n + 2), dtype=np.complex128)
@@ -167,15 +165,24 @@ def _embed_input(dense_vec: np.ndarray, n: int) -> QuantumState:
     return init_state(n + 2, full)
 
 
-def _data_vector_exact(plan: CircuitPlan, state_in: QuantumState, n: int) -> tuple[np.ndarray, float]:
-    out, keep = run_exact(plan, state_in)
-    data = np.real(out.amplitudes[: 2 ** (n + 1)])
-    data = np.clip(data, 0.0, None)
-    data /= np.linalg.norm(data)
-    return dense_from_wire(data, n), keep
+def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None, seed: int,
+                  meaningful_floor: int) -> tuple[np.ndarray, float | ShotHistogram]:
+    """Run a transfer-block plan on a dense-basis input and read the kept data back.
 
-
-def _data_vector_from_histogram(hist: ShotHistogram, n: int, meaningful_floor: int) -> np.ndarray:
+    shots None runs the exact projection (`run_exact`) and returns the
+    output with the product of the keep probabilities.  Otherwise `shots`
+    shots are sampled with `seed` and the output is sqrt(count/meaningful)
+    per data record, returned with the histogram; fewer meaningful shots
+    than `meaningful_floor` raise InsufficientStatisticsError.  The output
+    is a dense-basis, entrywise nonnegative unit vector.
+    """
+    state = _embed_input(vec, n)
+    if shots is None:
+        out, keep = run_exact(plan, state)
+        data = np.clip(np.real(out.amplitudes[: 2 ** (n + 1)]), 0.0, None)
+        data /= np.linalg.norm(data)
+        return dense_from_wire(data, n), keep
+    hist = run_shots(plan, state, shots, seed)
     if hist.meaningful_shots < max(1, meaningful_floor):
         raise InsufficientStatisticsError(
             f"only {hist.meaningful_shots} of {hist.total_shots} shots survived "
@@ -186,7 +193,7 @@ def _data_vector_from_histogram(hist: ShotHistogram, n: int, meaningful_floor: i
     for key, count in hist.counts.items():
         probs[int(key, 2)] = count
     probs /= hist.meaningful_shots
-    return dense_from_wire(np.sqrt(probs), n)
+    return dense_from_wire(np.sqrt(probs), n), hist
 
 
 def _step_seed(seed: int, step: int) -> int:
@@ -210,36 +217,26 @@ def simulated_t_action(model: VertexModel, n: int, m_power: int, input_amplitude
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     require_positive_int("m_power", m_power)
     vec = _validate_positive_input(input_amplitudes, n)
+    if mode != "exact":
+        require_positive_int("shots", shots)
     factors = svd_scaled(r_matrix(model))
-
+    if mode == "refeed":
+        plan = build_t_plan(factors, n, 1)
+        fractions = []
+        for step in range(m_power):
+            vec, hist = _block_action(plan, vec, n, shots, _step_seed(seed, step), meaningful_floor)
+            fractions.append(hist.meaningful_fraction)
+        return vec, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=shots * m_power,
+                                      meaningful_fractions=fractions, final_histogram=hist)
+    plan = build_t_plan(factors, n, m_power)
     if mode == "exact":
-        plan = build_t_plan(factors, n, m_power)
-        out, keep = _data_vector_exact(plan, _embed_input(vec, n), n)
-        return out, ActionDiagnostics(
-            mode=mode, m_power=m_power, shots_used=0, meaningful_fractions=[],
-            keep_probability=keep,
-        )
-
-    if mode == "deep":
-        plan = build_t_plan(factors, n, m_power)
-        hist = run_shots(plan, _embed_input(vec, n), shots, seed)
-        out = _data_vector_from_histogram(hist, n, meaningful_floor)
-        return out, ActionDiagnostics(
-            mode=mode, m_power=m_power, shots_used=shots,
-            meaningful_fractions=[hist.meaningful_fraction], final_histogram=hist,
-        )
-
-    plan = build_t_plan(factors, n, 1)
-    fractions = []
-    hist = None
-    for step in range(m_power):
-        hist = run_shots(plan, _embed_input(vec, n), shots, _step_seed(seed, step))
-        vec = _data_vector_from_histogram(hist, n, meaningful_floor)
-        fractions.append(hist.meaningful_fraction)
-    return vec, ActionDiagnostics(
-        mode="refeed", m_power=m_power, shots_used=shots * m_power,
-        meaningful_fractions=fractions, final_histogram=hist,
-    )
+        out, keep = _block_action(plan, vec, n, None, seed, meaningful_floor)
+        return out, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=0,
+                                      meaningful_fractions=[], keep_probability=keep)
+    out, hist = _block_action(plan, vec, n, shots, seed, meaningful_floor)
+    return out, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=shots,
+                                  meaningful_fractions=[hist.meaningful_fraction],
+                                  final_histogram=hist)
 
 
 @dataclass
@@ -249,6 +246,25 @@ class PowerIterationResult:
     converged: bool
     last_delta: float
     shots_used: int
+
+
+def _iterate_psi0(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None, seed: int,
+                  max_steps: int, tol: float, meaningful_floor: int) -> PowerIterationResult:
+    """Refeed `vec` through the one-block `plan`; step k samples with _step_seed(seed, k)."""
+    shots_used = 0
+    delta = math.inf
+    for step in range(max_steps):
+        new, _ = _block_action(plan, vec, n, shots, _step_seed(seed, step), meaningful_floor)
+        shots_used += shots or 0
+        delta = float(np.linalg.norm(new - vec))
+        vec = new
+        if tol > 0 and delta < tol:
+            return PowerIterationResult(vec, step + 1, True, delta, shots_used)
+    if tol > 0:
+        raise ConvergenceError(
+            f"power iteration did not reach tol {tol} in {max_steps} steps", delta
+        )
+    return PowerIterationResult(vec, max_steps, False, delta, shots_used)
 
 
 def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
@@ -263,8 +279,7 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
     exactly max_steps refeed steps.  backend "exact" replaces histograms by
     exact projection.
     """
-    if backend not in ("shot", "exact"):
-        raise ValidationError(f"backend must be 'shot' or 'exact', got {backend!r}")
+    shots = _backend_shots(backend, shots_per_step)
     require_positive_int("max_steps", max_steps)
     plan = build_t_plan(svd_scaled(r_matrix(model)), n, 1)
     if start is None:
@@ -272,24 +287,7 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
         vec[0] = 1.0
     else:
         vec = _validate_positive_input(start, n)
-    shots_used = 0
-    delta = math.inf
-    for step in range(1, max_steps + 1):
-        if backend == "exact":
-            new, _ = _data_vector_exact(plan, _embed_input(vec, n), n)
-        else:
-            hist = run_shots(plan, _embed_input(vec, n), shots_per_step, _step_seed(seed, step - 1))
-            new = _data_vector_from_histogram(hist, n, meaningful_floor)
-            shots_used += shots_per_step
-        delta = float(np.linalg.norm(new - vec))
-        vec = new
-        if tol > 0 and delta < tol:
-            return PowerIterationResult(vec, step, True, delta, shots_used)
-    if tol > 0:
-        raise ConvergenceError(
-            f"power iteration did not reach tol {tol} in {max_steps} steps", delta
-        )
-    return PowerIterationResult(vec, max_steps, False, delta, shots_used)
+    return _iterate_psi0(plan, vec, n, shots, seed, max_steps, tol, meaningful_floor)
 
 
 @dataclass
@@ -326,8 +324,11 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     sqrt((f1^-2 - 1) / (f0^-2 - 1)).  Inputs parallel to psi0 make the
     denominator vanish; such runs are flagged degenerate with a NaN
     estimate.  The shot backend follows the published protocol (fixed
-    iteration count); the exact backend iterates psi0 to numerical
-    convergence instead.
+    iteration count, step k seeded by substream k of `seed`, the action
+    run by substream 2^20); the exact backend iterates psi0 to numerical
+    convergence instead.  R is computed, factorized and built into the
+    one-block plan once per call: the iteration and the action run that
+    plan, and the oracle uses the same R.
 
     What the exact backend promises: the estimate equals
     tan(theta(T psi, psi0)) / tan(theta(psi, psi0)).  It is <= lambda_1
@@ -338,43 +339,30 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     """
     vec = _validate_positive_input(input_amplitudes, n)
     require_positive_int("psi0_iterations", psi0_iterations)
-    if backend == "exact":
-        psi0 = power_iterate_psi0(
-            model, n, seed=seed, max_steps=400, tol=1e-13, backend="exact", start=vec
-        )
-        iterations = psi0.steps
-    elif backend == "shot":
-        psi0 = power_iterate_psi0(
-            model, n, shots_per_step=shots, seed=seed, max_steps=psi0_iterations,
-            tol=0.0, backend="shot", start=vec, meaningful_floor=meaningful_floor,
-        )
-        iterations = psi0_iterations
-    else:
-        raise ValidationError(f"backend must be 'shot' or 'exact', got {backend!r}")
-
-    action, diag = simulated_t_action(
-        model, n, 1, vec,
-        shots=shots, seed=_step_seed(seed, 1 << 20), mode="exact" if backend == "exact" else "deep",
-        meaningful_floor=meaningful_floor,
-    )
+    shots = _backend_shots(backend, shots)
+    r = r_matrix(model)
+    plan = build_t_plan(svd_scaled(r), n, 1)
+    # The circuits start from the unit input normalized once more, which can
+    # move its last bits; the pinned exact-backend numbers depend on that.
+    start = _validate_positive_input(vec, n)
+    steps, tol = (400, 1e-13) if shots is None else (psi0_iterations, 0.0)
+    psi0 = _iterate_psi0(plan, start, n, shots, seed, steps, tol, meaningful_floor)
+    action, _ = _block_action(plan, start, n, shots, _step_seed(seed, 1 << 20), meaningful_floor)
     f0 = float(psi0.vector @ vec)
     f1 = float(psi0.vector @ action)
-    shots_used = psi0.shots_used + diag.shots_used
+    shots_used = psi0.shots_used + (shots or 0)
 
     oracle = None
     if n + 1 <= DENSE_CAP_QUBITS:
-        oracle = spectral_summary(assemble_transfer(r_matrix(model), n)).ratio
+        oracle = spectral_summary(assemble_transfer(r, n)).ratio
 
     num = f1 ** -2 - 1.0
     den = f0 ** -2 - 1.0
-    if den <= 1e-12 or num < 0.0:
-        return EstimatorReport(
-            f0=f0, f1=f1, estimate=math.nan, oracle_lambda1=oracle,
-            shots_used=shots_used, psi0_iterations=iterations, degenerate=True,
-        )
+    degenerate = den <= 1e-12 or num < 0.0
     return EstimatorReport(
-        f0=f0, f1=f1, estimate=math.sqrt(num / den), oracle_lambda1=oracle,
-        shots_used=shots_used, psi0_iterations=iterations,
+        f0=f0, f1=f1, estimate=math.nan if degenerate else math.sqrt(num / den),
+        oracle_lambda1=oracle, shots_used=shots_used, psi0_iterations=psi0.steps,
+        degenerate=degenerate,
     )
 
 

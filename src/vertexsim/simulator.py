@@ -49,16 +49,13 @@ UNITARITY_TOL = 1e-10
 
 @dataclass
 class QuantumState:
-    """Complex amplitudes over n qubits, kept normalized."""
+    """Unit-norm complex amplitudes over n qubits: the input of `run_exact` and
+    `run_shots`, and the kept state `run_exact` returns.  Build one with
+    `init_state`; a circuit acts on it only through a `CircuitPlan`.
+    """
 
     n_qubits: int
     amplitudes: np.ndarray
-
-    def copy(self) -> "QuantumState":
-        return QuantumState(self.n_qubits, self.amplitudes.copy())
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
 
 
 def init_state(n: int, amplitudes: np.ndarray) -> QuantumState:
@@ -76,7 +73,7 @@ def init_state(n: int, amplitudes: np.ndarray) -> QuantumState:
     return QuantumState(n, amps / nrm)
 
 
-def _check_unitary(matrix: np.ndarray, k: int) -> np.ndarray:
+def _check_unitary(matrix: np.ndarray, k: int) -> None:
     if k < 1:
         raise ValidationError("unitary needs at least one target qubit")
     m = np.asarray(matrix, dtype=np.complex128)
@@ -87,15 +84,6 @@ def _check_unitary(matrix: np.ndarray, k: int) -> np.ndarray:
     defect = np.max(np.abs(m.conj().T @ m - np.eye(2 ** k)))
     if defect > UNITARITY_TOL:
         raise ValidationError(f"matrix is not unitary (defect {defect:.3e})")
-    return m
-
-
-def apply_unitary(state: QuantumState, matrix: np.ndarray, targets: list[int] | tuple[int, ...]) -> QuantumState:
-    """Apply a k-qubit unitary in place; targets[0] is the gate's LSB."""
-    check_targets(targets, state.n_qubits)
-    m = _check_unitary(matrix, len(targets))
-    state.amplitudes = apply_matrix(state.amplitudes, m, targets, state.n_qubits)
-    return state
 
 
 def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
@@ -126,16 +114,6 @@ def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
     if p == 0.0:
         raise ImpossiblePostselectionError("measurement collapsed onto a zero-weight outcome")
     return flat / p
-
-
-def postselect_ancilla0(state: QuantumState) -> tuple[QuantumState, float]:
-    """Project the ancilla (highest qubit) onto 0 and renormalize in place."""
-    q = state.n_qubits - 1
-    p0 = float(_marginal_probs(state.amplitudes, (q,), state.n_qubits)[0])
-    if p0 <= 0.0:
-        raise ImpossiblePostselectionError("ancilla has no weight on |0>")
-    state.amplitudes = _collapse_outcome(state.amplitudes, (q,), 0, state.n_qubits)
-    return state, p0
 
 
 # --------------------------------------------------------------------------

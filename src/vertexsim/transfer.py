@@ -129,9 +129,12 @@ def assemble_transfer(r: RMatrix, n: int) -> TransferOperator:
 def apply_transfer(t: TransferOperator, x: np.ndarray) -> np.ndarray:
     """T @ x by one row sweep, O(N 2^N) per column, without reading `t.entries`.
 
-    x is a vector (dim,) or a block of columns (dim, b); any other shape
-    raises DimensionError.  The rightmost gate k = n acts first.
+    x is a real vector (dim,) or a block of columns (dim, b); any other shape
+    raises DimensionError, a complex x ValidationError.  The rightmost gate
+    k = n acts first.
     """
+    if np.iscomplexobj(x):
+        raise ValidationError("T acts on real arrays; apply it to the real and imaginary parts")
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[0] != t.dim or x.size == 0:
         raise DimensionError(

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as hs
 
-from vertexsim import ApplyUnitary, CircuitPlan, MeasureAll, RMatrix, VertexModel, dilate
+from vertexsim import (
+    ApplyUnitary,
+    CircuitPlan,
+    MeasureAll,
+    MeasureAncillaPostselect0,
+    RMatrix,
+    VertexModel,
+    dilate,
+    init_state,
+)
 from vertexsim.rng import stream_u64, to_unit
 
 # every property runs the same examples on every run and has no time limit;
@@ -86,6 +96,50 @@ def mid_circuit_plan() -> CircuitPlan:
         ],
         n_data_bits=2,
     )
+
+
+def haar_unitary(rng, k):
+    z = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@hs.composite
+def mixed_plans(draw):
+    """Random unitaries between measurements that mix data and select bits.
+
+    The top qubit starts in |0> and the first measurement includes it, so
+    that measurement has outcomes of probability exactly zero; a qubit
+    measured twice with no unitary in between has them too.
+    """
+    nq = draw(hs.integers(2, 4))
+    nd = draw(hs.integers(1, 3))
+    width = nd + draw(hs.integers(1, 3))
+    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
+    qubit = hs.integers(0, nq - 1)
+    cbit = hs.integers(0, width - 1)
+
+    def measure(first):
+        qubits = draw(hs.lists(qubit, min_size=1, max_size=nq, unique=True))
+        if first and nq - 1 not in qubits:
+            qubits.append(nq - 1)
+        return MeasureAll(qubits=tuple(qubits),
+                          cbits=tuple(draw(cbit) for _ in qubits))
+
+    ins = [measure(first=True)]
+    for _ in range(draw(hs.integers(1, 3))):
+        for _ in range(draw(hs.integers(0, 2))):
+            targets = tuple(draw(hs.lists(qubit, min_size=1, max_size=2, unique=True)))
+            ins.append(ApplyUnitary(matrix=haar_unitary(rng, len(targets)), targets=targets))
+        if draw(hs.booleans()):
+            ins.append(measure(first=False))
+        else:
+            ins.append(MeasureAncillaPostselect0(qubit=draw(qubit),
+                                                 cbit=draw(hs.integers(nd, width - 1))))
+    plan = CircuitPlan(n_qubits=nq, n_classical_bits=width, instructions=ins, n_data_bits=nd)
+    low = rng.normal(size=2 ** (nq - 1)) + 1j * rng.normal(size=2 ** (nq - 1))
+    amps = np.concatenate([low, np.zeros_like(low)])
+    return plan, init_state(nq, amps / np.linalg.norm(amps))
 
 
 def estimator_bound(t: np.ndarray, psi0: np.ndarray, psi: np.ndarray) -> float:

@@ -19,7 +19,7 @@ from vertexsim import (
     svd_scaled,
 )
 
-from conftest import mid_circuit_plan, positive_state
+from conftest import mid_circuit_plan, mixed_plans, positive_state
 
 
 def test_empty_plan_exports_header_only():
@@ -46,6 +46,17 @@ def test_transfer_plan_round_trip_is_exact():
     assert again == plan
     # double round trip is a fixed point
     assert export_circuit_text(again) == text
+
+
+@settings(max_examples=40)
+@given(case=mixed_plans())
+def test_generated_plan_round_trip_is_exact(case):
+    # complex Haar unitaries, mid-circuit measurements mixing data and select
+    # bits, and post-selections all survive export and parse bit for bit
+    plan, _ = case
+    text = export_circuit_text(plan)
+    assert parse_circuit_text(text) == plan
+    assert export_circuit_text(parse_circuit_text(text)) == text
 
 
 def test_round_trip_preserves_shot_streams():

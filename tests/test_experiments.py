@@ -12,7 +12,6 @@ from vertexsim import (
     InsufficientStatisticsError,
     MeasureAll,
     MeasureAncillaPostselect0,
-    TCircuitSpec,
     ValidationError,
     apply_transfer,
     assemble_transfer,
@@ -30,7 +29,8 @@ from vertexsim import (
     wire_from_dense,
     wire_to_dense_map,
 )
-from vertexsim.experiments import _embed_input
+from vertexsim import experiments
+from vertexsim.experiments import MODES, _embed_input
 from vertexsim.model import VertexModel, energy_index
 
 from conftest import estimator_bound, positive_state
@@ -151,8 +151,12 @@ def test_action_validates_input():
         simulated_t_action(model, 2, 1, -np.ones(8), mode="exact")
     with pytest.raises(ValidationError):
         simulated_t_action(model, 2, 1, np.ones(8), mode="sideways")
-    with pytest.raises(ValidationError):
-        TCircuitSpec(n=0, factors=None, m_power=1)
+    for mode in MODES:
+        with pytest.raises(ValidationError):
+            simulated_t_action(model, 2, 1, (1 + 5j) * np.ones(8), mode=mode)
+    for backend in ("shot", "exact"):
+        with pytest.raises(ValidationError):
+            estimate_lambda1(model, 2, (1 + 0j) * np.ones(8), backend=backend)
 
 
 _MODEL = generate_model(0.4, 2.0, 8)
@@ -164,7 +168,6 @@ _PSI = positive_state(8, 1)
     pytest.param(lambda: build_t_plan(_FACTORS, 2, 2.5), id="plan-m2.5"),
     pytest.param(lambda: build_t_plan(_FACTORS, True), id="plan-nTrue"),
     pytest.param(lambda: build_t_plan(_FACTORS, 2, 0), id="plan-m0"),
-    pytest.param(lambda: TCircuitSpec(n=2, factors=_FACTORS, m_power=1.5), id="spec-m1.5"),
     pytest.param(lambda: simulated_t_action(_MODEL, 2, 1.5, _PSI, mode="exact"), id="action-m1.5"),
     pytest.param(lambda: simulated_t_action(_MODEL, 2.0, 1, _PSI, mode="exact"), id="action-n2.0"),
     pytest.param(lambda: simulated_t_action(_MODEL, 2, 0, _PSI, mode="refeed"), id="refeed-m0"),
@@ -295,6 +298,23 @@ def test_estimator_shot_backend_reports():
     assert '"estimate"' in rep.to_json()
 
 
+@pytest.mark.parametrize("backend", ["shot", "exact"])
+def test_estimator_factorizes_and_builds_once(monkeypatch, backend):
+    calls = {}
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("r_matrix", "svd_scaled", "build_t_plan"):
+        monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
+    estimate_lambda1(generate_model(0.4, 2.0, 19), 2, positive_state(8, 77), shots=2_000,
+                     backend=backend, meaningful_floor=10)
+    assert calls == {"r_matrix": 1, "svd_scaled": 1, "build_t_plan": 1}
+
+
 def test_mode_equivalence_exact_paths():
     # one deep exact run equals m stacked single blocks exactly
     model = generate_model(0.0, 2.0, 14)
@@ -377,8 +397,8 @@ def test_terashima_plan_equals_single_dilation_plan():
                 MeasureAncillaPostselect0(qubit=2, cbit=0),
             ],
         )
-        out_a, p_a = run_exact(single, state.copy())
-        out_b, p_b = run_exact(build_terashima_plan(d), state.copy())
+        out_a, p_a = run_exact(single, state)
+        out_b, p_b = run_exact(build_terashima_plan(d), state)
         np.testing.assert_allclose(
             out_a.amplitudes[:4].real, out_b.amplitudes[:4].real, atol=1e-10
         )

@@ -16,14 +16,12 @@ from vertexsim import (
     MeasureAncillaPostselect0,
     ValidationError,
     acceptance_probability,
-    apply_unitary,
     build_d_test_plan,
     build_t_plan,
     build_terashima_plan,
     dilate,
     generate_model,
     init_state,
-    postselect_ancilla0,
     r_matrix,
     run_exact,
     run_shots,
@@ -34,7 +32,7 @@ from vertexsim.gates import apply_matrix
 from vertexsim.rng import stream_u64, substream_seed, substream_value, to_unit
 from vertexsim.simulator import _collapse_outcome, _marginal_probs
 
-from conftest import mid_circuit_plan, positive_state
+from conftest import mid_circuit_plan, mixed_plans, positive_state
 
 # chi-square 0.999 quantile for 7 degrees of freedom (8-bin histogram)
 CHI2_999_DF7 = 24.3219
@@ -84,30 +82,30 @@ def test_init_state_errors():
         init_state(2, np.full(4, 0.7))  # norm 1.4, far outside tolerance
 
 
-def test_apply_unitary_x_gate():
+def circuit(nq, *instructions):
+    """Plan over nq qubits; a post-selection writes classical bit 0."""
+    n_post = sum(isinstance(i, MeasureAncillaPostselect0) for i in instructions)
+    return CircuitPlan(n_qubits=nq, n_classical_bits=n_post, instructions=list(instructions))
+
+
+def postselect(qubit):
+    return MeasureAncillaPostselect0(qubit=qubit, cbit=0)
+
+
+def test_run_exact_x_gate():
     st = basis_state(1, 0)
-    apply_unitary(st, X_GATE, (0,))
-    assert st.amplitudes[1] == 1.0
-    assert abs(st.norm() - 1.0) < 1e-12
-
-
-def test_apply_unitary_validates():
-    st = basis_state(2, 0)
-    with pytest.raises(ValidationError):
-        apply_unitary(st, np.array([[1.0, 1.0], [0.0, 1.0]]), (0,))
-    with pytest.raises(ValueError):
-        apply_unitary(st, X_GATE, (2,))
-    with pytest.raises(ValueError):
-        apply_unitary(st, np.eye(4), (0, 0))
+    out, p = run_exact(circuit(1, ApplyUnitary(matrix=X_GATE, targets=(0,))), st)
+    assert out.amplitudes[1] == 1.0 and p == 1.0
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+    assert st.amplitudes[0] == 1.0  # the input state is left as it was
 
 
 def test_trivial_dilation_flips_ancilla_sector_sign():
     g = dilate(np.array([1.0, 1.0, 1.0, 1.0])).matrix
     amps = np.array([0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
-    st = init_state(3, amps)
-    apply_unitary(st, g, (0, 1, 2))
-    np.testing.assert_allclose(st.amplitudes[:4].real, [0.5, 0.5, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(st.amplitudes[4:].real, [-0.5, 0, -0.5, 0], atol=1e-15)
+    out, _ = run_exact(circuit(3, ApplyUnitary(matrix=g, targets=(0, 1, 2))), init_state(3, amps))
+    np.testing.assert_allclose(out.amplitudes[:4].real, [0.5, 0.5, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(out.amplitudes[4:].real, [-0.5, 0, -0.5, 0], atol=1e-15)
 
 
 def test_svd_sandwich_reproduces_scaled_gate():
@@ -115,38 +113,39 @@ def test_svd_sandwich_reproduces_scaled_gate():
     R = r_matrix(generate_model(0.4, 2.0, 6))
     f = svd_scaled(R)
     alpha = positive_state(4, 3)
-    st = dilation_state(f.d, alpha)
-    apply_unitary(st, f.v, (0, 1))
-    apply_unitary(st, dilate(f.d).matrix, (0, 1, 2))
-    st, p = postselect_ancilla0(st)
-    apply_unitary(st, f.u, (0, 1))
+    plan = circuit(
+        3,
+        ApplyUnitary(matrix=f.v, targets=(0, 1)),
+        ApplyUnitary(matrix=dilate(f.d).matrix, targets=(0, 1, 2)),
+        postselect(2),
+        ApplyUnitary(matrix=f.u, targets=(0, 1)),
+    )
+    out, p = run_exact(plan, dilation_state(f.d, alpha))
     want = R.entries @ alpha / f.d0_raw
     assert abs(p - want @ want) < 1e-12
-    np.testing.assert_allclose(st.amplitudes[:4].real, want / np.linalg.norm(want), atol=1e-12)
+    np.testing.assert_allclose(out.amplitudes[:4].real, want / np.linalg.norm(want), atol=1e-12)
 
 
 def test_postselect_examples(fixture_r):
-    st = dilation_state(None, positive_state(4, 5))
-    st, p = postselect_ancilla0(st)
+    _, p = run_exact(circuit(3, postselect(2)), dilation_state(None, positive_state(4, 5)))
     assert p == 1.0  # ancilla already |0>
 
     plus = init_state(3, np.array([0.5, 0.5, 0, 0, 0.5, 0.5, 0, 0]))
-    _, p = postselect_ancilla0(plus)
+    _, p = run_exact(circuit(3, postselect(2)), plus)
     assert abs(p - 0.5) < 1e-12
 
     f = svd_scaled(fixture_r)
     uniform = np.full(4, 0.5)
-    st = dilation_state(f.d, uniform)
-    apply_unitary(st, dilate(f.d).matrix, (0, 1, 2))
-    st, p = postselect_ancilla0(st)
+    plan = circuit(3, ApplyUnitary(matrix=dilate(f.d).matrix, targets=(0, 1, 2)), postselect(2))
+    out, p = run_exact(plan, dilation_state(f.d, uniform))
     assert abs(p - float(np.sum(f.d ** 2)) / 4.0) < 1e-12
-    assert abs(st.norm() - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
 
 
 def test_postselect_impossible():
     st = basis_state(2, 2)  # qubit 1 (= ancilla) is |1>
     with pytest.raises(ImpossiblePostselectionError):
-        postselect_ancilla0(st)
+        run_exact(circuit(2, postselect(1)), st)
 
 
 # ---------------------------------------------------------------- plans
@@ -162,6 +161,12 @@ def test_plan_validation():
     with pytest.raises(ValidationError):
         CircuitPlan(n_qubits=1, n_classical_bits=2,
                     instructions=[MeasureAncillaPostselect0(qubit=3, cbit=0)])
+    with pytest.raises(ValidationError):
+        circuit(2, ApplyUnitary(matrix=np.array([[1.0, 1.0], [0.0, 1.0]]), targets=(0,)))
+    with pytest.raises(ValidationError):
+        circuit(2, ApplyUnitary(matrix=X_GATE, targets=(2,)))  # target out of range
+    with pytest.raises(ValidationError):
+        circuit(2, ApplyUnitary(matrix=np.eye(4), targets=(0, 0)))  # repeated target
 
 
 def test_run_shots_trivial_plan_single_bin():
@@ -507,50 +512,6 @@ def reference_shots(plan, state, shots, seed):
             key = format(word, f"0{plan.n_classical_bits}b")
             counts[key] = counts.get(key, 0) + 1
     return counts, sum(counts.values()), tuple(survivors)
-
-
-def _haar(rng, k):
-    z = rng.normal(size=(2 ** k, 2 ** k)) + 1j * rng.normal(size=(2 ** k, 2 ** k))
-    q, r = np.linalg.qr(z)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-@hs.composite
-def mixed_plans(draw):
-    """Random unitaries between measurements that mix data and select bits.
-
-    The top qubit starts in |0> and the first measurement includes it, so
-    that measurement has outcomes of probability exactly zero; a qubit
-    measured twice with no unitary in between has them too.
-    """
-    nq = draw(hs.integers(2, 4))
-    nd = draw(hs.integers(1, 3))
-    width = nd + draw(hs.integers(1, 3))
-    rng = np.random.default_rng(draw(hs.integers(0, 2 ** 32 - 1)))
-    qubit = hs.integers(0, nq - 1)
-    cbit = hs.integers(0, width - 1)
-
-    def measure(first):
-        qubits = draw(hs.lists(qubit, min_size=1, max_size=nq, unique=True))
-        if first and nq - 1 not in qubits:
-            qubits.append(nq - 1)
-        return MeasureAll(qubits=tuple(qubits),
-                          cbits=tuple(draw(cbit) for _ in qubits))
-
-    ins = [measure(first=True)]
-    for _ in range(draw(hs.integers(1, 3))):
-        for _ in range(draw(hs.integers(0, 2))):
-            targets = tuple(draw(hs.lists(qubit, min_size=1, max_size=2, unique=True)))
-            ins.append(ApplyUnitary(matrix=_haar(rng, len(targets)), targets=targets))
-        if draw(hs.booleans()):
-            ins.append(measure(first=False))
-        else:
-            ins.append(MeasureAncillaPostselect0(qubit=draw(qubit),
-                                                 cbit=draw(hs.integers(nd, width - 1))))
-    plan = CircuitPlan(n_qubits=nq, n_classical_bits=width, instructions=ins, n_data_bits=nd)
-    low = rng.normal(size=2 ** (nq - 1)) + 1j * rng.normal(size=2 ** (nq - 1))
-    amps = np.concatenate([low, np.zeros_like(low)])
-    return plan, init_state(nq, amps / np.linalg.norm(amps))
 
 
 @settings(max_examples=30)

@@ -181,6 +181,9 @@ def test_row_product_rejects_bad_shapes():
     for shape in ((7,), (16, 2), (32, 2, 1), (32, 0), ()):
         with pytest.raises(DimensionError):
             apply_transfer(t, np.ones(shape))
+    for x in ((1 + 1j) * np.ones(32), np.ones((32, 2), dtype=complex)):
+        with pytest.raises(ValidationError):
+            apply_transfer(t, x)
     # the operator checks its own width, however it is built
     for n in (0, True, 1.0, 2.5, DENSE_CAP_QUBITS):
         for build in (lambda n: TransferOperator(n=n, source=ones_r()),
