@@ -161,6 +161,9 @@ def test_plan_validation():
     with pytest.raises(ValidationError):
         CircuitPlan(n_qubits=1, n_classical_bits=2,
                     instructions=[MeasureAncillaPostselect0(qubit=3, cbit=0)])
+
+
+def test_apply_unitary_validates():
     with pytest.raises(ValidationError):
         circuit(2, ApplyUnitary(matrix=np.array([[1.0, 1.0], [0.0, 1.0]]), targets=(0,)))
     with pytest.raises(ValidationError):
