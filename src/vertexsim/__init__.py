@@ -51,7 +51,6 @@ from .simulator import (
     ApplyUnitary,
     CircuitPlan,
     MeasureAll,
-    MeasureAncillaPostselect0,
     QuantumState,
     ShotHistogram,
     init_state,

@@ -2,7 +2,8 @@
 
 Layout: one header line, one line per instruction in program order, then the
 matrix table.  Matrices are deduplicated and referenced by id; entries use
-repr() so floats survive the round trip bit-exactly.
+repr() so floats survive the round trip bit-exactly.  A one-qubit measurement
+into a select bit (cX with X >= databits) is spelled `measure_postselect0`.
 
     circuit qubits=6 cbits=9 databits=5
     unitary m0 3 4
@@ -18,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ValidationError
-from .simulator import ApplyUnitary, CircuitPlan, MeasureAll, MeasureAncillaPostselect0
+from .simulator import ApplyUnitary, CircuitPlan, MeasureAll
 
 
 def export_circuit_text(plan: CircuitPlan) -> str:
@@ -36,9 +37,9 @@ def export_circuit_text(plan: CircuitPlan) -> str:
                 matrices.append(ins.matrix)
             tgt = " ".join(str(q) for q in ins.targets)
             lines.append(f"unitary m{ids[key]} {tgt}")
-        elif isinstance(ins, MeasureAncillaPostselect0):
-            lines.append(f"measure_postselect0 {ins.qubit} -> c{ins.cbit}")
-        elif isinstance(ins, MeasureAll):
+        elif len(ins.qubits) == 1 and ins.cbits[0] >= plan.n_data_bits:
+            lines.append(f"measure_postselect0 {ins.qubits[0]} -> c{ins.cbits[0]}")
+        else:
             qs = " ".join(str(q) for q in ins.qubits)
             cs = " ".join(f"c{c}" for c in ins.cbits)
             lines.append(f"measure {qs} -> {cs}")
@@ -109,9 +110,10 @@ def parse_circuit_text(text: str) -> CircuitPlan:
         elif parts[0] == "measure_postselect0":
             if len(parts) != 4 or parts[2] != "->":
                 raise ValidationError(f"bad post-selection line {ln!r}")
-            instructions.append(
-                MeasureAncillaPostselect0(qubit=_qubit(parts[1]), cbit=_cbit(parts[3]))
-            )
+            qubit, cbit = _qubit(parts[1]), _cbit(parts[3])
+            if cbit < n_data:
+                raise ValidationError(f"post-selection into data bit c{cbit}: {ln!r}")
+            instructions.append(MeasureAll(qubits=(qubit,), cbits=(cbit,)))
         elif parts[0] == "measure":
             if "->" not in parts:
                 raise ValidationError(f"bad measure line {ln!r}")

@@ -31,7 +31,6 @@ from .simulator import (
     ApplyUnitary,
     CircuitPlan,
     MeasureAll,
-    MeasureAncillaPostselect0,
     QuantumState,
     ShotHistogram,
     init_state,
@@ -72,11 +71,10 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     for block in range(m_power):
         for j in range(n):
             k = n - j  # rightmost factor first
-            cbit = width - 1 - j - block * n
-            ins.append(ApplyUnitary(matrix=factors.v, targets=(k - 1, n), label="V"))
-            ins.append(ApplyUnitary(matrix=dil, targets=(k - 1, n, ancilla), label="D"))
-            ins.append(MeasureAncillaPostselect0(qubit=ancilla, cbit=cbit))
-            ins.append(ApplyUnitary(matrix=factors.u, targets=(k - 1, n), label="U"))
+            ins.append(ApplyUnitary(matrix=factors.v, targets=(k - 1, n)))
+            ins.append(ApplyUnitary(matrix=dil, targets=(k - 1, n, ancilla)))
+            ins.append(MeasureAll(qubits=(ancilla,), cbits=(width - 1 - j - block * n,)))
+            ins.append(ApplyUnitary(matrix=factors.u, targets=(k - 1, n)))
     ins.append(MeasureAll(qubits=tuple(range(n + 1)), cbits=tuple(range(n + 1))))
     return CircuitPlan(
         n_qubits=n + 2,
@@ -89,15 +87,16 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
 def build_d_test_plan(d: np.ndarray) -> CircuitPlan:
     """Single dilation gate on a 2-qubit state, all three qubits measured.
 
-    The ancilla outcome lands in the high classical bit, so meaningful
-    records are those with value < 4.
+    The ancilla outcome lands in the high classical bit, a select bit, so
+    the final measurement is also the post-selection: meaningful records
+    are those with value < 4, and `run_exact` keeps the ancilla-0 branch.
     """
     gate = dilate(d).matrix
     return CircuitPlan(
         n_qubits=3,
         n_classical_bits=3,
         instructions=[
-            ApplyUnitary(matrix=gate, targets=(0, 1, 2), label="D"),
+            ApplyUnitary(matrix=gate, targets=(0, 1, 2)),
             MeasureAll(qubits=(0, 1, 2), cbits=(0, 1, 2)),
         ],
         n_data_bits=2,
@@ -111,11 +110,11 @@ def build_terashima_plan(d: np.ndarray) -> CircuitPlan:
     ins: list = []
     for idx, step in enumerate(steps):
         for t in step.x_targets:
-            ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,), label="X"))
-        ins.append(ApplyUnitary(matrix=controlled_reflection(step.a), targets=(0, 1, 2), label="S"))
-        ins.append(MeasureAncillaPostselect0(qubit=2, cbit=width - 1 - idx))
+            ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,)))
+        ins.append(ApplyUnitary(matrix=controlled_reflection(step.a), targets=(0, 1, 2)))
+        ins.append(MeasureAll(qubits=(2,), cbits=(width - 1 - idx,)))
         for t in step.x_targets:
-            ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,), label="X"))
+            ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,)))
     ins.append(MeasureAll(qubits=(0, 1), cbits=(0, 1)))
     return CircuitPlan(n_qubits=3, n_classical_bits=width, instructions=ins, n_data_bits=2)
 
@@ -131,6 +130,7 @@ class ActionDiagnostics:
 
 
 def _validate_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray:
+    require_positive_int("n", n)
     if np.iscomplexobj(input_amplitudes):
         raise ValidationError(
             "input amplitudes must be real; split a complex vector into positive pieces"

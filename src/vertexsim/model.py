@@ -132,21 +132,17 @@ def model_from_json(text: str) -> VertexModel:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"model file is not valid JSON: {exc}") from exc
-    if "beta" not in payload:
-        raise ValidationError("model file must supply 'beta'")
-    beta = float(payload["beta"])
-    c = float(payload.get("c", 0.0))
-    seed = payload.get("seed")
-    if "energies" in payload:
-        energies = payload["energies"]
-        if len(energies) != 16:
-            raise ValidationError(f"'energies' must have 16 entries, got {len(energies)}")
-        return VertexModel(
-            energies=tuple(float(e) for e in energies),
-            beta=beta,
-            c=c,
-            seed=None if seed is None else int(seed),
-        )
+    if not isinstance(payload, dict) or "beta" not in payload:
+        raise ValidationError("model file must be a JSON object that supplies 'beta'")
+    try:
+        beta = float(payload["beta"])
+        c = float(payload.get("c", 0.0))
+        seed = None if payload.get("seed") is None else int(payload["seed"])
+        energies = tuple(float(e) for e in payload["energies"]) if "energies" in payload else None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"model file has a malformed field: {exc}") from exc
+    if energies is not None:
+        return VertexModel(energies=energies, beta=beta, c=c, seed=seed)
     if seed is None:
         raise ValidationError("model file needs either 'energies' or both 'c' and 'seed'")
-    return generate_model(c, beta, int(seed))
+    return generate_model(c, beta, seed)

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 LEAP = np.uint64(0xD1B54A32D192ED03)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -40,7 +42,10 @@ def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
 
 
 def _u64(seed: int) -> np.uint64:
-    return np.uint64(seed & _MASK)
+    """A seed as uint64 (mod 2^64): any Python or numpy integer, bools excluded."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise ValidationError(f"seed must be an integer, got {seed!r}")
+    return np.uint64(int(seed) & _MASK)
 
 
 def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -5,10 +5,11 @@ Conventions
 * Basis index = sum_k bit_k * 2^k, qubit 0 least significant.  When an
   ancilla is present it is the highest-index qubit.
 * Classical register strings print classical bit width-1 first (leftmost),
-  so a register value v renders as format(v, "0{width}b").  Plan builders
-  put post-selection outcomes in the HIGH bits and data-qubit measurements
-  in the LOW bits, hence "meaningful" records are exactly those with value
-  < 2^n_data_bits.
+  so a register value v renders as format(v, "0{width}b").  The n_data_bits
+  LOW bits hold data; every bit above is a select bit, and a measurement
+  into one is a post-selection (outcome 0 kept), so "meaningful" records
+  are exactly those with value < 2^n_data_bits.  `run_shots` and
+  `run_exact`, its infinite-shot limit, both read this one rule.
 * Shot k draws its randomness from the counter-based substream (seed, k):
   one value per measurement instruction, in program order.  Results are
   therefore independent of chunking or execution order.
@@ -124,7 +125,6 @@ def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
 class ApplyUnitary:
     matrix: np.ndarray
     targets: tuple[int, ...]
-    label: str = ""
 
     def __eq__(self, other):
         return (
@@ -136,18 +136,9 @@ class ApplyUnitary:
 
 
 @dataclass(frozen=True, eq=True)
-class MeasureAncillaPostselect0:
-    qubit: int
-    cbit: int
-
-
-@dataclass(frozen=True, eq=True)
 class MeasureAll:
     qubits: tuple[int, ...]
     cbits: tuple[int, ...]
-
-
-Instruction = ApplyUnitary | MeasureAncillaPostselect0 | MeasureAll
 
 
 @dataclass
@@ -155,18 +146,18 @@ class CircuitPlan:
     """Straight-line program over n_qubits with a classical register.
 
     n_data_bits marks how many LOW classical bits hold data measurements;
-    everything above them must be 0 for a record to count as meaningful.
+    everything above them is a select bit, which must read 0 for a record
+    to count as meaningful.  None (the default) makes every bit data.
     """
 
     n_qubits: int
     n_classical_bits: int
-    instructions: list[Instruction] = field(default_factory=list)
+    instructions: list[ApplyUnitary | MeasureAll] = field(default_factory=list)
     n_data_bits: int | None = None
 
     def __post_init__(self):
         if self.n_data_bits is None:
-            n_post = sum(isinstance(i, MeasureAncillaPostselect0) for i in self.instructions)
-            self.n_data_bits = self.n_classical_bits - n_post
+            self.n_data_bits = self.n_classical_bits
         self.validate()
 
     def validate(self) -> None:
@@ -181,11 +172,6 @@ class CircuitPlan:
             if isinstance(ins, ApplyUnitary):
                 check_targets(ins.targets, self.n_qubits)
                 _check_unitary(ins.matrix, len(ins.targets))
-            elif isinstance(ins, MeasureAncillaPostselect0):
-                if not 0 <= ins.qubit < self.n_qubits:
-                    raise ValidationError(f"measured qubit {ins.qubit} out of range")
-                if not 0 <= ins.cbit < self.n_classical_bits:
-                    raise ValidationError(f"classical bit {ins.cbit} out of range")
             elif isinstance(ins, MeasureAll):
                 if not ins.qubits:
                     raise ValidationError("measure needs at least one qubit")
@@ -202,7 +188,9 @@ class CircuitPlan:
         return sum(isinstance(i, ApplyUnitary) for i in self.instructions)
 
     def count_postselects(self) -> int:
-        return sum(isinstance(i, MeasureAncillaPostselect0) for i in self.instructions)
+        """Number of measurements that write a select bit."""
+        return sum(isinstance(i, MeasureAll) and max(i.cbits) >= self.n_data_bits
+                   for i in self.instructions)
 
     def __eq__(self, other):
         return (
@@ -238,8 +226,11 @@ class ShotHistogram:
 def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumState, float]:
     """Infinite-shot reference: force every post-selection to 0.
 
-    Returns the final kept state (before any final measurement, which is
-    skipped) and the product of the keep probabilities.
+    At each measurement the qubits written into select bits are projected
+    onto 0, and the keep probability is multiplied by their weight there,
+    the fraction of shots `run_shots` keeps.  Measurements into data bits
+    are skipped (exact while no unitary follows one on its qubit).  Returns
+    the kept state and the product of the keep probabilities.
     """
     if input_state.n_qubits != plan.n_qubits:
         raise DimensionError(
@@ -250,15 +241,14 @@ def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumStat
     for ins in plan.instructions:
         if isinstance(ins, ApplyUnitary):
             amps = apply_matrix(amps, ins.matrix, ins.targets, plan.n_qubits)
-        elif isinstance(ins, MeasureAncillaPostselect0):
-            p0 = float(_marginal_probs(amps, (ins.qubit,), plan.n_qubits)[0])
+        elif qubits := tuple(q for q, c in zip(ins.qubits, ins.cbits) if c >= plan.n_data_bits):
+            p0 = float(_marginal_probs(amps, qubits, plan.n_qubits)[0])
             if p0 <= 0.0:
                 raise ImpossiblePostselectionError(
-                    f"post-selection on qubit {ins.qubit} has probability zero"
+                    f"post-selection on qubits {qubits} has probability zero"
                 )
-            amps = _collapse_outcome(amps, (ins.qubit,), 0, plan.n_qubits)
+            amps = _collapse_outcome(amps, qubits, 0, plan.n_qubits)
             keep *= p0
-        # MeasureAll: exact mode returns the pre-measurement state
     return QuantumState(plan.n_qubits, amps), keep
 
 
@@ -269,8 +259,7 @@ def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
 
     Classical bits below n_data_bits land in the data word at their own
     position; every bit above is a select bit, and a shot is dropped at the
-    first measurement that sets one.  A post-selection is a one-qubit
-    measurement into a select bit.
+    first measurement that sets one.
 
     Each branch's thresholds ceil(cum * 2^53) are searched with the shot's
     53-bit key, which gives searchsorted's outcome exactly (module notes).
@@ -301,10 +290,7 @@ def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
         if isinstance(ins, ApplyUnitary):
             states = [apply_matrix(s, ins.matrix, ins.targets, nq) for s in states]
             continue
-        if isinstance(ins, MeasureAncillaPostselect0):
-            qubits, cbits = (ins.qubit,), (ins.cbit,)
-        else:
-            qubits, cbits = ins.qubits, ins.cbits
+        qubits, cbits = ins.qubits, ins.cbits
         m = 1 << len(qubits)
         cum = np.cumsum(_marginal_probs(np.stack(states), qubits, nq), axis=1)
         cum[:, -1] = 1.0

@@ -328,7 +328,7 @@ def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
 
 
 def _parse_boundary(bits: str, n: int, what: str) -> int:
-    if len(bits) != n + 1 or any(ch not in "01" for ch in bits):
+    if not isinstance(bits, str) or len(bits) != n + 1 or any(ch not in "01" for ch in bits):
         raise ValidationError(
             f"{what} boundary must be a bitstring of length {n + 1} (MSB first, "
             f"corner bond last), got {bits!r}"

@@ -7,7 +7,6 @@ from vertexsim import (
     ApplyUnitary,
     CircuitPlan,
     MeasureAll,
-    MeasureAncillaPostselect0,
     RMatrix,
     VertexModel,
     dilate,
@@ -134,8 +133,8 @@ def mixed_plans(draw):
         if draw(hs.booleans()):
             ins.append(measure(first=False))
         else:
-            ins.append(MeasureAncillaPostselect0(qubit=draw(qubit),
-                                                 cbit=draw(hs.integers(nd, width - 1))))
+            ins.append(MeasureAll(qubits=(draw(qubit),),
+                                  cbits=(draw(hs.integers(nd, width - 1)),)))
     plan = CircuitPlan(n_qubits=nq, n_classical_bits=width, instructions=ins, n_data_bits=nd)
     low = rng.normal(size=2 ** (nq - 1)) + 1j * rng.normal(size=2 ** (nq - 1))
     amps = np.concatenate([low, np.zeros_like(low)])

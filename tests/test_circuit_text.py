@@ -30,11 +30,13 @@ def test_empty_plan_exports_header_only():
 
 
 def test_d_test_plan_line_shape():
-    # two unitaries, one measure line per qubit
+    # two unitaries, one measure line per qubit; the ancilla's line, a
+    # measurement into a select bit, is spelled measure_postselect0
     plan = mid_circuit_plan()
     lines = export_circuit_text(plan).splitlines()
     assert sum(ln.startswith("unitary") for ln in lines) == 2
-    assert sum(ln.startswith("measure ") for ln in lines) == 3
+    assert sum(ln.startswith("measure") for ln in lines) == 3
+    assert "measure_postselect0 2 -> c2" in lines
     assert parse_circuit_text(export_circuit_text(plan)) == plan
 
 
@@ -109,6 +111,8 @@ def test_parser_rejects_malformed_input():
         header + "unitary m0 0\nmatrix m0 2\n1 0\n0 -inf\n",
         header + "unitary m0\nmatrix m0 1\n1\n",
         header + "measure -> \n",
+        # a post-selection must write a select bit, and c0 is a data bit
+        header + "measure_postselect0 0 -> c0\n",
         # a matrix dimension below 1 used to stall the matrix-table scan
         header + "matrix m0 -1\n1 0\n0 1\n",
         header + "matrix m0 -3\n",

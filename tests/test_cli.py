@@ -5,6 +5,8 @@ import numpy as np
 from vertexsim import NumericalError, parse_circuit_text
 from vertexsim.cli import main
 
+from test_model import BAD_MODEL_FIELDS
+
 
 def run_cli(*args) -> int:
     return main(list(args))
@@ -177,7 +179,8 @@ def test_numerical_failures_map_to_exit_4(monkeypatch, tmp_path):
 
 def test_bad_model_file_is_validation_error(tmp_path):
     bad = tmp_path / "model.json"
-    bad.write_text("{}")
-    rc = run_cli("spectrum", "--model", str(bad), "--n", "2", "--seed", "1",
-                 "--out", str(tmp_path))
-    assert rc == 2
+    for text in ["{}"] + [json.dumps(payload) for payload in BAD_MODEL_FIELDS]:
+        bad.write_text(text)
+        rc = run_cli("spectrum", "--model", str(bad), "--n", "2", "--seed", "1",
+                     "--out", str(tmp_path))
+        assert rc == 2, text

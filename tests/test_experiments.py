@@ -11,18 +11,20 @@ from vertexsim import (
     ConvergenceError,
     InsufficientStatisticsError,
     MeasureAll,
-    MeasureAncillaPostselect0,
     ValidationError,
     apply_transfer,
     assemble_transfer,
     build_t_plan,
     convergence_report,
     dense_from_wire,
+    dilate,
     estimate_lambda1,
     generate_model,
+    partition_element,
     power_iterate_psi0,
     r_matrix,
     run_exact,
+    run_shots,
     simulated_t_action,
     spectral_summary,
     svd_scaled,
@@ -63,11 +65,13 @@ def test_plan_matches_published_five_qubit_layout():
     plan = build_t_plan(factors, 4, 1)
     assert plan.n_qubits == 6
     assert plan.n_classical_bits == 9
-    post = [i for i in plan.instructions if isinstance(i, MeasureAncillaPostselect0)]
-    assert [p.cbit for p in post] == [8, 7, 6, 5]
-    assert all(p.qubit == 5 for p in post)
-    labels = [getattr(i, "label", None) for i in plan.instructions[:4]]
-    assert labels == ["V", "D", None, "U"]
+    assert plan.n_data_bits == 5
+    post = [i for i in plan.instructions if isinstance(i, MeasureAll)][:-1]
+    assert [p.cbits for p in post] == [(8,), (7,), (6,), (5,)]
+    assert all(p.qubits == (5,) for p in post)
+    v, dil, post0, u = plan.instructions[:4]
+    assert v.matrix is factors.v and u.matrix is factors.u and post0 is post[0]
+    np.testing.assert_array_equal(dil.matrix, dilate(factors.d).matrix)
     first_targets = plan.instructions[0].targets
     assert first_targets == (3, 4)  # rightmost column gate first
     final = plan.instructions[-1]
@@ -184,6 +188,93 @@ _PSI = positive_state(8, 1)
 def test_experiment_counts_must_be_positive_integers(call):
     with pytest.raises(ValidationError):
         call()
+
+
+@pytest.mark.parametrize("seed", [1.5, "3", np.float64(2.0), True, None])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda s: run_shots(build_t_plan(_FACTORS, 2), _embed_input(_PSI, 2), 10, s),
+                 id="run_shots"),
+    pytest.param(lambda s: simulated_t_action(_MODEL, 2, 1, _PSI, shots=10, seed=s), id="deep"),
+    pytest.param(lambda s: simulated_t_action(_MODEL, 2, 1, _PSI, shots=10, seed=s,
+                                              mode="refeed"), id="refeed"),
+    pytest.param(lambda s: estimate_lambda1(_MODEL, 2, _PSI, shots=10, seed=s), id="estimate-shot"),
+    pytest.param(lambda s: estimate_lambda1(_MODEL, 2, _PSI, seed=s, backend="exact"),
+                 id="estimate-exact"),
+    pytest.param(lambda s: convergence_report(_MODEL, [1], [1], shots=10, seed=s), id="report"),
+    pytest.param(lambda s: generate_model(0.4, 2.0, s), id="generate_model"),
+])
+def test_seeds_must_be_integers(call, seed):
+    with pytest.raises(ValidationError, match="seed"):
+        call(seed)
+
+
+_BAD_WIDTHS = (st.integers(-3, 0) | st.floats() | st.text(max_size=3) | st.none() | st.booleans()
+               | st.just(np.float64(2.0)))
+_BAD_SEEDS = st.floats() | st.text(max_size=3) | st.none() | st.booleans() | st.just(np.float64(2.0))
+
+
+@st.composite
+def _bad_vectors(draw):
+    """Length-4 inputs (n=1) with a NaN, infinite or negative entry, all zero, or of
+    another length."""
+    kind = draw(st.sampled_from(["entry", "zero", "length"]))
+    if kind == "length":
+        return np.full(draw(st.integers(0, 9).filter(lambda k: k != 4)), 0.5)
+    if kind == "zero":
+        return np.zeros(4)
+    v = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4)))
+    v[draw(st.integers(0, 3))] = draw(st.sampled_from([np.nan, np.inf])
+                                      | st.floats(max_value=0.0, exclude_max=True))
+    return v
+
+
+_BAD_BITS = (st.text("01a ", max_size=5).filter(lambda b: len(b) != 3 or set(b) - set("01"))
+             | st.none() | st.integers() | st.just(b"000") | st.just(["0", "0", "0"]))
+
+_T2 = assemble_transfer(r_matrix(_MODEL), 2)
+
+
+@settings(max_examples=120)
+@given(data=st.data())
+def test_bad_inputs_raise_validation_error(data):
+    # every bad width, seed, input vector or boundary bitstring ends in ValidationError
+    kind = data.draw(st.sampled_from(["n", "seed", "vector", "bits"]))
+    if kind == "n":
+        n = data.draw(_BAD_WIDTHS)
+        calls = [lambda: simulated_t_action(_MODEL, n, 1, np.ones(8), mode="exact"),
+                 lambda: estimate_lambda1(_MODEL, n, np.ones(8), backend="exact"),
+                 lambda: power_iterate_psi0(_MODEL, n, backend="exact")]
+    elif kind == "seed":
+        s = data.draw(_BAD_SEEDS)
+        calls = [lambda: simulated_t_action(_MODEL, 1, 1, np.ones(4), shots=10, seed=s),
+                 lambda: estimate_lambda1(_MODEL, 1, np.ones(4), seed=s, backend="exact"),
+                 lambda: generate_model(0.4, 2.0, s)]
+    elif kind == "vector":
+        v = data.draw(_bad_vectors())
+        calls = [lambda: simulated_t_action(_MODEL, 1, 1, v, mode="exact"),
+                 lambda: estimate_lambda1(_MODEL, 1, v, backend="exact"),
+                 lambda: power_iterate_psi0(_MODEL, 1, backend="exact", start=v)]
+    else:
+        b = data.draw(_BAD_BITS)
+        calls = [lambda: partition_element(_T2, 1, b, "000"),
+                 lambda: partition_element(_T2, 1, "000", b)]
+    with pytest.raises(ValidationError):
+        data.draw(st.sampled_from(calls))()
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 3), m=st.integers(1, 2), model_seed=st.integers(0, 2 ** 16),
+       psi=st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16), seed=st.integers(0, 2 ** 32))
+def test_deep_matches_exact_on_the_kept_state(n, m, model_seed, psi, seed):
+    # sqrt(count/meaningful) per entry has variance about 1/(4 * meaningful),
+    # so the distance over at most 16 entries sits near 2/sqrt(meaningful)
+    model = generate_model(0.4, 2.0, model_seed)
+    vec = np.array(psi[: 2 ** (n + 1)])
+    exact, _ = simulated_t_action(model, n, m, vec, mode="exact")
+    deep, diag = simulated_t_action(model, n, m, vec, shots=20_000, seed=seed, mode="deep",
+                                    meaningful_floor=1)
+    meaningful = diag.final_histogram.meaningful_shots
+    assert np.linalg.norm(deep - exact) <= 5 / math.sqrt(meaningful)
 
 
 def test_insufficient_statistics_raises_with_fraction():
@@ -372,9 +463,7 @@ def test_terashima_plan_equals_single_dilation_plan():
     from vertexsim import (
         ApplyUnitary,
         CircuitPlan,
-        MeasureAncillaPostselect0,
         build_terashima_plan,
-        dilate,
         init_state,
         run_shots,
     )
@@ -394,8 +483,9 @@ def test_terashima_plan_equals_single_dilation_plan():
             n_classical_bits=1,
             instructions=[
                 ApplyUnitary(matrix=dilate(d).matrix, targets=(0, 1, 2)),
-                MeasureAncillaPostselect0(qubit=2, cbit=0),
+                MeasureAll(qubits=(2,), cbits=(0,)),
             ],
+            n_data_bits=0,
         )
         out_a, p_a = run_exact(single, state)
         out_b, p_b = run_exact(build_terashima_plan(d), state)

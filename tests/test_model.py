@@ -154,6 +154,16 @@ def test_json_round_trip_and_precedence():
     assert regen.energies == m.energies
 
 
+# model files whose fields do not convert: a malformed beta, energy or seed
+BAD_MODEL_FIELDS = [
+    {"beta": "abc", "c": 0.4, "seed": 1},
+    {"beta": None, "c": 0.4, "seed": 1},
+    {"beta": 2.0, "energies": ["x"] + [1.0] * 15},
+    {"beta": 2.0, "energies": 5},
+    {"beta": 2.0, "c": 0.4, "seed": "abc"},
+]
+
+
 def test_json_validation_errors():
     with pytest.raises(ValidationError):
         model_from_json("not json")
@@ -163,3 +173,6 @@ def test_json_validation_errors():
         model_from_json(json.dumps({"beta": 2.0, "c": 0.4}))  # no seed/energies
     with pytest.raises(ValidationError):
         model_from_json(json.dumps({"beta": 2.0, "energies": [1.0] * 7}))
+    for payload in BAD_MODEL_FIELDS:
+        with pytest.raises(ValidationError):
+            model_from_json(json.dumps(payload))

@@ -70,3 +70,10 @@ def test_integer_key_decides_threshold_comparisons_exactly():
     # the edges: every key meets c = 0, none meets c = 1 or anything above it
     assert thresholds[-8] == 0 and thresholds[-3] == 1 << 53
     assert np.all(keys < 1 << 53)
+
+
+def test_seeds_accept_numpy_integers():
+    # a numpy integer seed names the same stream as the Python int
+    for seed in (np.int64(-5), np.uint64(2 ** 63 + 1), np.int32(7)):
+        np.testing.assert_array_equal(stream_u64(seed, 4), stream_u64(int(seed), 4))
+        assert substream_seed(seed, 3) == substream_seed(int(seed), 3)

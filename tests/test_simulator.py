@@ -13,7 +13,6 @@ from vertexsim import (
     DimensionError,
     ImpossiblePostselectionError,
     MeasureAll,
-    MeasureAncillaPostselect0,
     ValidationError,
     acceptance_probability,
     build_d_test_plan,
@@ -83,13 +82,14 @@ def test_init_state_errors():
 
 
 def circuit(nq, *instructions):
-    """Plan over nq qubits; a post-selection writes classical bit 0."""
-    n_post = sum(isinstance(i, MeasureAncillaPostselect0) for i in instructions)
-    return CircuitPlan(n_qubits=nq, n_classical_bits=n_post, instructions=list(instructions))
+    """Plan over nq qubits; a post-selection writes classical bit 0, a select bit."""
+    n_post = sum(isinstance(i, MeasureAll) for i in instructions)
+    return CircuitPlan(n_qubits=nq, n_classical_bits=n_post, instructions=list(instructions),
+                       n_data_bits=0)
 
 
 def postselect(qubit):
-    return MeasureAncillaPostselect0(qubit=qubit, cbit=0)
+    return MeasureAll(qubits=(qubit,), cbits=(0,))
 
 
 def test_run_exact_x_gate():
@@ -160,7 +160,7 @@ def test_plan_validation():
                     instructions=[ApplyUnitary(matrix=np.eye(4) * 2.0, targets=(0, 1))])
     with pytest.raises(ValidationError):
         CircuitPlan(n_qubits=1, n_classical_bits=2,
-                    instructions=[MeasureAncillaPostselect0(qubit=3, cbit=0)])
+                    instructions=[MeasureAll(qubits=(3,), cbits=(0,))])
 
 
 def test_apply_unitary_validates():
@@ -265,8 +265,9 @@ def test_run_exact_keep_probability_equals_norm():
         n_classical_bits=1,
         instructions=[
             ApplyUnitary(matrix=dilate(d).matrix, targets=(0, 1, 2)),
-            MeasureAncillaPostselect0(qubit=2, cbit=0),
+            MeasureAll(qubits=(2,), cbits=(0,)),
         ],
+        n_data_bits=0,
     )
     out, p = run_exact(plan, dilation_state(d, alpha))
     assert abs(p - acceptance_probability(d, alpha)) < 1e-12
@@ -281,8 +282,9 @@ def test_run_exact_impossible_postselection():
         n_classical_bits=1,
         instructions=[
             ApplyUnitary(matrix=X_GATE, targets=(1,)),
-            MeasureAncillaPostselect0(qubit=1, cbit=0),
+            MeasureAll(qubits=(1,), cbits=(0,)),
         ],
+        n_data_bits=0,
     )
     with pytest.raises(ImpossiblePostselectionError):
         run_exact(plan, basis_state(2, 0))
@@ -365,13 +367,38 @@ def test_survivors_follow_the_first_postselection():
     # summed over chunks, the counts do not depend on the chunking
     assert run_shots(plan, state, shots, seed=5, chunk_size=6999).survivors == s
 
-    first = next(i for i, ins in enumerate(plan.instructions)
-                 if isinstance(ins, MeasureAncillaPostselect0))
+    first = next(i for i, ins in enumerate(plan.instructions) if isinstance(ins, MeasureAll))
     cut = CircuitPlan(plan.n_qubits, plan.n_classical_bits, plan.instructions[:first + 1],
                       plan.n_data_bits)
     _, keep = run_exact(cut, state)
     sigma = math.sqrt(keep * (1 - keep) / shots)
     assert abs(s[0] / shots - keep) < 5 * sigma
+
+
+def test_run_exact_d_test_keeps_the_select_bit_zero():
+    # the final measurement writes the ancilla into select bit 2, so it is
+    # also the post-selection, and run_exact keeps the ancilla-0 branch
+    d = np.array([1.0, 0.8, 0.5, 0.2])
+    alpha = positive_state(4, 8)
+    plan = build_d_test_plan(d)
+    assert plan.count_postselects() == 1
+    out, keep = run_exact(plan, dilation_state(d, alpha))
+    assert abs(keep - acceptance_probability(d, alpha)) < 1e-12
+    want = d * alpha / np.linalg.norm(d * alpha)
+    np.testing.assert_allclose(out.amplitudes[:4].real, want, atol=1e-12)
+    assert not np.any(out.amplitudes[4:])
+
+
+@pytest.mark.parametrize("name", ["d_test", "terashima", "mid_circuit", "t_3_2"])
+def test_exact_keep_probability_is_the_shot_limit(name):
+    # both runners read post-selection off the register layout, so the exact
+    # keep probability is the limit of the meaningful fraction
+    plan, state = _golden_case(name)
+    _, keep = run_exact(plan, state)
+    shots = 40_000
+    hist = run_shots(plan, state, shots, seed=17)
+    sigma = math.sqrt(keep * (1 - keep) / shots)
+    assert abs(hist.meaningful_fraction - keep) < 5 * sigma
 
 
 # ---------------------------------------------------------------- golden histograms
@@ -493,10 +520,7 @@ def reference_shots(plan, state, shots, seed):
             if isinstance(ins, ApplyUnitary):
                 amps = apply_matrix(amps, ins.matrix, ins.targets, nq)
                 continue
-            if isinstance(ins, MeasureAncillaPostselect0):
-                qubits, cbits = (ins.qubit,), (ins.cbit,)
-            else:
-                qubits, cbits = ins.qubits, ins.cbits
+            qubits, cbits = ins.qubits, ins.cbits
             cum = np.cumsum(_marginal_probs(amps, qubits, nq))
             cum[-1] = 1.0
             out = int(np.searchsorted(cum, to_unit(substream_value(sub, event))[0], side="right"))
