@@ -29,6 +29,7 @@ from .errors import (
 )
 from .experiments import (
     build_t_plan,
+    check_circuit_width,
     estimate_lambda1,
     simulated_t_action,
 )
@@ -200,6 +201,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    check_circuit_width(args.n)
     seed = _resolve_seed(args)
     model = _load_model(args, seed)
     dim = 2 ** (args.n + 1)
@@ -256,6 +258,7 @@ def cmd_simulate(args) -> int:
 def cmd_estimate(args) -> int:
     if args.inputs < 1:
         raise ValidationError(f"--inputs must be at least 1, got {args.inputs}")
+    check_circuit_width(args.n)
     seed = _resolve_seed(args)
     model = _load_model(args, seed)
     dim = 2 ** (args.n + 1)

@@ -28,6 +28,7 @@ from .errors import ConvergenceError, InsufficientStatisticsError, ValidationErr
 from .model import VertexModel, r_matrix
 from .rng import substream_seed
 from .simulator import (
+    MAX_STATE_AMPLITUDES,
     ApplyUnitary,
     CircuitPlan,
     MeasureAll,
@@ -129,8 +130,21 @@ class ActionDiagnostics:
     final_histogram: ShotHistogram | None = None
 
 
-def _validate_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray:
+def check_circuit_width(n: int) -> None:
+    """Reject a width whose circuit state, 2^(n+2) amplitudes, exceeds MAX_STATE_AMPLITUDES.
+
+    Runs before any 2^(n+1) vector is built, so a huge n is a ValidationError
+    instead of a failed allocation.
+    """
     require_positive_int("n", n)
+    if n + 2 > math.log2(MAX_STATE_AMPLITUDES):
+        raise ValidationError(
+            f"n={n} needs 2^{n + 2} circuit amplitudes, over the cap of {MAX_STATE_AMPLITUDES}"
+        )
+
+
+def _validate_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray:
+    check_circuit_width(n)
     if np.iscomplexobj(input_amplitudes):
         raise ValidationError(
             "input amplitudes must be real; split a complex vector into positive pieces"
@@ -176,6 +190,7 @@ def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None,
     than `meaningful_floor` raise InsufficientStatisticsError.  The output
     is a dense-basis, entrywise nonnegative unit vector.
     """
+    require_positive_int("meaningful_floor", meaningful_floor)
     state = _embed_input(vec, n)
     if shots is None:
         out, keep = run_exact(plan, state)
@@ -183,7 +198,7 @@ def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None,
         data /= np.linalg.norm(data)
         return dense_from_wire(data, n), keep
     hist = run_shots(plan, state, shots, seed)
-    if hist.meaningful_shots < max(1, meaningful_floor):
+    if hist.meaningful_shots < meaningful_floor:
         raise InsufficientStatisticsError(
             f"only {hist.meaningful_shots} of {hist.total_shots} shots survived "
             f"post-selection (floor {meaningful_floor})",
@@ -279,6 +294,7 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
     exactly max_steps refeed steps.  backend "exact" replaces histograms by
     exact projection.
     """
+    check_circuit_width(n)
     shots = _backend_shots(backend, shots_per_step)
     require_positive_int("max_steps", max_steps)
     plan = build_t_plan(svd_scaled(r_matrix(model)), n, 1)
@@ -393,7 +409,7 @@ def convergence_report(model: VertexModel, n_list: list[int], m_list: list[int],
             require_positive_int("nonzero m in m_list", m)
     rows: list[ConvergenceRow] = []
     for n in n_list:
-        require_positive_int("n", n)
+        check_circuit_width(n)
         oracle = None
         if n + 1 <= DENSE_CAP_QUBITS:
             oracle = spectral_summary(assemble_transfer(r_matrix(model), n)).psi0_right

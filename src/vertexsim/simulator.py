@@ -19,19 +19,21 @@ Conventions
   exactly when the 53-bit key x >> 11 is >= ceil(c * 2^53) (see rng), so
   it compares keys against the thresholds ceil(cum * 2^53).
 
-Shot execution shares work across shots: between measurements all shots see
-the same deterministic evolution, so the engine tracks one state per distinct
-measurement record (branch).  A shot is dropped at its first failed
-post-selection (the first measurement that sets a select bit), so only live
-shots draw, and branches split only where live shots disagree on a data bit.
-Post-selected circuits therefore run on one branch, and there a
-post-selection costs one draw, one comparison and one compaction per live
-shot.
+Both runners walk a worklist of branches, each one state shared by a group
+of shots: between measurements every shot sees the same evolution, so a
+branch is evolved once for all of them.  A shot is dropped at its first
+failed post-selection (the first measurement that sets a select bit), so
+only live shots draw, and a measurement that writes data bits splits a
+branch by the outcomes its live shots realize.  Post-selected circuits thus
+run on one branch, where a post-selection costs one draw, one comparison and
+one compaction per live shot.  `run_exact` walks the same branches with a
+weight in place of shots.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,12 +49,20 @@ from .rng import substream_seed, substream_value
 
 UNITARITY_TOL = 1e-10
 
+# The largest state vector the package allocates: 2^24 complex128 amplitudes
+# x 16 bytes = 256 MiB.  It also caps the amplitudes summed over every branch
+# `run_exact` expands.
+MAX_STATE_AMPLITUDES = 1 << 24
+
+# Shots sampled per pass of `_simulate_chunk`; results do not depend on it.
+CHUNK_SHOTS = 1 << 16
+
 
 @dataclass
 class QuantumState:
     """Unit-norm complex amplitudes over n qubits: the input of `run_exact` and
-    `run_shots`, and the kept state `run_exact` returns.  Build one with
-    `init_state`; a circuit acts on it only through a `CircuitPlan`.
+    `run_shots`, and the kept state of `run_exact` (None when several branches
+    survive).  Build one with `init_state`; only a `CircuitPlan` acts on it.
     """
 
     n_qubits: int
@@ -90,15 +100,12 @@ def _check_unitary(matrix: np.ndarray, k: int) -> None:
 def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index).
 
-    `amps` is one state or a stack of states along its leading axes.  Not
-    renormalized: on a unit state they sum to 1 up to rounding.
+    Not renormalized: on a unit state they sum to 1 up to rounding.
     """
-    m = len(qubits)
-    lead = amps.shape[:-1]
-    dens = np.abs(amps.reshape(lead + (2,) * n_qubits)) ** 2
-    axes = [len(lead) + n_qubits - 1 - q for q in reversed(qubits)]
-    dens = np.moveaxis(dens, axes, range(len(lead), len(lead) + m))
-    return dens.reshape(lead + (2 ** m, -1)).sum(axis=-1)
+    dens = np.abs(amps.reshape((2,) * n_qubits)) ** 2
+    axes = [n_qubits - 1 - q for q in reversed(qubits)]
+    dens = np.moveaxis(dens, axes, range(len(qubits)))
+    return dens.reshape(2 ** len(qubits), -1).sum(axis=-1)
 
 
 def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
@@ -223,125 +230,130 @@ class ShotHistogram:
         return self.meaningful_shots / self.total_shots if self.total_shots else 0.0
 
 
-def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumState, float]:
-    """Infinite-shot reference: force every post-selection to 0.
-
-    At each measurement the qubits written into select bits are projected
-    onto 0, and the keep probability is multiplied by their weight there,
-    the fraction of shots `run_shots` keeps.  Measurements into data bits
-    are skipped (exact while no unitary follows one on its qubit).  Returns
-    the kept state and the product of the keep probabilities.
-    """
+def _check_input(plan: CircuitPlan, input_state: QuantumState) -> None:
     if input_state.n_qubits != plan.n_qubits:
-        raise DimensionError(
-            f"input has {input_state.n_qubits} qubits, plan needs {plan.n_qubits}"
-        )
-    amps = input_state.amplitudes.copy()
-    keep = 1.0
-    for ins in plan.instructions:
-        if isinstance(ins, ApplyUnitary):
-            amps = apply_matrix(amps, ins.matrix, ins.targets, plan.n_qubits)
-        elif qubits := tuple(q for q, c in zip(ins.qubits, ins.cbits) if c >= plan.n_data_bits):
-            p0 = float(_marginal_probs(amps, qubits, plan.n_qubits)[0])
-            if p0 <= 0.0:
-                raise ImpossiblePostselectionError(
-                    f"post-selection on qubits {qubits} has probability zero"
-                )
-            amps = _collapse_outcome(amps, qubits, 0, plan.n_qubits)
-            keep *= p0
-    return QuantumState(plan.n_qubits, amps), keep
+        raise DimensionError(f"input has {input_state.n_qubits} qubits, plan needs {plan.n_qubits}")
+
+
+def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumState | None, float]:
+    """Infinite-shot limit of `run_shots`: the kept state and keep probability.
+
+    Walks the branches of `run_shots` with a weight in place of shots.  The
+    qubits a measurement writes into select bits are projected onto 0 and
+    the weight multiplied by p0, their weight there (a branch with p0 = 0
+    dies).  A measurement into data bits splits the branch on every outcome
+    of nonzero weight, except the readout, the plan's last instruction,
+    whose data qubits stay coherent.  The keep probability is the summed
+    weight of the surviving branches; the kept state is None when more than
+    one survives, since it is then a mixture.  Raises
+    ImpossiblePostselectionError when every branch dies, and ValidationError
+    when the branches expanded would exceed MAX_STATE_AMPLITUDES amplitudes.
+    """
+    _check_input(plan, input_state)
+    nq, nd, ins = plan.n_qubits, plan.n_data_bits, plan.instructions
+    tasks = [(input_state.amplitudes.copy(), 1.0, 0)]
+    expanded, kept, keep = 1, [], 0.0
+    while tasks:
+        amps, weight, pc = tasks.pop()
+        for pc in range(pc, len(ins)):
+            op = ins[pc]
+            if isinstance(op, ApplyUnitary):
+                amps = apply_matrix(amps, op.matrix, op.targets, nq)
+                continue
+            if select := tuple(q for q, c in zip(op.qubits, op.cbits) if c >= nd):
+                p0 = float(_marginal_probs(amps, select, nq)[0])
+                if p0 <= 0.0:
+                    break
+                amps = _collapse_outcome(amps, select, 0, nq)
+                weight *= p0
+            data = tuple(q for q, c in zip(op.qubits, op.cbits) if c < nd)
+            if data and pc < len(ins) - 1:
+                probs = _marginal_probs(amps, data, nq)
+                outcomes = np.flatnonzero(probs > 0.0).tolist()
+                expanded += len(outcomes)
+                if expanded << nq > MAX_STATE_AMPLITUDES:
+                    raise ValidationError(f"run_exact would expand {expanded} branches of "
+                                          f"{nq} qubits, over {MAX_STATE_AMPLITUDES} amplitudes")
+                tasks += [(_collapse_outcome(amps, data, o, nq), weight * float(probs[o]), pc + 1)
+                          for o in outcomes]
+                break
+        else:
+            kept.append(amps)
+            keep += weight
+    if not kept:
+        raise ImpossiblePostselectionError("every branch failed a post-selection of weight zero")
+    return (QuantumState(nq, kept[0]) if len(kept) == 1 else None), keep
 
 
 def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
-                    stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """Data words of the meaningful shots among shots [start, stop), and the
-    number of live shots after each measurement.
+                    stop: int) -> tuple[Counter, np.ndarray]:
+    """Meaningful shots among shots [start, stop) counted by data word, and
+    the number of live shots after each measurement.
 
-    Classical bits below n_data_bits land in the data word at their own
-    position; every bit above is a select bit, and a shot is dropped at the
-    first measurement that sets one.
-
-    Each branch's thresholds ceil(cum * 2^53) are searched with the shot's
-    53-bit key, which gives searchsorted's outcome exactly (module notes).
-    cum is non-decreasing except its pinned last entry, and no key reaches
-    that entry's threshold 2^53, so `threshold <= key` holds on a prefix of
-    each row: all a binary search needs.  The search runs over every live
-    shot at once, one comparison per measured qubit, so a post-selection on
-    one branch is the single test key >= threshold.  (One searchsorted over
-    all branches would need (branch, key) as a single sort key: 53 bits plus
-    log2 of the branch count, more than 64 past 2048 branches.)
-
-    Besides its substream seed, a shot carries `branch` (which state it sits
-    on) only once a data bit has split the live shots over several states,
-    and `data_word` only once a data bit has been written.  A measurement
-    that writes only select bits leaves every live shot on outcome 0, so it
-    collapses each live branch onto outcome 0 and splits none.
+    A task is one branch: (state, live shots' substream seeds, data bits so
+    far, next instruction, next measurement).  A shot's outcome is the
+    binary search of its 53-bit key over the branch's thresholds
+    ceil(cum * 2^53), which gives searchsorted's outcome exactly (module
+    notes): cum is non-decreasing except its pinned last entry, whose
+    threshold 2^53 no key reaches, so `threshold <= key` holds on a prefix.
+    A measurement that writes data bits pushes one task per outcome its live
+    shots realize, one that writes none leaves them all on outcome 0, and
+    the plan's last measurement counts each outcome's shots.
     """
-    nq = plan.n_qubits
-    nd = plan.n_data_bits
-    n_measures = sum(not isinstance(ins, ApplyUnitary) for ins in plan.instructions)
-    survivors = np.zeros(n_measures, dtype=np.int64)
+    nq, nd, ins = plan.n_qubits, plan.n_data_bits, plan.instructions
+    measures = [i for i, op in enumerate(ins) if isinstance(op, MeasureAll)]
+    survivors = np.zeros(len(measures), dtype=np.int64)
     subs = substream_seed(seed, np.arange(start, stop, dtype=np.uint64))
-    states = [amps0]
-    branch = None
-    data_word = None
-    event = 0
-    for ins in plan.instructions:
-        if isinstance(ins, ApplyUnitary):
-            states = [apply_matrix(s, ins.matrix, ins.targets, nq) for s in states]
-            continue
-        qubits, cbits = ins.qubits, ins.cbits
-        m = 1 << len(qubits)
-        cum = np.cumsum(_marginal_probs(np.stack(states), qubits, nq), axis=1)
-        cum[:, -1] = 1.0
-        thresholds = np.ceil(cum * 2.0 ** 53).astype(np.uint64).ravel()
-        key = substream_value(subs, event) >> np.uint64(11)
-        written, select = np.zeros(m, dtype=np.uint64), 0
-        for j, cb in enumerate(cbits):
-            if cb < nd:
-                written |= ((np.arange(m) >> j) & 1).astype(np.uint64) << np.uint64(cb)
-            else:
-                select |= 1 << j
-        splits = bool(written.any())
-        # flat index into thresholds: branch * m + outcome
-        idx = 0 if branch is None else branch * m
-        for j in reversed(range(len(qubits))):
-            idx = idx + (key >= thresholds[(1 << j) - 1:][idx]) * (1 << j)
-        if select:
-            keep = np.flatnonzero((idx & select) == 0)
-            subs = subs[keep]
+    if not measures:
+        return Counter({0: len(subs)}), survivors
+    counts = Counter()
+    tasks = [(amps0, subs, 0, 0, 0)]
+    while tasks:
+        amps, subs, word, pc, event = tasks.pop()
+        for pc in range(pc, measures[-1] + 1):
+            op = ins[pc]
+            if isinstance(op, ApplyUnitary):
+                amps = apply_matrix(amps, op.matrix, op.targets, nq)
+                continue
+            m = 1 << len(op.qubits)
+            cum = np.cumsum(_marginal_probs(amps, op.qubits, nq))
+            cum[-1] = 1.0
+            thresholds = np.ceil(cum * 2.0 ** 53).astype(np.uint64)
+            key = substream_value(subs, event) >> np.uint64(11)
+            written, select = np.zeros(m, dtype=np.uint64), 0
+            for j, cb in enumerate(op.cbits):
+                if cb < nd:
+                    written |= ((np.arange(m) >> j) & 1).astype(np.uint64) << np.uint64(cb)
+                else:
+                    select |= 1 << j
+            splits = bool(written.any())
+            idx = 0
+            for j in reversed(range(len(op.qubits))):
+                idx = idx + (key >= thresholds[(1 << j) - 1:][idx]) * (1 << j)
+            if select:
+                live = np.flatnonzero((idx & select) == 0)
+                subs = subs[live]
+                if splits:
+                    idx = idx[live]
+            survivors[event] += len(subs)
+            event += 1
+            if not len(subs):
+                break
+            if pc == measures[-1]:
+                tally = np.bincount(idx, minlength=m).tolist() if splits else [len(subs)]
+                for bits, c in zip(written.tolist(), tally):
+                    if c:
+                        counts[word | bits] += c
+                break
             if splits:
-                idx = idx[keep]
-            if branch is not None:
-                branch = branch[keep]
-            if data_word is not None:
-                data_word = data_word[keep]
-        survivors[event] = len(subs)
-        event += 1
-        if splits:
-            bits = written[idx & (m - 1)]
-            data_word = bits if data_word is None else data_word | bits
-        if event == n_measures or not len(subs):
-            break
-        if splits:
-            realized, inverse = np.unique(idx, return_inverse=True)
-            states = [_collapse_outcome(states[k // m], qubits, k % m, nq)
-                      for k in realized.tolist()]
-            branch = inverse if len(realized) > 1 else None
-            continue
-        if branch is not None:
-            held = np.bincount(branch, minlength=len(states)) > 0
-            if not held.all():
-                states = [s for s, h in zip(states, held) if h]
-                branch = (np.cumsum(held) - 1)[branch]
-        states = [_collapse_outcome(s, qubits, 0, nq) for s in states]
-    if data_word is None:
-        data_word = np.zeros(len(subs), dtype=np.uint64)
-    return data_word, survivors
+                tasks += [(_collapse_outcome(amps, op.qubits, o, nq), subs[np.flatnonzero(idx == o)],
+                           word | int(written[o]), pc + 1, event) for o in np.unique(idx).tolist()]
+                break
+            amps = _collapse_outcome(amps, op.qubits, 0, nq)
+    return counts, survivors
 
 
-def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: int,
-              chunk_size: int = 1 << 16) -> ShotHistogram:
+def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: int) -> ShotHistogram:
     """Sample the plan shot by shot and histogram the meaningful records.
 
     Every measurement samples via the Born rule (mid-circuit outcomes are
@@ -350,32 +362,24 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
     the shots that survive every measurement are the meaningful ones.
     """
     require_positive_int("shots", shots)
-    require_positive_int("chunk_size", chunk_size)
-    if input_state.n_qubits != plan.n_qubits:
-        raise DimensionError(
-            f"input has {input_state.n_qubits} qubits, plan needs {plan.n_qubits}"
-        )
+    _check_input(plan, input_state)
     if plan.n_data_bits > 64:
         raise ValidationError(
             "classical register too wide to sample: the data section is limited to 64 bits"
         )
     amps0 = input_state.amplitudes.astype(np.complex128)
-    counts: dict[int, int] = {}
-    meaningful = 0
+    counts = Counter()
     survivors = 0
-    for begin in range(0, shots, chunk_size):
-        data_word, live = _simulate_chunk(plan, amps0, seed, begin, min(begin + chunk_size, shots))
-        meaningful += len(data_word)
+    for begin in range(0, shots, CHUNK_SHOTS):
+        tally, live = _simulate_chunk(plan, amps0, seed, begin, min(begin + CHUNK_SHOTS, shots))
+        counts.update(tally)
         survivors = survivors + live
-        vals, cnts = np.unique(data_word, return_counts=True)
-        for v, cn in zip(vals.tolist(), cnts.tolist()):
-            counts[v] = counts.get(v, 0) + cn
     width = plan.n_classical_bits
     keyed = {format(v, f"0{width}b"): c for v, c in sorted(counts.items())}
     return ShotHistogram(
         counts=keyed,
         total_shots=shots,
-        meaningful_shots=meaningful,
+        meaningful_shots=sum(counts.values()),
         seed=seed,
         width=width,
         survivors=tuple(survivors.tolist()),

@@ -105,6 +105,14 @@ def test_simulate_exact_mode_has_no_histogram(tmp_path):
     assert meta["keep_probability"] > 0
 
 
+def test_oversized_width_and_bad_floor_exit_2(tmp_path, capsys):
+    for args in (["simulate", "--n", "60"], ["estimate", "--n", "60"],
+                 ["simulate", "--n", "2", "--meaningful-floor", "-5"]):
+        assert run_cli(*args, "--seed", "1", "--out", str(tmp_path)) == 2
+        assert capsys.readouterr().err.startswith("error:")
+    assert not any(tmp_path.iterdir())
+
+
 def test_simulate_insufficient_statistics_exit_code(tmp_path):
     rc = run_cli("simulate", "--c", "0.4", "--beta", "2", "--seed", "6", "--n", "3",
                  "--shots", "40", "--meaningful-floor", "100000", "--out", str(tmp_path))

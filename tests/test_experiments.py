@@ -184,9 +184,31 @@ _PSI = positive_state(8, 1)
     pytest.param(lambda: convergence_report(_MODEL, [2], [-1]), id="report-m-1"),
     pytest.param(lambda: convergence_report(_MODEL, [2], [0.0, 1]), id="report-m0.0"),
     pytest.param(lambda: convergence_report(_MODEL, [2.5], [0]), id="report-n2.5"),
+    pytest.param(lambda: simulated_t_action(_MODEL, 2, 1, _PSI, shots=10, meaningful_floor=-5),
+                 id="deep-floor-5"),
+    pytest.param(lambda: simulated_t_action(_MODEL, 2, 1, _PSI, shots=10, meaningful_floor=2.5),
+                 id="deep-floor2.5"),
+    pytest.param(lambda: simulated_t_action(_MODEL, 2, 1, _PSI, shots=10, mode="refeed",
+                                            meaningful_floor=True), id="refeed-floorTrue"),
+    pytest.param(lambda: estimate_lambda1(_MODEL, 2, _PSI, shots=10, meaningful_floor=0),
+                 id="estimate-floor0"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, shots_per_step=10, meaningful_floor=0),
+                 id="psi0-floor0"),
 ])
 def test_experiment_counts_must_be_positive_integers(call):
     with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: simulated_t_action(_MODEL, 60, 1, np.ones(4), mode="exact"), id="action"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 60, backend="exact"), id="psi0"),
+    pytest.param(lambda: estimate_lambda1(_MODEL, 60, np.ones(4), backend="exact"), id="estimate"),
+    pytest.param(lambda: convergence_report(_MODEL, [60], [1]), id="report"),
+])
+def test_circuit_width_is_capped_before_allocation(call):
+    # a 62-qubit state would need 2^62 amplitudes; the cap fires first
+    with pytest.raises(ValidationError, match="over the cap"):
         call()
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from vertexsim import (
     run_shots,
     svd_scaled,
 )
+from vertexsim import simulator
 from vertexsim.dilation import X_GATE
 from vertexsim.gates import apply_matrix
 from vertexsim.rng import stream_u64, substream_seed, substream_value, to_unit
@@ -187,9 +189,11 @@ def test_run_shots_deterministic_across_chunking():
     d = np.array([1.0, 0.8, 0.5, 0.2])
     plan = build_d_test_plan(d)
     st = dilation_state(d, positive_state(4, 8))
-    a = run_shots(plan, st, 4321, seed=99, chunk_size=1 << 16)
-    b = run_shots(plan, st, 4321, seed=99, chunk_size=17)
-    c = run_shots(plan, st, 4321, seed=99, chunk_size=4321)
+    a = run_shots(plan, st, 4321, seed=99)
+    with mock.patch.object(simulator, "CHUNK_SHOTS", 17):
+        b = run_shots(plan, st, 4321, seed=99)
+    with mock.patch.object(simulator, "CHUNK_SHOTS", 4321):
+        c = run_shots(plan, st, 4321, seed=99)
     assert a.counts == b.counts == c.counts
     assert a.meaningful_shots == b.meaningful_shots == c.meaningful_shots
     assert run_shots(plan, st, 4321, seed=100).counts != a.counts
@@ -331,9 +335,6 @@ def test_register_width_guard():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {"chunk_size": -5},
-    {"chunk_size": 0},
-    {"chunk_size": 2.5},
     {"shots": True},
     {"shots": 2.5},
     {"shots": 0},
@@ -351,7 +352,8 @@ def test_run_shots_rejects_bad_counts(kwargs):
 def test_run_shots_accepts_numpy_integer_counts():
     plan = CircuitPlan(n_qubits=1, n_classical_bits=1,
                        instructions=[MeasureAll(qubits=(0,), cbits=(0,))])
-    hist = run_shots(plan, basis_state(1, 1), np.int64(10), seed=0, chunk_size=np.int64(3))
+    with mock.patch.object(simulator, "CHUNK_SHOTS", 3):
+        hist = run_shots(plan, basis_state(1, 1), np.int64(10), seed=0)
     assert hist.counts == {"1": 10}
     assert hist.survivors == (10,)
 
@@ -365,7 +367,8 @@ def test_survivors_follow_the_first_postselection():
     assert all(a >= b for a, b in zip(s, s[1:]))
     assert s[-1] == hist.meaningful_shots
     # summed over chunks, the counts do not depend on the chunking
-    assert run_shots(plan, state, shots, seed=5, chunk_size=6999).survivors == s
+    with mock.patch.object(simulator, "CHUNK_SHOTS", 6999):
+        assert run_shots(plan, state, shots, seed=5).survivors == s
 
     first = next(i for i, ins in enumerate(plan.instructions) if isinstance(ins, MeasureAll))
     cut = CircuitPlan(plan.n_qubits, plan.n_classical_bits, plan.instructions[:first + 1],
@@ -399,6 +402,52 @@ def test_exact_keep_probability_is_the_shot_limit(name):
     hist = run_shots(plan, state, shots, seed=17)
     sigma = math.sqrt(keep * (1 - keep) / shots)
     assert abs(hist.meaningful_fraction - keep) < 5 * sigma
+
+
+def test_run_exact_branches_on_a_data_measurement():
+    # H, measure q0 into data bit c0, H, measure q0 into select bit c1: each
+    # data outcome leaves q0 in |+> or |->, so half the shots are kept
+    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    plan = CircuitPlan(n_qubits=1, n_classical_bits=2, n_data_bits=1, instructions=[
+        ApplyUnitary(matrix=h, targets=(0,)),
+        MeasureAll(qubits=(0,), cbits=(0,)),
+        ApplyUnitary(matrix=h, targets=(0,)),
+        MeasureAll(qubits=(0,), cbits=(1,)),
+    ])
+    kept, keep = run_exact(plan, basis_state(1, 0))
+    assert abs(keep - 0.5) < 1e-12
+    assert kept is None  # two branches survive: the kept state is a mixture
+    hist = run_shots(plan, basis_state(1, 0), 40_000, seed=17)
+    assert abs(hist.meaningful_fraction - keep) < 5 * math.sqrt(keep * (1 - keep) / 40_000)
+
+
+def test_run_exact_caps_the_branches_it_expands():
+    # a mid-circuit measurement of all 12 qubits of a uniform state would
+    # expand 4096 branches of 4096 amplitudes, over MAX_STATE_AMPLITUDES
+    nq = 12
+    assert (1 << (2 * nq)) >= simulator.MAX_STATE_AMPLITUDES
+    plan = CircuitPlan(n_qubits=nq, n_classical_bits=nq, instructions=[
+        MeasureAll(qubits=tuple(range(nq)), cbits=tuple(range(nq))),
+        MeasureAll(qubits=(0,), cbits=(0,)),
+    ])
+    with pytest.raises(ValidationError, match="branches"):
+        run_exact(plan, init_state(nq, np.full(2 ** nq, 2.0 ** (-nq / 2))))
+
+
+@settings(max_examples=30)
+@given(case=mixed_plans(), seed=hs.integers(0, 2 ** 32 - 1))
+def test_exact_keep_is_the_shot_limit_on_mixed_plans(case, seed):
+    plan, state = case
+    try:
+        _, keep = run_exact(plan, state)
+    except ImpossiblePostselectionError:
+        keep = 0.0
+    shots = 40_000
+    hist = run_shots(plan, state, shots, seed)
+    # a summed keep can exceed 1 by a few ulps
+    p = min(keep, 1.0)
+    sigma = math.sqrt(p * (1 - p) / shots)
+    assert abs(hist.meaningful_fraction - keep) <= 5 * sigma + 1e-12
 
 
 # ---------------------------------------------------------------- golden histograms
@@ -487,7 +536,8 @@ def test_golden_histograms(name, seed):
     plan, state = _golden_case(name)
     want_s, want_2s = GOLDEN_DIGESTS[name, seed]
     small = run_shots(plan, state, GOLDEN_SHOTS, seed)
-    chunked = run_shots(plan, state, GOLDEN_SHOTS, seed, chunk_size=17)
+    with mock.patch.object(simulator, "CHUNK_SHOTS", 17):
+        chunked = run_shots(plan, state, GOLDEN_SHOTS, seed)
     large = run_shots(plan, state, 2 * GOLDEN_SHOTS, seed)
     assert _digest(small) == _digest(chunked) == want_s
     assert _digest(large) == want_2s
@@ -548,8 +598,9 @@ def test_run_shots_matches_reference_sampler(case, seed, small_chunk, fewer):
     plan, state = case
     shots = 120
     counts, meaningful, survivors = reference_shots(plan, state, shots, seed)
-    for chunk_size in (1 << 16, small_chunk):
-        hist = run_shots(plan, state, shots, seed, chunk_size=chunk_size)
+    for chunk_shots in (simulator.CHUNK_SHOTS, small_chunk):
+        with mock.patch.object(simulator, "CHUNK_SHOTS", chunk_shots):
+            hist = run_shots(plan, state, shots, seed)
         assert hist.counts == counts
         assert hist.meaningful_shots == meaningful
         assert hist.survivors == survivors
