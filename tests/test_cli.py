@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -192,3 +193,61 @@ def test_bad_model_file_is_validation_error(tmp_path):
         rc = run_cli("spectrum", "--model", str(bad), "--n", "2", "--seed", "1",
                      "--out", str(tmp_path))
         assert rc == 2, text
+
+
+# sha256 of every file each command writes, pinned with explicit seeds so a
+# change to how the outputs are laid out shows as a changed digest.
+PINNED_OUTPUTS = {
+    ("gen-model", "--seed", "7"): {
+        "model.json": "25f01b990c50a75915d5ae973ff920800566fe0b2178fbc56f556c4baedc04a7",
+    },
+    ("spectrum", "--seed", "7", "--n", "4"): {
+        "psi0.csv": "48358e0323a8967038e60451eeda194bcdaf8d032e3234f8f8c7a6e403306317",
+        "spectrum.csv": "b148fe087c0b42257cc7dbceb6a3c453410d7dee6482d252bad8e2b5f339aec1",
+        "spectrum.json": "ada93558a0f0568a51219a8f3e247efb25569fa5d753baa633cd70ab212aafa2",
+    },
+    ("spectrum", "--seed", "4", "--n", "3", "--method", "dense"): {
+        "psi0.csv": "5856394eea85fbef52de871d798f7438b55c55b3477629854a52494d1c4f35b6",
+        "spectrum.csv": "ca5ce411c6efdd13f22fcbab5eb1335bc14763fae43ae81374eb0112fa4789ed",
+        "spectrum.json": "4792b1cf3ed378934fe482edad5074fe042a8f1abf510ecc76cdf38c7ce545b3",
+    },
+    ("simulate", "--seed", "6", "--n", "2", "--m", "2", "--shots", "4000",
+     "--meaningful-floor", "100"): {
+        "action.csv": "f19ad11e58c34e2571d837fed617ba089fa6380a8cc777488d639bf4756403c6",
+        "histogram.csv": "110f20ca7f58b5c58cc378108897b91cc9d77b084af1629addb2e037ab14c29e",
+        "simulate.json": "b3e8b656381222f26c15f5f00c4dff23bc35d82e23cece2aca5c83049ae46f0c",
+        "simulate.svg": "d79c31ecd2a8c76cfbdf114e9b01a9f7b97dbc13afd0a7647fc7b0eddf8da227",
+    },
+    ("simulate", "--seed", "6", "--n", "2", "--m", "2", "--mode", "refeed", "--shots", "4000",
+     "--meaningful-floor", "100"): {
+        "action.csv": "4fcd4cc321147c40ab73d5e5bf782d8afb6f7ab6dcf7d620cb4284c9bd5f18d2",
+        "histogram.csv": "1fe57293999ab17c6b2f8b92e6b8d39ecd956de24fb2d8046814b945d2d84857",
+        "simulate.json": "e205d02b12c1f4d2f70a66e3055afc68ef988cff0c1aa6443540708c68184e86",
+        "simulate.svg": "4ce7f0860b5215402ce4de1c5cf960589a80743cea5a6ac84b7c2cf57deec70d",
+    },
+    ("simulate", "--seed", "6", "--n", "3", "--mode", "exact"): {
+        "action.csv": "46db26dfac62506609220f63daec17482479eebbeba05130c0e22ff798b86a25",
+        "simulate.json": "5d89256c407126ef4ef7a48935bd1ae0222cfa3bdd1d715e2b464f228d83239c",
+        "simulate.svg": "b91a45db96bf873ecc8345e18faf16ea98c9600b0c620ef2a584f888f6226505",
+    },
+    ("estimate", "--seed", "11", "--n", "2", "--shots", "8000", "--inputs", "2",
+     "--meaningful-floor", "100"): {
+        "estimate.json": "c6e237193eabb252595bffd654d3e02c931842db8f3efbf80ebf691431018729",
+        "estimate.svg": "49515898dd2a92d7a012bc407a08686cc194dc6d2d0a819d77bc6ca181cdbd96",
+    },
+    ("estimate", "--seed", "11", "--n", "3", "--mode", "exact"): {
+        "estimate.json": "6c69a4ab8cbcb010a272a4b11f6653c9f8c989ce0e493905b19f0d2e9d9c1a27",
+        "estimate.svg": "dab374c73ce3322507e39f5c05898e58ba7b29d769c3b54b0306731e6e536f1b",
+    },
+    ("export-circuit", "--seed", "2", "--n", "3", "--m", "2"): {
+        "circuit.txt": "42a1884386ad7a105b8b753b4eac55621a873f50b2449ec170384fc944d8534d",
+    },
+}
+
+
+def test_cli_outputs_are_pinned(tmp_path):
+    for k, (args, digests) in enumerate(PINNED_OUTPUTS.items()):
+        out = tmp_path / str(k)
+        assert run_cli(*args, "--c", "0.4", "--beta", "2", "--out", str(out)) == 0
+        written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert written == digests, args
