@@ -1,6 +1,7 @@
-"""Command-line front end.
+"""Command-line front end, and the one place that lays out output files.
 
 Subcommands: gen-model, spectrum, simulate, estimate, export-circuit.
+The library returns records; this module turns them into JSON, CSV and SVG.
 Every command is deterministic given an explicit --seed; without one a seed
 is drawn from OS entropy once and recorded in the output metadata.  Exit
 codes: 0 success, 2 validation error, 3 insufficient statistics, 4 numerical
@@ -10,6 +11,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import secrets
@@ -35,13 +37,13 @@ from .experiments import (
 )
 from .model import VertexModel, generate_model, model_from_json, model_to_json, r_matrix
 from .rng import stream_u64, to_unit
-from .simulator import histogram_meta_json, histogram_to_csv
 from .svgplot import Chart, render
-from .transfer import (
-    assemble_transfer,
-    spectral_summary,
-    summary_to_json,
-    vector_to_csv,
+from .transfer import assemble_transfer, spectral_summary
+
+# spectrum.json keys in the order written; `iterations` is a property.
+_SPECTRUM_KEYS = (
+    "lambda0", "lambda1_abs", "ratio", "residual", "residual_deflation", "iterations",
+    "iterations_right", "iterations_left", "iterations_deflation", "widenings", "method",
 )
 
 
@@ -144,6 +146,11 @@ def _write(path: Path, text: str) -> None:
     print(path)
 
 
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of ints, strings or floats."""
+    return "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n"
+
+
 def _random_positive_state(dim: int, seed: int) -> np.ndarray:
     v = to_unit(stream_u64(seed, dim))
     return v / np.linalg.norm(v)
@@ -186,17 +193,16 @@ def cmd_spectrum(args) -> int:
     summary = spectral_summary(t, tol=args.tol, method=args.method)
     out = _outdir(args)
     if _wants(args, "json"):
-        meta = json.loads(summary_to_json(summary))
-        meta["seed"] = seed
-        meta["n"] = args.n
+        meta = {key: getattr(summary, key) for key in _SPECTRUM_KEYS}
+        meta.update(psi0_right=summary.psi0_right.tolist(), seed=seed, n=args.n)
         _write(out / "spectrum.json", json.dumps(meta, indent=2))
     if _wants(args, "csv"):
         if args.method == "dense":
             mags = np.sort(np.abs(np.linalg.eigvals(t.entries)))[::-1]
         else:
             mags = np.array([summary.lambda0, summary.lambda1_abs])
-        _write(out / "spectrum.csv", vector_to_csv(mags))
-        _write(out / "psi0.csv", vector_to_csv(summary.psi0_right))
+        _write(out / "spectrum.csv", _csv("index,value", enumerate(mags.tolist())))
+        _write(out / "psi0.csv", _csv("index,value", enumerate(summary.psi0_right.tolist())))
     return 0
 
 
@@ -219,15 +225,13 @@ def cmd_simulate(args) -> int:
         expected, _ = simulated_t_action(model, args.n, args.m, vec, mode="exact")
     out = _outdir(args)
     if _wants(args, "csv"):
-        lines = ["index,simulated" + (",expected" if expected is not None else "")]
-        for i, x in enumerate(result):
-            row = f"{i},{float(x)!r}"
-            if expected is not None:
-                row += f",{float(expected[i])!r}"
-            lines.append(row)
-        _write(out / "action.csv", "\n".join(lines) + "\n")
+        columns = [result] if expected is None else [result, expected]
+        header = "index,simulated" + (",expected" if expected is not None else "")
+        rows = zip(range(len(result)), *(c.tolist() for c in columns))
+        _write(out / "action.csv", _csv(header, rows))
         if diag.final_histogram is not None:
-            _write(out / "histogram.csv", histogram_to_csv(diag.final_histogram))
+            _write(out / "histogram.csv",
+                   _csv("bitstring,count", diag.final_histogram.counts.items()))
     if _wants(args, "json"):
         meta = {
             "seed": seed,
@@ -238,8 +242,14 @@ def cmd_simulate(args) -> int:
             "meaningful_fractions": diag.meaningful_fractions,
             "keep_probability": diag.keep_probability,
         }
-        if diag.final_histogram is not None:
-            meta["histogram"] = json.loads(histogram_meta_json(diag.final_histogram))
+        h = diag.final_histogram
+        if h is not None:
+            meta["histogram"] = {
+                "total_shots": h.total_shots,
+                "meaningful_shots": h.meaningful_shots,
+                "seed": h.seed,
+                "survivors": list(h.survivors),
+            }
         _write(out / "simulate.json", json.dumps(meta, indent=2))
     if _wants(args, "svg"):
         chart = Chart(
@@ -285,7 +295,10 @@ def cmd_estimate(args) -> int:
             "n": args.n,
             "backend": backend,
             "oracle_lambda1": oracle,
-            "estimates": [json.loads(r.to_json()) for r in reports],
+            # a degenerate report's NaN estimate is written as null
+            "estimates": [{**dataclasses.asdict(r),
+                           "estimate": None if math.isnan(r.estimate) else r.estimate}
+                          for r in reports],
         }
         _write(out / "estimate.json", json.dumps(payload, indent=2))
     if _wants(args, "svg"):

@@ -124,15 +124,7 @@ def svd_scaled(r: RMatrix, tol: float = 1e-12) -> SVDFactors:
     return factors
 
 
-@dataclass(frozen=True)
-class DilationGate:
-    """Orthogonal 8x8 lift of a sub-unit diagonal."""
-
-    matrix: np.ndarray
-    source_d: np.ndarray
-
-
-def dilate(d: np.ndarray) -> DilationGate:
+def dilate(d: np.ndarray) -> np.ndarray:
     """Lift diag(d) with d_i in [0, 1] to the orthogonal 8x8 gate."""
     d = np.asarray(d, dtype=np.float64)
     if d.shape != (4,):
@@ -145,7 +137,7 @@ def dilate(d: np.ndarray) -> DilationGate:
     m[:4, 4:] = np.diag(comp)
     m[4:, :4] = np.diag(comp)
     m[4:, 4:] = -np.diag(d)
-    return DilationGate(matrix=m, source_d=d.copy())
+    return m
 
 
 def acceptance_probability(d: np.ndarray, alpha: np.ndarray) -> float:

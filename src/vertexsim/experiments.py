@@ -17,7 +17,6 @@ low n+1 bits; a record is meaningful iff its value is below 2^(n+1).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -67,7 +66,7 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     require_positive_int("m_power", m_power)
     ancilla = n + 1
     width = n * m_power + n + 1
-    dil = dilate(factors.d).matrix
+    dil = dilate(factors.d)
     ins: list = []
     for block in range(m_power):
         for j in range(n):
@@ -92,7 +91,7 @@ def build_d_test_plan(d: np.ndarray) -> CircuitPlan:
     the final measurement is also the post-selection: meaningful records
     are those with value < 4, and `run_exact` keeps the ancilla-0 branch.
     """
-    gate = dilate(d).matrix
+    gate = dilate(d)
     return CircuitPlan(
         n_qubits=3,
         n_classical_bits=3,
@@ -315,18 +314,6 @@ class EstimatorReport:
     shots_used: int
     psi0_iterations: int
     degenerate: bool = False
-
-    def to_json(self) -> str:
-        payload = {
-            "f0": self.f0,
-            "f1": self.f1,
-            "estimate": None if math.isnan(self.estimate) else self.estimate,
-            "oracle_lambda1": self.oracle_lambda1,
-            "shots_used": self.shots_used,
-            "psi0_iterations": self.psi0_iterations,
-            "degenerate": self.degenerate,
-        }
-        return json.dumps(payload, indent=2)
 
 
 def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,

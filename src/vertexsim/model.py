@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .rng import stream_u64, to_unit
+from .rng import _u64, stream_u64, to_unit
 
 DELTA = 1.0  # unit of energy; not a tunable
 
@@ -86,9 +86,6 @@ class RMatrix:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
-    def value(self, d: int, u: int, l: int, r: int) -> float:
-        return float(self.entries[2 * l + d, 2 * r + u])
-
 
 def generate_model(c: float, beta: float, seed: int) -> VertexModel:
     """Seeded random model: eps_i = c * popcount(i) + Uniform[0,1).
@@ -137,7 +134,9 @@ def model_from_json(text: str) -> VertexModel:
     try:
         beta = float(payload["beta"])
         c = float(payload.get("c", 0.0))
-        seed = None if payload.get("seed") is None else int(payload["seed"])
+        seed = payload.get("seed")
+        if seed is not None:
+            _u64(seed)  # the package's seed rule: integers only, bools rejected
         energies = tuple(float(e) for e in payload["energies"]) if "energies" in payload else None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"model file has a malformed field: {exc}") from exc

@@ -32,7 +32,6 @@ weight in place of shots.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -222,7 +221,6 @@ class ShotHistogram:
     total_shots: int
     meaningful_shots: int
     seed: int
-    width: int
     survivors: tuple[int, ...] = ()
 
     @property
@@ -381,20 +379,5 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
         total_shots=shots,
         meaningful_shots=sum(counts.values()),
         seed=seed,
-        width=width,
         survivors=tuple(survivors.tolist()),
-    )
-
-
-def histogram_to_csv(h: ShotHistogram) -> str:
-    lines = ["bitstring,count"]
-    lines += [f"{k},{v}" for k, v in h.counts.items()]
-    return "\n".join(lines) + "\n"
-
-
-def histogram_meta_json(h: ShotHistogram) -> str:
-    return json.dumps(
-        {"total_shots": h.total_shots, "meaningful_shots": h.meaningful_shots, "seed": h.seed,
-         "survivors": list(h.survivors)},
-        indent=2,
     )

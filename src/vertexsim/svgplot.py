@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+_WIDTH, _HEIGHT = 640, 440  # pixels
 _COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 
 
@@ -18,7 +19,6 @@ class Series:
     ys: list[float]
     label: str = ""
     kind: str = "scatter"  # or "line"
-    color: str | None = None
 
 
 @dataclass
@@ -27,11 +27,9 @@ class Chart:
     xlabel: str = ""
     ylabel: str = ""
     series: list[Series] = field(default_factory=list)
-    width: int = 640
-    height: int = 440
 
-    def add(self, xs, ys, label="", kind="scatter", color=None):
-        self.series.append(Series(list(map(float, xs)), list(map(float, ys)), label, kind, color))
+    def add(self, xs, ys, label="", kind="scatter"):
+        self.series.append(Series(list(map(float, xs)), list(map(float, ys)), label, kind))
 
 
 def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
@@ -51,7 +49,7 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
 
 def render(chart: Chart) -> str:
     pad_l, pad_r, pad_t, pad_b = 64, 16, 34, 46
-    w, h = chart.width, chart.height
+    w, h = _WIDTH, _HEIGHT
     xs = [x for s in chart.series for x in s.xs]
     ys = [y for s in chart.series for y in s.ys if math.isfinite(y)]
     if not xs:
@@ -103,7 +101,7 @@ def render(chart: Chart) -> str:
                      f'transform="rotate(-90 16 {cy:.1f})">{_esc(chart.ylabel)}</text>')
 
     for i, s in enumerate(chart.series):
-        color = s.color or _COLORS[i % len(_COLORS)]
+        color = _COLORS[i % len(_COLORS)]
         pts = [(sx(x), sy(y)) for x, y in zip(s.xs, s.ys) if math.isfinite(y)]
         if s.kind == "line" and len(pts) > 1:
             path = " ".join(f"{px:.2f},{py:.2f}" for px, py in pts)

@@ -20,8 +20,6 @@ brute-force enumerator below implements exactly that constraint.
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -367,10 +365,11 @@ def brute_force_partition(model: VertexModel, shape: LatticeShape, bottom: str, 
     2^26 configurations.
     """
     n, m = shape.n_cols, shape.n_rows
-    if len(bottom) != n or len(top) != n or any(c not in "01" for c in bottom + top):
-        raise ValidationError(f"boundary bitstrings must have length {n}")
-    if corners[0] not in (0, 1) or corners[1] not in (0, 1):
-        raise ValidationError("corner bonds must be 0 or 1")
+    for bits in (bottom, top):
+        if not isinstance(bits, str) or len(bits) != n or any(c not in "01" for c in bits):
+            raise ValidationError(f"boundary bonds must be a length-{n} bitstring, got {bits!r}")
+    if not isinstance(corners, tuple) or corners not in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        raise ValidationError(f"corner bonds must be a pair of 0/1 values, got {corners!r}")
     n_free = shape.n_free_bonds
     if 2 ** n_free > ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
@@ -383,8 +382,8 @@ def brute_force_partition(model: VertexModel, shape: LatticeShape, bottom: str, 
     for k in range(1, n + 1):
         vert[(0, k)] = ("const", int(bottom[k - 1]))
         vert[(m, k)] = ("const", int(top[k - 1]))
-    horiz[(1, 0)] = ("const", corners[0])
-    horiz[(m, n)] = ("const", corners[1])
+    horiz[(1, 0)] = ("const", int(corners[0]))
+    horiz[(m, n)] = ("const", int(corners[1]))
     bit = 0
     for j in range(1, m):
         for k in range(1, n + 1):
@@ -437,31 +436,3 @@ def free_energy_density(z: float, shape: LatticeShape, beta: float) -> float:
     if not 0 < beta < math.inf:
         raise ValidationError(f"beta must be positive and finite, got {beta}")
     return -math.log(z) / (beta * shape.n_cols * shape.n_rows)
-
-
-def summary_to_json(s: SpectralSummary) -> str:
-    return json.dumps(
-        {
-            "lambda0": s.lambda0,
-            "lambda1_abs": s.lambda1_abs,
-            "ratio": s.ratio,
-            "residual": s.residual,
-            "residual_deflation": s.residual_deflation,
-            "iterations": s.iterations,
-            "iterations_right": s.iterations_right,
-            "iterations_left": s.iterations_left,
-            "iterations_deflation": s.iterations_deflation,
-            "widenings": s.widenings,
-            "method": s.method,
-            "psi0_right": s.psi0_right.tolist(),
-        },
-        indent=2,
-    )
-
-
-def vector_to_csv(v: np.ndarray) -> str:
-    out = io.StringIO()
-    out.write("index,value\n")
-    for i, x in enumerate(v):
-        out.write(f"{i},{float(x)!r}\n")
-    return out.getvalue()

@@ -88,7 +88,7 @@ def mid_circuit_plan() -> CircuitPlan:
         n_classical_bits=3,
         instructions=[
             ApplyUnitary(matrix=prep, targets=(0, 1)),
-            ApplyUnitary(matrix=dilate(d).matrix, targets=(0, 1, 2)),
+            ApplyUnitary(matrix=dilate(d), targets=(0, 1, 2)),
             MeasureAll(qubits=(0,), cbits=(0,)),
             MeasureAll(qubits=(1,), cbits=(1,)),
             MeasureAll(qubits=(2,), cbits=(2,)),

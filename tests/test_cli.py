@@ -157,6 +157,21 @@ def test_estimate_input_validation(tmp_path):
     assert estimate("-1,0.5\n") == 2  # would wrap to the last amplitude
 
 
+def test_degenerate_estimate_is_written_as_null(tmp_path):
+    # psi0 fed back as the input makes f0 = 1, so the estimate is NaN
+    assert run_cli("spectrum", "--c", "0.4", "--beta", "2", "--seed", "7", "--n", "2",
+                   "--out", str(tmp_path)) == 0
+    rc = run_cli("estimate", "--c", "0.4", "--beta", "2", "--seed", "7", "--n", "2",
+                 "--mode", "exact", "--input-file", str(tmp_path / "psi0.csv"),
+                 "--out", str(tmp_path))
+    assert rc == 0
+    text = (tmp_path / "estimate.json").read_text()
+    assert '"estimate": null' in text and '"degenerate": true' in text
+    (entry,) = json.loads(text)["estimates"]
+    assert list(entry) == ["f0", "f1", "estimate", "oracle_lambda1", "shots_used",
+                           "psi0_iterations", "degenerate"]
+
+
 def test_export_circuit_round_trips(tmp_path):
     rc = run_cli("export-circuit", "--c", "0.4", "--beta", "2", "--seed", "2", "--n", "3",
                  "--m", "2", "--out", str(tmp_path))

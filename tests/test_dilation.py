@@ -76,11 +76,11 @@ def test_dilate_identity_and_projector_limits():
     expected = np.zeros((8, 8))
     expected[:4, :4] = np.eye(4)
     expected[4:, 4:] = -np.eye(4)
-    np.testing.assert_array_equal(g.matrix, expected)
+    np.testing.assert_array_equal(g, expected)
 
     g0 = dilate(np.array([1.0, 0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(g0.matrix[:4, :4], np.diag([1.0, 0, 0, 0]), atol=0)
-    np.testing.assert_allclose(g0.matrix[4:, :4], np.diag([0.0, 1, 1, 1]), atol=0)
+    np.testing.assert_allclose(g0[:4, :4], np.diag([1.0, 0, 0, 0]), atol=0)
+    np.testing.assert_allclose(g0[4:, :4], np.diag([0.0, 1, 1, 1]), atol=0)
 
 
 def test_dilate_is_orthogonal_with_diagonal_block():
@@ -88,8 +88,8 @@ def test_dilate_is_orthogonal_with_diagonal_block():
         d = np.sort(np.random.default_rng(seed).random(4))[::-1]
         d[0] = 1.0
         g = dilate(d)
-        assert np.max(np.abs(g.matrix.T @ g.matrix - np.eye(8))) < 1e-12
-        np.testing.assert_array_equal(np.diag(g.matrix[:4, :4]), d)
+        assert np.max(np.abs(g.T @ g - np.eye(8))) < 1e-12
+        np.testing.assert_array_equal(np.diag(g[:4, :4]), d)
 
 
 def test_dilate_rejects_out_of_range():
@@ -173,7 +173,7 @@ def test_constructions_agree_on_random_inputs():
         d[0] = 1.0
         alpha = rng.random(4) + 1e-3
         alpha /= np.linalg.norm(alpha)
-        kept_single, p_single = kept_branch_of(dilate(d).matrix, alpha)
+        kept_single, p_single = kept_branch_of(dilate(d), alpha)
         kept_chain, p_chain = _run_terashima_steps(terashima_decomposition(d), alpha)
         np.testing.assert_allclose(kept_single, kept_chain, atol=1e-10)
         assert abs(p_single - p_chain) < 1e-10

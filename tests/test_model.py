@@ -161,6 +161,9 @@ BAD_MODEL_FIELDS = [
     {"beta": 2.0, "energies": ["x"] + [1.0] * 15},
     {"beta": 2.0, "energies": 5},
     {"beta": 2.0, "c": 0.4, "seed": "abc"},
+    {"beta": 2.0, "c": 0.4, "seed": 1.5},
+    {"beta": 2.0, "c": 0.4, "seed": 1.9},
+    {"beta": 2.0, "c": 0.4, "seed": True},
 ]
 
 

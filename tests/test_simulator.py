@@ -103,7 +103,7 @@ def test_run_exact_x_gate():
 
 
 def test_trivial_dilation_flips_ancilla_sector_sign():
-    g = dilate(np.array([1.0, 1.0, 1.0, 1.0])).matrix
+    g = dilate(np.array([1.0, 1.0, 1.0, 1.0]))
     amps = np.array([0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
     out, _ = run_exact(circuit(3, ApplyUnitary(matrix=g, targets=(0, 1, 2))), init_state(3, amps))
     np.testing.assert_allclose(out.amplitudes[:4].real, [0.5, 0.5, 0, 0], atol=1e-15)
@@ -118,7 +118,7 @@ def test_svd_sandwich_reproduces_scaled_gate():
     plan = circuit(
         3,
         ApplyUnitary(matrix=f.v, targets=(0, 1)),
-        ApplyUnitary(matrix=dilate(f.d).matrix, targets=(0, 1, 2)),
+        ApplyUnitary(matrix=dilate(f.d), targets=(0, 1, 2)),
         postselect(2),
         ApplyUnitary(matrix=f.u, targets=(0, 1)),
     )
@@ -138,7 +138,7 @@ def test_postselect_examples(fixture_r):
 
     f = svd_scaled(fixture_r)
     uniform = np.full(4, 0.5)
-    plan = circuit(3, ApplyUnitary(matrix=dilate(f.d).matrix, targets=(0, 1, 2)), postselect(2))
+    plan = circuit(3, ApplyUnitary(matrix=dilate(f.d), targets=(0, 1, 2)), postselect(2))
     out, p = run_exact(plan, dilation_state(f.d, uniform))
     assert abs(p - float(np.sum(f.d ** 2)) / 4.0) < 1e-12
     assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
@@ -211,7 +211,7 @@ def test_run_shots_matches_exact_distribution_chi_square():
     shots = 100_000
     hist = run_shots(plan, st, shots, seed=7)
 
-    out = dilate(d).matrix @ st.amplitudes
+    out = dilate(d) @ st.amplitudes
     probs = np.abs(out) ** 2
     counts = np.zeros(8)
     for key, cnt in hist.counts.items():
@@ -268,7 +268,7 @@ def test_run_exact_keep_probability_equals_norm():
         n_qubits=3,
         n_classical_bits=1,
         instructions=[
-            ApplyUnitary(matrix=dilate(d).matrix, targets=(0, 1, 2)),
+            ApplyUnitary(matrix=dilate(d), targets=(0, 1, 2)),
             MeasureAll(qubits=(2,), cbits=(0,)),
         ],
         n_data_bits=0,

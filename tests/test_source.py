@@ -38,3 +38,22 @@ def test_module_has_no_unused_imports(path):
     unused = [name for name in unused_imports(path.read_text())
               if (path.stem, name) not in UNUSED_ALLOWED]
     assert unused == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Top-level names of the modules a source file imports (relative imports excluded)."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_only_cli_and_model_write_file_formats():
+    # cli.py lays out every output file and model.py owns the model file format;
+    # the rest of the library returns records and writes no text formats
+    imports = {p.stem: imported_modules(p.read_text()) for p in SRC.glob("*.py")}
+    assert sorted(m for m, names in imports.items() if "json" in names) == ["cli", "model"]
+    assert sorted(m for m, names in imports.items() if names & {"io", "csv"}) == []

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -29,7 +28,6 @@ from vertexsim.transfer import (
     DENSE_CAP_QUBITS,
     _gate,
     _row_sweep,
-    summary_to_json,
 )
 
 from conftest import dense_transfer_reference, positive_state
@@ -249,9 +247,9 @@ def test_spectral_phase_counts():
     assert phases[0] == (10, 10, 46)
     t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 3)
     assert spectral_summary(t).widenings == 0
-    dense = json.loads(summary_to_json(spectral_summary(t, method="dense")))
-    assert [dense[k] for k in ("iterations", "iterations_right", "iterations_left",
-                               "iterations_deflation", "widenings")] == [0] * 5
+    dense = spectral_summary(t, method="dense")
+    assert [getattr(dense, k) for k in ("iterations", "iterations_right", "iterations_left",
+                                        "iterations_deflation", "widenings")] == [0] * 5
 
 
 def test_perron_frobenius_properties():
@@ -388,6 +386,18 @@ def test_enumeration_budget_guard():
     m = generate_model(0.4, 2.0, 1)
     with pytest.raises(EnumerationBudgetError):
         brute_force_partition(m, LatticeShape(5, 4), "0" * 5, "0" * 5, (0, 0))
+
+
+def test_brute_force_rejects_malformed_boundaries():
+    m = generate_model(0.4, 2.0, 1)
+    shape = LatticeShape(2, 1)
+    for bottom, top, corners in [
+        ("00", "00", (0,)), ("00", "00", (0, 0, 0)), ("00", "00", [0, 1]), ("00", "00", (0, 2)),
+        ("00", "00", 0), ([0, 1], "00", (0, 0)), ("00", [0, 1], (0, 0)), ("0", "00", (0, 0)),
+        ("00", "0a", (0, 0)), (None, "00", (0, 0)),
+    ]:
+        with pytest.raises(ValidationError):
+            brute_force_partition(m, shape, bottom, top, corners)
 
 
 def test_free_energy_density_values():
