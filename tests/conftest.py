@@ -71,6 +71,34 @@ def dense_transfer_reference(r: RMatrix, n: int) -> np.ndarray:
     return np.ascontiguousarray(np.transpose(chain, row_axes + col_axes).reshape(dim, dim))
 
 
+def reference_apply_matrix(amps, matrix, targets, n_qubits):
+    """The gate kernel as first written, with two np.moveaxis calls.
+
+    The library's `apply_matrix` must equal it bit for bit: it hands the same
+    contiguous (2^(n-k), 2^k) block to the same `@ matrix.T`.
+    """
+    m = len(targets)
+    tensor = amps.reshape([2] * n_qubits)
+    axes = [n_qubits - 1 - q for q in reversed(targets)]
+    tensor = np.moveaxis(tensor, axes, range(n_qubits - m, n_qubits))
+    shape = tensor.shape
+    tensor = tensor.reshape(-1, 2 ** m) @ matrix.T
+    tensor = np.moveaxis(tensor.reshape(shape), range(n_qubits - m, n_qubits), axes)
+    return np.ascontiguousarray(tensor).reshape(-1)
+
+
+def reference_marginal_probs(amps, qubits, n_qubits):
+    """Outcome weights over `qubits` as first written, with np.moveaxis.
+
+    The library's `_marginal_probs` must equal it bit for bit: the same copy
+    and the same row sums, so the measurement thresholds do not move.
+    """
+    dens = np.abs(amps.reshape((2,) * n_qubits)) ** 2
+    axes = [n_qubits - 1 - q for q in reversed(qubits)]
+    dens = np.moveaxis(dens, axes, range(len(qubits)))
+    return dens.reshape(2 ** len(qubits), -1).sum(axis=-1)
+
+
 def positive_state(dim: int, seed: int) -> np.ndarray:
     """Seeded random entrywise-positive unit vector."""
     v = to_unit(stream_u64(seed, dim)) + 1e-12

@@ -33,7 +33,13 @@ from vertexsim.gates import apply_matrix
 from vertexsim.rng import stream_u64, substream_seed, substream_value, to_unit
 from vertexsim.simulator import _collapse_outcome, _marginal_probs
 
-from conftest import mid_circuit_plan, mixed_plans, positive_state
+from conftest import (
+    mid_circuit_plan,
+    mixed_plans,
+    positive_state,
+    reference_apply_matrix,
+    reference_marginal_probs,
+)
 
 # chi-square 0.999 quantile for 7 degrees of freedom (8-bin histogram)
 CHI2_999_DF7 = 24.3219
@@ -450,6 +456,38 @@ def test_exact_keep_is_the_shot_limit_on_mixed_plans(case, seed):
     assert abs(hist.meaningful_fraction - keep) <= 5 * sigma + 1e-12
 
 
+# ---------------------------------------------------------------- kernels
+
+
+def kron_operator(matrix, targets, n):
+    """The dense 2^n operator of `matrix` on `targets`: kron(I, matrix) in the
+    basis whose low bits are the targets (target j at bit j), conjugated back
+    to the qubit order by a basis permutation."""
+    order = list(targets) + [q for q in range(n) if q not in targets]
+    idx = np.arange(2 ** n)
+    perm = sum(((idx >> q) & 1) << j for j, q in enumerate(order))
+    return np.kron(np.eye(2 ** (n - len(targets))), matrix)[np.ix_(perm, perm)]
+
+
+@settings(max_examples=80)
+@given(n=hs.integers(1, 7), data=hs.data(), complex_gate=hs.booleans(),
+       seed=hs.integers(0, 2 ** 32 - 1))
+def test_kernels_match_reference_kernels(n, data, complex_gate, seed):
+    targets = tuple(data.draw(hs.lists(hs.integers(0, n - 1), min_size=1,
+                                       max_size=min(n, 3), unique=True)))
+    rng = np.random.default_rng(seed)
+    dim = 2 ** len(targets)
+    gate = rng.normal(size=(dim, dim))
+    if complex_gate:
+        gate = gate + 1j * rng.normal(size=(dim, dim))
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    out = apply_matrix(amps, gate, targets, n)
+    assert np.array_equal(out, reference_apply_matrix(amps, gate, targets, n))
+    assert np.allclose(out, kron_operator(gate, targets, n) @ amps, rtol=0, atol=1e-12)
+    assert np.array_equal(_marginal_probs(amps, targets, n),
+                          reference_marginal_probs(amps, targets, n))
+
+
 # ---------------------------------------------------------------- golden histograms
 
 # sha256 of json.dumps([counts, meaningful_shots], sort_keys=True) for
@@ -568,10 +606,10 @@ def reference_shots(plan, state, shots, seed):
         word, event, alive = 0, 0, True
         for ins in plan.instructions:
             if isinstance(ins, ApplyUnitary):
-                amps = apply_matrix(amps, ins.matrix, ins.targets, nq)
+                amps = reference_apply_matrix(amps, ins.matrix, ins.targets, nq)
                 continue
             qubits, cbits = ins.qubits, ins.cbits
-            cum = np.cumsum(_marginal_probs(amps, qubits, nq))
+            cum = np.cumsum(reference_marginal_probs(amps, qubits, nq))
             cum[-1] = 1.0
             out = int(np.searchsorted(cum, to_unit(substream_value(sub, event))[0], side="right"))
             for j, cb in enumerate(cbits):
