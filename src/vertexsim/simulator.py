@@ -26,8 +26,12 @@ failed post-selection (the first measurement that sets a select bit), so
 only live shots draw, and a measurement that writes data bits splits a
 branch by the outcomes its live shots realize.  Post-selected circuits thus
 run on one branch, where a post-selection costs one draw, one comparison and
-one compaction per live shot.  `run_exact` walks the same branches with a
-weight in place of shots.
+one compaction per live shot: a measurement that writes no data bit keeps a
+shot exactly on outcome 0, that is when its key is below the first
+threshold, so it needs no outcome search.  `run_exact` walks the same
+branches with a weight in place of shots.  Gates and marginals move the
+target axes of the state tensor with transposes cached per (targets, n) in
+`gates.target_axes`, so a step of either runner costs its arithmetic.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .errors import (
     ValidationError,
     require_positive_int,
 )
-from .gates import apply_matrix, check_targets
+from .gates import apply_matrix, check_targets, target_axes
 from .rng import substream_seed, substream_value
 
 UNITARITY_TOL = 1e-10
@@ -99,12 +103,13 @@ def _check_unitary(matrix: np.ndarray, k: int) -> None:
 def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index).
 
-    Not renormalized: on a unit state they sum to 1 up to rounding.
+    Not renormalized: on a unit state they sum to 1 up to rounding.  The
+    cached transpose of `target_axes` puts the measured axes first; the copy
+    of |amps|^2 it makes is summed row by row.
     """
+    front = target_axes(tuple(qubits), n_qubits)[0]
     dens = np.abs(amps.reshape((2,) * n_qubits)) ** 2
-    axes = [n_qubits - 1 - q for q in reversed(qubits)]
-    dens = np.moveaxis(dens, axes, range(len(qubits)))
-    return dens.reshape(2 ** len(qubits), -1).sum(axis=-1)
+    return dens.transpose(front).reshape(1 << len(qubits), -1).sum(axis=-1)
 
 
 def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
@@ -294,9 +299,11 @@ def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
     ceil(cum * 2^53), which gives searchsorted's outcome exactly (module
     notes): cum is non-decreasing except its pinned last entry, whose
     threshold 2^53 no key reaches, so `threshold <= key` holds on a prefix.
-    A measurement that writes data bits pushes one task per outcome its live
-    shots realize, one that writes none leaves them all on outcome 0, and
-    the plan's last measurement counts each outcome's shots.
+    Outcome 0 is therefore `key < thresholds[0]`, the one comparison a
+    measurement that writes no data bit makes: it keeps those shots, all on
+    outcome 0.  A measurement that writes data bits searches every outcome
+    and pushes one task per outcome its live shots realize, and the plan's
+    last measurement counts each outcome's shots.
     """
     nq, nd, ins = plan.n_qubits, plan.n_data_bits, plan.instructions
     measures = [i for i, op in enumerate(ins) if isinstance(op, MeasureAll)]
@@ -325,14 +332,16 @@ def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
                 else:
                     select |= 1 << j
             splits = bool(written.any())
-            idx = 0
-            for j in reversed(range(len(op.qubits))):
-                idx = idx + (key >= thresholds[(1 << j) - 1:][idx]) * (1 << j)
-            if select:
-                live = np.flatnonzero((idx & select) == 0)
-                subs = subs[live]
-                if splits:
-                    idx = idx[live]
+            if splits:
+                idx = 0
+                for j in reversed(range(len(op.qubits))):
+                    idx = idx + (key >= thresholds[(1 << j) - 1:][idx]) * (1 << j)
+                if select:
+                    live = np.flatnonzero((idx & select) == 0)
+                    subs, idx = subs[live], idx[live]
+            else:
+                # every bit is a select bit: a shot lives exactly on outcome 0
+                subs = subs[np.flatnonzero(key < thresholds[0])]
             survivors[event] += len(subs)
             event += 1
             if not len(subs):
