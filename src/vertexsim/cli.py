@@ -158,6 +158,7 @@ def _random_positive_state(dim: int, seed: int) -> np.ndarray:
 
 def _load_input_vector(path: Path, dim: int) -> np.ndarray:
     v = np.zeros(dim)
+    seen = set()
     for line in path.read_text().splitlines():
         line = line.strip()
         if not line or line.startswith("index"):
@@ -169,6 +170,9 @@ def _load_input_vector(path: Path, dim: int) -> np.ndarray:
             raise ValidationError(f"input file {path}: want 'index,value', got {line!r}") from exc
         if not 0 <= idx < dim:
             raise ValidationError(f"input file {path}: index {idx} out of range for {dim} amplitudes")
+        if idx in seen:
+            raise ValidationError(f"input file {path}: index {idx} appears twice")
+        seen.add(idx)
         v[idx] = val
     if not np.any(v):
         raise ValidationError(f"input file {path} holds no amplitudes")

@@ -7,8 +7,8 @@ matrix to be unitary; unitarity checks belong to the caller.
 
 A state is viewed as the C-order tensor of shape (2,) * n, where qubit q is
 axis n-1-q.  `target_axes` gives, once per (targets, n), the transposes that
-gather the target axes (MSB target first) at the front or the back; the
-kernels reuse them instead of working out axis moves on every call.
+gather the target axes (MSB target first) at the front or the back, and
+the kernels reuse them on every call.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ValidationError
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=1024)
 def target_axes(targets: tuple[int, ...], n_qubits: int) -> tuple[tuple[int, ...], ...]:
     """(front, back, undo_back): axis orders of the (2,) * n state tensor that
     move the target axes, MSB target first, to the front or to the back, the
@@ -39,10 +39,9 @@ def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: list[int] | tupl
     transpose restores the qubit order; cost O(2^n * 2^k).
     """
     _, back, undo_back = target_axes(tuple(targets), n_qubits)
-    tensor = amps.reshape((2,) * n_qubits).transpose(back)
-    shape = tensor.shape
-    tensor = tensor.reshape(-1, 1 << len(targets)) @ matrix.T
-    return np.ascontiguousarray(tensor.reshape(shape).transpose(undo_back)).reshape(-1)
+    cube = (2,) * n_qubits
+    tensor = amps.reshape(cube).transpose(back).reshape(-1, 1 << len(targets)) @ matrix.T
+    return np.ascontiguousarray(tensor.reshape(cube).transpose(undo_back)).reshape(-1)
 
 
 def check_targets(targets, n_qubits: int) -> None:

@@ -26,12 +26,11 @@ failed post-selection (the first measurement that sets a select bit), so
 only live shots draw, and a measurement that writes data bits splits a
 branch by the outcomes its live shots realize.  Post-selected circuits thus
 run on one branch, where a post-selection costs one draw, one comparison and
-one compaction per live shot: a measurement that writes no data bit keeps a
-shot exactly on outcome 0, that is when its key is below the first
-threshold, so it needs no outcome search.  `run_exact` walks the same
-branches with a weight in place of shots.  Gates and marginals move the
-target axes of the state tensor with transposes cached per (targets, n) in
-`gates.target_axes`, so a step of either runner costs its arithmetic.
+one compaction per live shot: a measurement that writes no data bit keeps
+the shots whose key is below the first threshold (outcome 0), with no
+outcome search.  `run_exact` walks the same branches with a weight in place
+of shots.  Gates and marginals move the state's axes with the transposes
+that `gates.target_axes` caches per (targets, n).
 """
 
 from __future__ import annotations
@@ -103,9 +102,7 @@ def _check_unitary(matrix: np.ndarray, k: int) -> None:
 def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
     """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index).
 
-    Not renormalized: on a unit state they sum to 1 up to rounding.  The
-    cached transpose of `target_axes` puts the measured axes first; the copy
-    of |amps|^2 it makes is summed row by row.
+    Not renormalized: on a unit state they sum to 1 up to rounding.
     """
     front = target_axes(tuple(qubits), n_qubits)[0]
     dens = np.abs(amps.reshape((2,) * n_qubits)) ** 2

@@ -114,6 +114,16 @@ def test_oversized_width_and_bad_floor_exit_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+def test_repeated_input_index_exits_2(tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    path.write_text("index,value\n0,0.5\n0,3\n")
+    assert run_cli("simulate", "--seed", "1", "--n", "2", "--mode", "exact",
+                   "--input-file", str(path), "--out", str(tmp_path)) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "index 0 appears twice" in line
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_simulate_insufficient_statistics_exit_code(tmp_path):
     rc = run_cli("simulate", "--c", "0.4", "--beta", "2", "--seed", "6", "--n", "3",
                  "--shots", "40", "--meaningful-floor", "100000", "--out", str(tmp_path))

@@ -34,6 +34,7 @@ from vertexsim.rng import stream_u64, substream_seed, substream_value, to_unit
 from vertexsim.simulator import _collapse_outcome, _marginal_probs
 
 from conftest import (
+    haar_unitary,
     mid_circuit_plan,
     mixed_plans,
     positive_state,
@@ -646,3 +647,35 @@ def test_run_shots_matches_reference_sampler(case, seed, small_chunk, fewer):
     head = run_shots(plan, state, fewer, seed)
     assert all(count <= counts.get(key, 0) for key, count in head.counts.items())
     assert all(a <= b for a, b in zip(head.survivors, survivors, strict=True))
+
+
+def test_pure_postselection_keeps_exactly_outcome_zero():
+    shots = 5000
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+
+    def postselect_then_read(gate):
+        return CircuitPlan(2, 2, [ApplyUnitary(gate, (1,)), MeasureAll((1,), (1,)),
+                                  ApplyUnitary(hadamard, (0,)), MeasureAll((0,), (0,))],
+                           n_data_bits=1)
+
+    # p0 = 1: the key is always below the first threshold, 2^53
+    hist = run_shots(postselect_then_read(np.eye(2)), basis_state(2, 0), shots, seed=4)
+    assert hist.survivors == (shots, shots)
+    assert hist.meaningful_shots == shots
+    # p0 = 0: the first threshold is 0, so no shot lives
+    hist = run_shots(postselect_then_read(X_GATE), basis_state(2, 0), shots, seed=4)
+    assert hist.meaningful_shots == 0
+    assert hist.counts == {}
+    assert hist.survivors == (0, 0)
+    # one measurement writes a data bit (q0 -> c0) and a select bit (q2 -> c2)
+    rng = np.random.default_rng(9)
+    plan = CircuitPlan(3, 3, [ApplyUnitary(haar_unitary(rng, 3), (0, 1, 2)),
+                              MeasureAll((2, 0), (2, 0)),
+                              ApplyUnitary(haar_unitary(rng, 2), (1, 0)),
+                              MeasureAll((1,), (1,))], n_data_bits=2)
+    state = basis_state(3, 0)
+    counts, meaningful, survivors = reference_shots(plan, state, 3000, 8)
+    for chunk_shots in (simulator.CHUNK_SHOTS, 7):
+        with mock.patch.object(simulator, "CHUNK_SHOTS", chunk_shots):
+            hist = run_shots(plan, state, 3000, 8)
+        assert (hist.counts, hist.meaningful_shots, hist.survivors) == (counts, meaningful, survivors)
