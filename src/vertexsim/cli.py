@@ -2,10 +2,13 @@
 
 Subcommands: gen-model, spectrum, simulate, estimate, export-circuit.
 The library returns records; this module turns them into JSON, CSV and SVG.
-Every command is deterministic given an explicit --seed; without one a seed
-is drawn from OS entropy once and recorded in the output metadata.  Exit
-codes: 0 success, 2 validation error, 3 insufficient statistics, 4 numerical
-failure.
+Every command reads its model from --model or generates one from --c, --beta
+and --seed; gen-model writes that model as canonical JSON.  --format exists
+only where a command writes more than one format: spectrum (csv, json),
+simulate (csv, json, svg) and estimate (json, svg).  Every command is
+deterministic given an explicit --seed; without one a seed is drawn from OS
+entropy once and recorded in the output metadata.  Exit codes: 0 success,
+2 validation error, 3 insufficient statistics, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ from .errors import (
     ValidationError,
 )
 from .experiments import (
+    DEFAULT_MEANINGFUL_FLOOR,
     build_t_plan,
     check_circuit_width,
     estimate_lambda1,
     simulated_t_action,
 )
 from .model import VertexModel, generate_model, model_from_json, model_to_json, r_matrix
-from .rng import stream_u64, to_unit
+from .rng import uniforms
 from .svgplot import Chart, render
 from .transfer import assemble_transfer, spectral_summary
 
@@ -68,48 +72,47 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"vertexsim {__version__}")
     sub = p.add_subparsers(required=True)
 
-    def add_model_source(sp, need_seed=True):
+    def add_model_source(sp, formats=()):
         sp.add_argument("--model", type=Path, help="model JSON file")
         sp.add_argument("--c", type=float, default=0.4, help="deterministic ramp strength")
         sp.add_argument("--beta", type=float, default=2.0, help="inverse temperature")
-        if need_seed:
-            sp.add_argument("--seed", type=int, help="RNG seed (drawn from entropy if omitted)")
+        sp.add_argument("--seed", type=int, help="RNG seed (drawn from entropy if omitted)")
         sp.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        sp.add_argument("--format", choices=["csv", "json", "svg"], action="append",
-                        help="restrict outputs to these formats (repeatable)")
+        if formats:
+            sp.add_argument("--format", choices=formats, action="append",
+                            help="restrict outputs to these formats (repeatable)")
 
-    g = sub.add_parser("gen-model", help="generate a model file")
+    g = sub.add_parser("gen-model", help="write the model (generated, or --model) as JSON")
     add_model_source(g)
-    g.add_argument("--energies-file", type=Path,
-                   help="pass an existing model file through to canonical JSON")
     g.set_defaults(func=cmd_gen_model)
 
     s = sub.add_parser("spectrum", help="spectral summary of the transfer operator")
-    add_model_source(s)
+    add_model_source(s, ("csv", "json"))
     s.add_argument("--n", type=int, required=True, help="number of lattice columns")
     s.add_argument("--method", choices=["power", "dense"], default="power")
     s.add_argument("--tol", type=float, default=1e-10)
     s.set_defaults(func=cmd_spectrum)
 
     m = sub.add_parser("simulate", help="simulate transfer blocks acting on a state")
-    add_model_source(m)
+    add_model_source(m, ("csv", "json", "svg"))
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--m", type=int, default=1, help="number of transfer blocks")
     m.add_argument("--shots", type=int, default=40_000)
     m.add_argument("--mode", choices=["deep", "refeed", "exact"], default="deep")
     m.add_argument("--input-file", type=Path, help="CSV of input amplitudes (index,value)")
-    m.add_argument("--meaningful-floor", type=int, default=1000)
+    m.add_argument("--meaningful-floor", type=int, default=DEFAULT_MEANINGFUL_FLOOR)
     m.set_defaults(func=cmd_simulate)
 
     e = sub.add_parser("estimate", help="estimate the eigenvalue ratio lambda_1")
-    add_model_source(e)
+    add_model_source(e, ("json", "svg"))
     e.add_argument("--n", type=int, required=True)
     e.add_argument("--shots", type=int, default=100_000)
     e.add_argument("--mode", choices=["deep", "exact"], default="deep",
                    help="'deep' uses the shot backend, 'exact' the projection backend")
-    e.add_argument("--inputs", type=int, default=1, help="number of random input states")
-    e.add_argument("--input-file", type=Path)
-    e.add_argument("--meaningful-floor", type=int, default=1000)
+    source = e.add_mutually_exclusive_group()
+    source.add_argument("--inputs", type=int, default=1, help="number of random input states")
+    source.add_argument("--input-file", type=Path, help="CSV of one input state (index,value)")
+    e.add_argument("--meaningful-floor", type=int, default=DEFAULT_MEANINGFUL_FLOOR)
     e.set_defaults(func=cmd_estimate)
 
     x = sub.add_parser("export-circuit", help="write the circuit in text form")
@@ -121,7 +124,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
     return secrets.randbits(62)
 
@@ -152,7 +155,7 @@ def _csv(header: str, rows) -> str:
 
 
 def _random_positive_state(dim: int, seed: int) -> np.ndarray:
-    v = to_unit(stream_u64(seed, dim))
+    v = uniforms(seed, dim)
     return v / np.linalg.norm(v)
 
 
@@ -180,13 +183,8 @@ def _load_input_vector(path: Path, dim: int) -> np.ndarray:
 
 
 def cmd_gen_model(args) -> int:
-    out = _outdir(args)
-    if args.energies_file is not None:
-        model = model_from_json(args.energies_file.read_text())
-    else:
-        seed = _resolve_seed(args)
-        model = generate_model(args.c, args.beta, seed)
-    _write(out / "model.json", model_to_json(model))
+    model = _load_model(args, _resolve_seed(args))
+    _write(_outdir(args) / "model.json", model_to_json(model))
     return 0
 
 
@@ -277,20 +275,15 @@ def cmd_estimate(args) -> int:
     model = _load_model(args, seed)
     dim = 2 ** (args.n + 1)
     backend = "exact" if args.mode == "exact" else "shot"
-    inputs: list[np.ndarray] = []
     if args.input_file is not None:
-        inputs.append(_load_input_vector(args.input_file, dim))
-    else:
-        for k in range(args.inputs):
-            inputs.append(_random_positive_state(dim, seed + 1 + k))
-    reports = []
-    for k, vec in enumerate(inputs):
-        reports.append(
-            estimate_lambda1(
-                model, args.n, vec, shots=args.shots, seed=seed + 7919 * (k + 1),
-                backend=backend, meaningful_floor=args.meaningful_floor,
-            )
-        )
+        inputs = [_load_input_vector(args.input_file, dim)]
+    else:  # drawn as each estimate runs, so the K inputs are never all in memory
+        inputs = (_random_positive_state(dim, seed + 1 + k) for k in range(args.inputs))
+    reports = [
+        estimate_lambda1(model, args.n, vec, shots=args.shots, seed=seed + 7919 * (k + 1),
+                         backend=backend, meaningful_floor=args.meaningful_floor)
+        for k, vec in enumerate(inputs)
+    ]
     out = _outdir(args)
     oracle = reports[0].oracle_lambda1
     if _wants(args, "json"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -289,13 +290,15 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
     """Iterate single transfer blocks until the vector stops moving.
 
     Returns the estimate of the dominant right eigenvector (dense basis,
-    positive, unit norm).  tol <= 0 disables the convergence test and runs
-    exactly max_steps refeed steps.  backend "exact" replaces histograms by
-    exact projection.
+    positive, unit norm).  tol must be a finite real number; tol <= 0
+    disables the convergence test and runs exactly max_steps refeed steps.
+    backend "exact" replaces histograms by exact projection.
     """
     check_circuit_width(n)
     shots = _backend_shots(backend, shots_per_step)
     require_positive_int("max_steps", max_steps)
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol):
+        raise ValidationError(f"tol must be a finite real number, got {tol!r}")
     plan = build_t_plan(svd_scaled(r_matrix(model)), n, 1)
     if start is None:
         vec = np.zeros(2 ** (n + 1))

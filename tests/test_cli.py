@@ -2,6 +2,7 @@ import hashlib
 import json
 
 import numpy as np
+import pytest
 
 from vertexsim import NumericalError, parse_circuit_text
 from vertexsim.cli import main
@@ -26,13 +27,13 @@ def test_gen_model_deterministic(tmp_path):
 
 def test_gen_model_passthrough(tmp_path):
     first = tmp_path / "first"
-    run_cli("gen-model", "--c", "0.4", "--beta", "2", "--seed", "9", "--out", str(first))
+    run_cli("gen-model", "--c", "0.4", "--beta", "2", "--seed", "5", "--out", str(first))
     second = tmp_path / "second"
+    # --model wins over --seed: the file passes through byte for byte
     assert run_cli(
-        "gen-model", "--energies-file", str(first / "model.json"), "--out", str(second)
+        "gen-model", "--model", str(first / "model.json"), "--seed", "9", "--out", str(second)
     ) == 0
-    assert json.loads((second / "model.json").read_text())["energies"] == \
-        json.loads((first / "model.json").read_text())["energies"]
+    assert (second / "model.json").read_bytes() == (first / "model.json").read_bytes()
 
 
 def test_gen_model_pure_random(tmp_path):
@@ -154,13 +155,18 @@ def test_estimate_input_validation(tmp_path):
     rc = run_cli("estimate", "--c", "0.4", "--beta", "2", "--seed", "11", "--n", "2",
                  "--inputs", "0", "--out", str(tmp_path))
     assert rc == 2
+    path = tmp_path / "input.csv"
 
-    def estimate(body):
-        path = tmp_path / "input.csv"
+    def estimate(body, *extra):
         path.write_text("index,value\n" + body)
         return run_cli("estimate", "--c", "0.4", "--beta", "2", "--seed", "11", "--n", "2",
-                       "--mode", "exact", "--input-file", str(path), "--out", str(tmp_path))
+                       "--mode", "exact", "--input-file", str(path), *extra,
+                       "--out", str(tmp_path))
 
+    with pytest.raises(SystemExit) as exc:  # --inputs and --input-file exclude each other
+        estimate("0,0.5\n", "--inputs", "5")
+    assert exc.value.code == 2
+    assert sorted(tmp_path.iterdir()) == [path]
     assert estimate("0,0.5\n3,0.5\n7,0.7\n") == 0
     assert estimate("0 0.5\n") == 2  # no comma
     assert estimate("99,0.5\n") == 2  # past the 8 amplitudes at n=2
@@ -180,6 +186,35 @@ def test_degenerate_estimate_is_written_as_null(tmp_path):
     (entry,) = json.loads(text)["estimates"]
     assert list(entry) == ["f0", "f1", "estimate", "oracle_lambda1", "shots_used",
                            "psi0_iterations", "degenerate"]
+
+
+# small seeded runs of every command; each run passes --format once
+_FORMAT_RUNS = {
+    "gen-model": (),
+    "spectrum": ("--n", "2"),
+    "simulate": ("--n", "2", "--shots", "8000", "--meaningful-floor", "100"),
+    "estimate": ("--n", "2", "--shots", "8000", "--meaningful-floor", "100"),
+    "export-circuit": ("--n", "2"),
+}
+_FORMATS_WRITTEN = {"spectrum": ("csv", "json"), "simulate": ("csv", "json", "svg"),
+                    "estimate": ("json", "svg")}
+
+
+@pytest.mark.parametrize("command, fmt", [
+    *((command, fmt) for command, fmts in _FORMATS_WRITTEN.items() for fmt in fmts),
+    ("spectrum", "svg"), ("estimate", "csv"), ("gen-model", "json"), ("export-circuit", "csv"),
+])
+def test_format_selects_the_files_written(tmp_path, command, fmt):
+    args = (command, *_FORMAT_RUNS[command], "--seed", "11", "--format", fmt,
+            "--out", str(tmp_path / "out"))
+    if fmt in _FORMATS_WRITTEN.get(command, ()):
+        assert run_cli(*args) == 0
+        assert {p.suffix for p in (tmp_path / "out").iterdir()} == {"." + fmt}
+    else:
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*args)
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
 
 def test_export_circuit_round_trips(tmp_path):

@@ -180,6 +180,16 @@ _PSI = positive_state(8, 1)
     pytest.param(lambda: power_iterate_psi0(_MODEL, 2, max_steps=0, backend="exact"),
                  id="psi0-steps0"),
     pytest.param(lambda: power_iterate_psi0(_MODEL, 2.5, backend="exact"), id="psi0-n2.5"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, tol=math.nan, backend="exact"),
+                 id="psi0-tolnan"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, tol=math.inf, backend="exact"),
+                 id="psi0-tolinf"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, tol=True, backend="exact"),
+                 id="psi0-tolTrue"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, tol="a", backend="exact"),
+                 id="psi0-tola"),
+    pytest.param(lambda: power_iterate_psi0(_MODEL, 2, tol=None, backend="exact"),
+                 id="psi0-tolNone"),
     pytest.param(lambda: estimate_lambda1(_MODEL, 2, _PSI, psi0_iterations=0), id="estimate-it0"),
     pytest.param(lambda: convergence_report(_MODEL, [2], [-1]), id="report-m-1"),
     pytest.param(lambda: convergence_report(_MODEL, [2], [0.0, 1]), id="report-m0.0"),
