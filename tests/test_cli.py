@@ -1,5 +1,6 @@
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -311,3 +312,32 @@ def test_cli_outputs_are_pinned(tmp_path):
         assert run_cli(*args, "--c", "0.4", "--beta", "2", "--out", str(out)) == 0
         written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
         assert written == digests, args
+
+
+# Every number in the files whose bytes follow the last bits of the gate's
+# factorization, pinned to 1e-12 relative before the factorization moved to
+# numpy's SVD: a change of SVD routine may move the digests above, not these.
+PINNED_VALUES = json.loads((Path(__file__).parent / "cli_values.json").read_text())
+
+
+def file_numbers(path: Path) -> list[float]:
+    """The numbers of a written file, in file order (JSON: the fields that vary)."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        return [float(x) for line in text.splitlines()[1:] for x in line.split(",")]
+    if path.suffix == ".txt":  # circuit text: the rows under each `matrix` header
+        return [float(x) for line in text.splitlines() if not line[0].isalpha()
+                for x in line.split()]
+    meta = json.loads(text)
+    if "estimates" in meta:
+        return [e[key] for e in meta["estimates"] for key in ("f0", "f1", "estimate")]
+    return [meta["keep_probability"]]
+
+
+def test_cli_output_values_are_pinned(tmp_path):
+    for k, entry in enumerate(PINNED_VALUES):
+        out = tmp_path / str(k)
+        assert run_cli(*entry["args"], "--c", "0.4", "--beta", "2", "--out", str(out)) == 0
+        for name, want in entry["files"].items():
+            np.testing.assert_allclose(file_numbers(out / name), want, rtol=1e-12, atol=0,
+                                       err_msg=f"{entry['args']} {name}")
