@@ -7,7 +7,6 @@ from .dilation import (
     TerashimaStep,
     acceptance_probability,
     dilate,
-    jacobi_svd,
     svd_scaled,
     terashima_decomposition,
 )

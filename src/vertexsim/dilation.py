@@ -1,8 +1,9 @@
 """Singular value decomposition of the Boltzmann gate and its unitary lift.
 
-The gate factorizes as R = U * diag(s) * V with U, V orthogonal.  Scaling by
-the top singular value s0 leaves a diagonal d with d[0] = 1 >= d[1] >= ... >=
-d[3] >= 0, which lifts to the orthogonal 8x8 block matrix
+The gate factorizes as R = U * diag(s) * V with U, V orthogonal: numpy's
+LAPACK SVD under a fixed sign gauge, checked against R.  Scaling by the top
+singular value s0 leaves a diagonal d with d[0] = 1 >= d[1] >= ... >= d[3] >=
+0, which lifts to the orthogonal 8x8 block matrix
 
     [[ D,            sqrt(I - D^2) ],
      [ sqrt(I - D^2),          -D ]]
@@ -25,71 +26,6 @@ import numpy as np
 from .errors import NumericalError, ValidationError
 from .model import RMatrix
 
-_JACOBI_EPS = 1e-15
-_JACOBI_SWEEPS = 60
-
-
-def jacobi_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-sided Jacobi SVD of a small square real matrix: a = u @ diag(s) @ v.
-
-    Right rotations orthogonalize the columns of the working copy until every
-    off-diagonal Gram entry is negligible relative to the column norms; the
-    sign gauge makes the first nonzero entry of each left singular vector
-    positive.  Exact-arithmetic path for 4x4 inputs, no LAPACK involved.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise ValidationError(f"jacobi_svd expects a square matrix, got {a.shape}")
-    b = a.copy()
-    v = np.eye(n)
-    for _ in range(_JACOBI_SWEEPS):
-        rotated = False
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                bi, bj = b[:, i], b[:, j]
-                gii, gjj, gij = float(bi @ bi), float(bj @ bj), float(bi @ bj)
-                if abs(gij) <= _JACOBI_EPS * math.sqrt(gii * gjj) or abs(gij) < 1e-280:
-                    continue
-                rotated = True
-                tau = (gjj - gii) / (2.0 * gij)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = c * t
-                b[:, i], b[:, j] = c * bi - s * bj, s * bi + c * bj
-                vi, vj = v[:, i].copy(), v[:, j].copy()
-                v[:, i], v[:, j] = c * vi - s * vj, s * vi + c * vj
-        if not rotated:
-            break
-
-    s = np.linalg.norm(b, axis=0)
-    order = np.argsort(-s)
-    s = s[order]
-    b = b[:, order]
-    v = v[:, order]
-    u = np.zeros((n, n))
-    for k in range(n):
-        if s[k] > n * _JACOBI_EPS * max(s[0], 1.0):
-            u[:, k] = b[:, k] / s[k]
-        else:
-            # null column: extend to an orthonormal basis
-            s[k] = 0.0
-            for cand in range(n):
-                e = np.zeros(n)
-                e[cand] = 1.0
-                e -= u[:, :k] @ (u[:, :k].T @ e)
-                nrm = np.linalg.norm(e)
-                if nrm > 0.5:
-                    u[:, k] = e / nrm
-                    break
-    for k in range(n):
-        col = u[:, k]
-        lead = col[np.nonzero(np.abs(col) > 1e-14)[0][0]] if np.any(np.abs(col) > 1e-14) else 1.0
-        if lead < 0:
-            u[:, k] = -col
-            v[:, k] = -v[:, k]
-    return u, s, v.T
-
 
 @dataclass(frozen=True)
 class SVDFactors:
@@ -105,8 +41,16 @@ class SVDFactors:
 
 
 def svd_scaled(r: RMatrix, tol: float = 1e-12) -> SVDFactors:
-    """Factorize a Boltzmann gate and rescale by its top singular value."""
-    u, s, v = jacobi_svd(r.entries)
+    """Factorize a Boltzmann gate and rescale by its top singular value.
+
+    numpy's SVD fixes each singular vector pair only up to a common sign; the
+    gauge here makes the first entry above 1e-14 of each column of u positive
+    and flips the matching row of v, so the factors are deterministic.
+    """
+    u, s, v = np.linalg.svd(r.entries)
+    lead = u[np.argmax(np.abs(u) > 1e-14, axis=0), np.arange(4)]
+    flip = np.where(lead < 0, -1.0, 1.0)
+    u, v = u * flip, v * flip[:, None]
     if s[0] <= 0:
         raise NumericalError("Boltzmann gate has zero top singular value")
     d = s / s[0]

@@ -227,6 +227,13 @@ def test_export_circuit_round_trips(tmp_path):
     assert plan.count_postselects() == 6
 
 
+def test_export_circuit_factorizes_a_steep_gate(tmp_path):
+    # a cold, strongly ramped gate whose factors once missed the 1e-12
+    # reconstruction check (exit 4)
+    assert run_cli("export-circuit", "--c", "1", "--beta", "8", "--seed", "22", "--n", "2",
+                   "--out", str(tmp_path)) == 0
+
+
 def test_model_file_flows_through_commands(tmp_path):
     run_cli("gen-model", "--c", "0.4", "--beta", "2", "--seed", "5", "--out", str(tmp_path))
     model_file = tmp_path / "model.json"
@@ -274,21 +281,21 @@ PINNED_OUTPUTS = {
     },
     ("simulate", "--seed", "6", "--n", "2", "--m", "2", "--shots", "4000",
      "--meaningful-floor", "100"): {
-        "action.csv": "f19ad11e58c34e2571d837fed617ba089fa6380a8cc777488d639bf4756403c6",
+        "action.csv": "40019b4849534512dc8ade1420162afd60b503d3bfad20c63f108dfbc7219d5e",
         "histogram.csv": "110f20ca7f58b5c58cc378108897b91cc9d77b084af1629addb2e037ab14c29e",
         "simulate.json": "b3e8b656381222f26c15f5f00c4dff23bc35d82e23cece2aca5c83049ae46f0c",
         "simulate.svg": "d79c31ecd2a8c76cfbdf114e9b01a9f7b97dbc13afd0a7647fc7b0eddf8da227",
     },
     ("simulate", "--seed", "6", "--n", "2", "--m", "2", "--mode", "refeed", "--shots", "4000",
      "--meaningful-floor", "100"): {
-        "action.csv": "4fcd4cc321147c40ab73d5e5bf782d8afb6f7ab6dcf7d620cb4284c9bd5f18d2",
+        "action.csv": "8fcedc51ece60d666fd9a7bf1f07790a81a285f018571b6b47c10436dc7fbcf7",
         "histogram.csv": "1fe57293999ab17c6b2f8b92e6b8d39ecd956de24fb2d8046814b945d2d84857",
         "simulate.json": "e205d02b12c1f4d2f70a66e3055afc68ef988cff0c1aa6443540708c68184e86",
         "simulate.svg": "4ce7f0860b5215402ce4de1c5cf960589a80743cea5a6ac84b7c2cf57deec70d",
     },
     ("simulate", "--seed", "6", "--n", "3", "--mode", "exact"): {
-        "action.csv": "46db26dfac62506609220f63daec17482479eebbeba05130c0e22ff798b86a25",
-        "simulate.json": "5d89256c407126ef4ef7a48935bd1ae0222cfa3bdd1d715e2b464f228d83239c",
+        "action.csv": "debee95e440dd92809ea14544cdae35b28102b1373b835e6f9a0622480c746f7",
+        "simulate.json": "1d8e4cb10bbdef6b54e8071c59d8364aa5be5cc898165d7e65de1e291e420539",
         "simulate.svg": "b91a45db96bf873ecc8345e18faf16ea98c9600b0c620ef2a584f888f6226505",
     },
     ("estimate", "--seed", "11", "--n", "2", "--shots", "8000", "--inputs", "2",
@@ -297,11 +304,11 @@ PINNED_OUTPUTS = {
         "estimate.svg": "49515898dd2a92d7a012bc407a08686cc194dc6d2d0a819d77bc6ca181cdbd96",
     },
     ("estimate", "--seed", "11", "--n", "3", "--mode", "exact"): {
-        "estimate.json": "6c69a4ab8cbcb010a272a4b11f6653c9f8c989ce0e493905b19f0d2e9d9c1a27",
+        "estimate.json": "141c8af72a8d0978bba4e96379312c5057d69f1002848380e3397b53336d0341",
         "estimate.svg": "dab374c73ce3322507e39f5c05898e58ba7b29d769c3b54b0306731e6e536f1b",
     },
     ("export-circuit", "--seed", "2", "--n", "3", "--m", "2"): {
-        "circuit.txt": "42a1884386ad7a105b8b753b4eac55621a873f50b2449ec170384fc944d8534d",
+        "circuit.txt": "bc9216371d4c4d01ee704390cabaa302436f3069589807dac3b3c5ee47827aa7",
     },
 }
 

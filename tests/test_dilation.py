@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hs
 
 from vertexsim import (
     NumericalError,
@@ -8,7 +10,6 @@ from vertexsim import (
     acceptance_probability,
     dilate,
     generate_model,
-    jacobi_svd,
     r_matrix,
     svd_scaled,
     terashima_decomposition,
@@ -25,14 +26,15 @@ def test_fixture_singular_values(fixture_r):
         assert abs(got - want) < 5e-4  # reference prints four decimals
 
 
-def test_diagonal_matrix_svd_is_trivial():
-    # a diagonal input fails the strictly-positive gate invariant, so the
-    # factorization core is exercised directly
-    u, s, v = jacobi_svd(np.diag([4.0, 3.0, 2.0, 1.0]))
-    np.testing.assert_allclose(s / s[0], [1.0, 0.75, 0.5, 0.25], atol=1e-15)
-    assert s[0] == 4.0
-    np.testing.assert_allclose(u, np.eye(4), atol=1e-14)
-    np.testing.assert_allclose(v, np.eye(4), atol=1e-14)
+def test_kronecker_gate_svd_is_analytic():
+    # kron([[2,1],[1,2]], [[3,1],[1,3]]) is symmetric positive definite with
+    # eigenvalues 12, 6, 4, 2 on the Hadamard basis, so u = v.T = H/2
+    f = svd_scaled(RMatrix(entries=np.kron([[2.0, 1.0], [1.0, 2.0]], [[3.0, 1.0], [1.0, 3.0]])))
+    np.testing.assert_allclose(f.d, [1.0, 1 / 2, 1 / 3, 1 / 6], rtol=1e-14)
+    assert abs(f.d0_raw - 12.0) < 1e-13
+    h = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]).T / 2
+    np.testing.assert_allclose(f.u, h, atol=1e-14)
+    np.testing.assert_allclose(f.v, h.T, atol=1e-14)
 
 
 def test_rank_one_analytic_case():
@@ -53,22 +55,38 @@ def test_factors_reconstruct_and_are_orthogonal():
         assert np.all(np.diff(f.d) <= 1e-15)  # descending
 
 
-def test_jacobi_matches_lapack_singular_values():
-    rng = np.random.default_rng(3)
-    for _ in range(25):
-        a = rng.normal(size=(4, 4))
-        _, s, _ = jacobi_svd(a)
-        np.testing.assert_allclose(s, np.linalg.svd(a, compute_uv=False), atol=1e-12)
+def leads_are_positive(u: np.ndarray) -> bool:
+    """The sign gauge: the first entry above 1e-14 of every column is positive."""
+    return all(col[np.abs(col) > 1e-14][0] > 0 for col in u.T)
 
 
-def test_jacobi_sign_gauge_is_deterministic():
-    a = np.diag([2.0, 1.0, 0.5, 0.25]) * -1.0
-    u, s, v = jacobi_svd(a)
-    # first nonzero entry of every left singular vector is nonnegative
-    for k in range(4):
-        lead = u[:, k][np.abs(u[:, k]) > 1e-14][0]
-        assert lead > 0
-    np.testing.assert_allclose(u @ np.diag(s) @ v, a, atol=1e-14)
+def test_svd_sign_gauge_is_deterministic():
+    for seed in range(10):
+        R = r_matrix(generate_model(0.4, 2.0, seed))
+        f = svd_scaled(R)
+        assert leads_are_positive(f.u)
+        # the gauge only flips pairs: each rank-one term of LAPACK's SVD is kept
+        u, _, v = np.linalg.svd(R.entries)
+        for k in range(4):
+            np.testing.assert_allclose(np.outer(f.u[:, k], f.v[k]), np.outer(u[:, k], v[k]),
+                                       atol=1e-14)
+        g = svd_scaled(R)
+        assert np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
+
+
+@settings(max_examples=200)
+@given(c=hs.sampled_from([0.0, 0.4, 1.0, 2.0]), beta=hs.sampled_from([0.5, 2.0, 4.0, 8.0]),
+       seed=hs.integers(0, 2 ** 64 - 1))
+@example(c=1.0, beta=8.0, seed=22)  # failed the 1e-12 reconstruction check before LAPACK
+def test_svd_scaled_factorizes_every_generated_gate(c, beta, seed):
+    R = r_matrix(generate_model(c, beta, seed))
+    f = svd_scaled(R)
+    assert np.linalg.norm(f.reconstruct() - R.entries) / np.linalg.norm(R.entries) <= 1e-12
+    assert np.max(np.abs(f.u.T @ f.u - np.eye(4))) <= 1e-12
+    assert np.max(np.abs(f.v @ f.v.T - np.eye(4))) <= 1e-12
+    assert f.d[0] == 1.0
+    assert np.all(np.diff(f.d) <= 0) and f.d[-1] >= 0
+    assert leads_are_positive(f.u)
 
 
 def test_dilate_identity_and_projector_limits():
