@@ -119,6 +119,13 @@ def model_to_json(model: VertexModel) -> str:
     return json.dumps(payload, indent=2)
 
 
+def _json_number(value) -> float:
+    """float() of a model-file field; JSON true and false are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def model_from_json(text: str) -> VertexModel:
     """Parse the model file format.
 
@@ -132,12 +139,13 @@ def model_from_json(text: str) -> VertexModel:
     if not isinstance(payload, dict) or "beta" not in payload:
         raise ValidationError("model file must be a JSON object that supplies 'beta'")
     try:
-        beta = float(payload["beta"])
-        c = float(payload.get("c", 0.0))
+        beta = _json_number(payload["beta"])
+        c = _json_number(payload.get("c", 0.0))
         seed = payload.get("seed")
         if seed is not None:
             _u64(seed)  # the package's seed rule: integers only, bools rejected
-        energies = tuple(float(e) for e in payload["energies"]) if "energies" in payload else None
+        energies = (tuple(_json_number(e) for e in payload["energies"])
+                    if "energies" in payload else None)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"model file has a malformed field: {exc}") from exc
     if energies is not None:

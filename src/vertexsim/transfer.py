@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 
@@ -260,8 +261,8 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     that of (Lambda_0, Psi_0^R), `residual_deflation` that of the dominant
     Ritz pair behind |Lambda_1| (0.0 for the dense method).
     """
-    if not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be positive and finite, got {tol!r}")
+    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
+        raise ValidationError(f"tol must be a positive finite real number, got {tol!r}")
     require_positive_int("max_iterations", max_iterations)
     if method == "dense":
         return _dense_summary(t, tol)

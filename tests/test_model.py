@@ -164,6 +164,10 @@ BAD_MODEL_FIELDS = [
     {"beta": 2.0, "c": 0.4, "seed": 1.5},
     {"beta": 2.0, "c": 0.4, "seed": 1.9},
     {"beta": 2.0, "c": 0.4, "seed": True},
+    {"beta": True, "c": 0.4, "seed": 3},
+    {"beta": 2.0, "c": True, "seed": 3},
+    {"beta": 2.0, "energies": [True] + [1.0] * 15},
+    {"beta": 2.0, "energies": [1.0] * 15 + [False]},
 ]
 
 

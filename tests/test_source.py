@@ -13,6 +13,14 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "vertexsim"
 UNUSED_ALLOWED = {("transfer", "apply_matrix")}
 
 
+def test_suite_imports_the_package_from_this_source_tree():
+    # pyproject.toml puts src/ on pytest's path, so an installed copy of the
+    # package is never the one under test
+    import vertexsim
+
+    assert Path(vertexsim.__file__).resolve().parent == SRC
+
+
 def unused_imports(source: str) -> list[str]:
     """Names a module imports (outside `from __future__`) and never reads."""
     tree = ast.parse(source)

@@ -274,7 +274,7 @@ def test_ratio_is_scale_free():
 def test_spectral_summary_rejects_bad_tolerance():
     t = assemble_transfer(ones_r(), 2)
     for method in ("power", "dense"):
-        for tol in (0.0, -1e-10, math.nan, math.inf):
+        for tol in (0.0, -1e-10, math.nan, math.inf, True, "a", None):
             with pytest.raises(ValidationError):
                 spectral_summary(t, tol=tol, method=method)
         for max_iterations in (0, -3, 2.5, True):
