@@ -120,8 +120,8 @@ def model_to_json(model: VertexModel) -> str:
 
 
 def _json_number(value) -> float:
-    """float() of a model-file field; JSON true and false are not numbers."""
-    if isinstance(value, bool):
+    """A model-file number as a float; JSON strings, true and false are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"expected a number, got {value!r}")
     return float(value)
 

@@ -168,6 +168,8 @@ BAD_MODEL_FIELDS = [
     {"beta": 2.0, "c": True, "seed": 3},
     {"beta": 2.0, "energies": [True] + [1.0] * 15},
     {"beta": 2.0, "energies": [1.0] * 15 + [False]},
+    {"beta": "2", "c": 0.4, "seed": 3},
+    {"beta": 2.0, "energies": "0123456789012345"},
 ]
 
 
