@@ -48,8 +48,7 @@ def svd_scaled(r: RMatrix, tol: float = 1e-12) -> SVDFactors:
     and flips the matching row of v, so the factors are deterministic.
     """
     u, s, v = np.linalg.svd(r.entries)
-    lead = u[np.argmax(np.abs(u) > 1e-14, axis=0), np.arange(4)]
-    flip = np.where(lead < 0, -1.0, 1.0)
+    flip = np.sign(u[np.argmax(np.abs(u) > 1e-14, axis=0), np.arange(4)])
     u, v = u * flip, v * flip[:, None]
     if s[0] <= 0:
         raise NumericalError("Boltzmann gate has zero top singular value")
