@@ -336,6 +336,8 @@ def file_numbers(path: Path) -> list[float]:
         return [float(x) for line in text.splitlines() if not line[0].isalpha()
                 for x in line.split()]
     meta = json.loads(text)
+    if "psi0_right" in meta:
+        return [meta["lambda0"], meta["lambda1_abs"], meta["ratio"], *meta["psi0_right"]]
     if "estimates" in meta:
         return [e[key] for e in meta["estimates"] for key in ("f0", "f1", "estimate")]
     return [meta["keep_probability"]]

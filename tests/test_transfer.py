@@ -237,6 +237,32 @@ def test_spectral_goldens(c, seed, n, lambda0, ratio, iterations):
     assert abs(s.ratio - spectral_summary(t, method="dense").ratio) < 1e-10
 
 
+# (c, seed, n, lambda0, ratio) of the dense backend: SPECTRAL_GOLDENS, and the
+# models behind the experiment and CLI goldens that carry an oracle number
+DENSE_SPECTRAL_GOLDENS = [
+    (0.4, 7, 9, 0.037704954810838305, 0.056036632741361975),
+    (0.0, 0, 5, 11.26029364223763, 0.11720441047149353),
+    (0.4, 2, 6, 0.015313578823075564, 0.07067964960952265),
+    (0.4, 7, 2, 0.483171670108638, 0.07555893258129114),
+    (0.4, 7, 3, 0.3353762993200498, 0.06936964955145553),
+    (0.4, 7, 4, 0.23296820028651916, 0.06515994187542364),
+    (0.4, 11, 2, 0.5518872761709439, 0.09277542371190389),
+    (0.4, 11, 3, 0.4100368242150723, 0.10281924446738701),
+]
+
+
+@pytest.mark.parametrize("c, seed, n, lambda0, ratio", DENSE_SPECTRAL_GOLDENS)
+def test_dense_spectral_goldens(c, seed, n, lambda0, ratio):
+    t = assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n)
+    s = spectral_summary(t, method="dense")
+    assert abs(s.lambda0 - lambda0) <= 1e-12 * lambda0
+    assert abs(s.ratio - ratio) <= 1e-12 * ratio
+    # the power method agrees to well inside its tolerance
+    p = spectral_summary(t)
+    assert abs(p.lambda0 - lambda0) <= 1e-9 * lambda0
+    assert abs(p.ratio - ratio) <= 1e-9 * ratio
+
+
 def test_spectral_phase_counts():
     phases = []
     for c, seed, n, *_ in SPECTRAL_GOLDENS:
