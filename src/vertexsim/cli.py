@@ -44,10 +44,9 @@ from .rng import uniforms
 from .svgplot import Chart, render
 from .transfer import assemble_transfer, spectral_summary
 
-# spectrum.json keys in the order written; `iterations` is a property.
+# spectrum.json keys in the order written
 _SPECTRUM_KEYS = (
-    "lambda0", "lambda1_abs", "ratio", "residual", "residual_deflation", "iterations",
-    "iterations_right", "iterations_left", "iterations_deflation", "widenings", "method",
+    "lambda0", "lambda1_abs", "ratio", "residual", "residual_lambda1", "iterations", "method",
 )
 
 

@@ -4,7 +4,8 @@ ValidationError covers bad user input (CLI exit code 2), the statistics and
 numerics errors map to exit codes 3 and 4 respectively.
 """
 
-from numbers import Integral
+import math
+from numbers import Integral, Real
 
 
 class VertexSimError(Exception):
@@ -51,3 +52,9 @@ def require_positive_int(name: str, value) -> None:
     """Raise ValidationError unless value is an integer >= 1 (bools excluded)."""
     if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+
+
+def require_positive_real(name: str, value) -> None:
+    """Raise ValidationError unless value is a real number in (0, inf) (bools and nan excluded)."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be a positive finite real number, got {value!r}")

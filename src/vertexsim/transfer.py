@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Real
 
 import numpy as np
 
@@ -34,9 +33,10 @@ from .errors import (
     NumericalError,
     ValidationError,
     require_positive_int,
+    require_positive_real,
 )
-# unused here since the row product stopped calling it; perfbench's tracer test
-# still expects this binding (see ROADMAP item 2)
+# unused here since the row product stopped calling it; perfbench's tracer
+# wraps this binding and its tests expect it to exist
 from .gates import apply_matrix  # noqa: F401
 from .model import RMatrix, VertexModel
 from .rng import uniforms
@@ -44,6 +44,7 @@ from .rng import uniforms
 DENSE_CAP_QUBITS = 13  # N + 1 <= 13: dense storage grows as 4^(N+1)
 ENUMERATION_BUDGET = 1 << 26
 _ASSEMBLY_BLOCK = 256  # identity columns per sweep in `entries`; bounds the temporaries
+KRYLOV_DIM = 30  # Arnoldi basis vectors per restart cycle, capped at dim
 
 
 @dataclass(frozen=True)
@@ -102,22 +103,22 @@ class TransferOperator:
 
 @dataclass(frozen=True)
 class SpectralSummary:
+    """Lambda_0, |Lambda_1|, their ratio and Psi_0^R, as `spectral_summary` finds them.
+
+    `residual` and `residual_lambda1` are the Ritz residuals, relative to
+    Lambda_0, of (Lambda_0, Psi_0^R) and of the pair behind |Lambda_1|;
+    the dense method reports the former's true residual and 0.0 for the
+    latter.  `iterations` counts the matvecs with T (0 for the dense method).
+    """
+
     lambda0: float
     lambda1_abs: float
     ratio: float
     psi0_right: np.ndarray
     residual: float
-    residual_deflation: float = 0.0
-    iterations_right: int = 0
-    iterations_left: int = 0
-    iterations_deflation: int = 0
-    widenings: int = 0
+    residual_lambda1: float = 0.0
+    iterations: int = 0
     method: str = "power"
-
-    @property
-    def iterations(self) -> int:
-        """Matvec iterations over all three power-method phases."""
-        return self.iterations_right + self.iterations_left + self.iterations_deflation
 
 
 def assemble_transfer(r: RMatrix, n: int) -> TransferOperator:
@@ -174,95 +175,74 @@ def _row_sweep(g: np.ndarray, n: int, x: np.ndarray, reverse: bool) -> np.ndarra
     return y.reshape(x.shape)
 
 
-def _power_dominant(matvec, dim: int, tol: float, max_iterations: int):
-    """Power iteration for the dominant (Perron) eigenpair of a positive map."""
-    v = np.full(dim, dim ** -0.5)
-    best = math.inf
-    for it in range(1, max_iterations + 1):
-        w = matvec(v)
-        lam = float(v @ w)
-        nrm = float(np.linalg.norm(w))
-        if nrm == 0.0:
-            raise ConvergenceError("operator annihilated the iterate", best)
-        resid = float(np.linalg.norm(w - lam * v)) / abs(lam)
-        best = min(best, resid)
-        if resid < tol:
-            return lam, v, resid, it
-        v = w / nrm
-    raise ConvergenceError(f"power iteration did not converge in {max_iterations} steps", best)
+def _arnoldi_top(matvec, dim: int, tol: float, max_iterations: int):
+    """The two leading Ritz pairs of T by explicitly restarted Arnoldi.
 
-
-def _deflated_second(matvec, dim: int, lam0: float, psi_r: np.ndarray, psi_l: np.ndarray,
-                     tol: float, max_iterations: int):
-    """|Lambda_1| by block subspace iteration on T with (lam0, psi_r, psi_l) deflated.
-
-    The deflation is the rank-one update T - lam0 psi_r psi_l^T / (psi_l . psi_r),
-    applied to a real dim x block array.  Each iteration costs one block
-    matvec: its product is both the Rayleigh block of this iteration and the
-    iterate of the next, and the Ritz residual follows from it by linearity.
-    Widening the block costs one extra block matvec.
-
-    Convergence is judged on the dominant Ritz pair alone (its residual and
-    the drift of its magnitude), so clustered or complex second eigenvalues
-    inside the block do not stall the test; if the residual stagnates the
-    block is widened to swallow the cluster.  Returns the magnitude, its
-    residual, the iteration count and the number of widenings.
+    Each cycle grows an orthonormal Krylov basis Q of up to KRYLOV_DIM
+    vectors, Gram-Schmidt run twice per step, and the Hessenberg matrix
+    H = Q^T T Q.  A Ritz pair (theta, Q y) of H has the residual
+    |H[m, m-1] y[m-1]|.  A basis that spans R^dim (always when dim <=
+    KRYLOV_DIM) or a step that leaves nothing to normalize is invariant
+    under T: its Ritz values are exact and the iteration ends.  Otherwise
+    the next cycle starts from the real span of the two leading Ritz
+    vectors.  The start vector is pseudo-random, not flat: a flat start
+    lies in the spin-flip-even sector of a spin-flip-symmetric model and
+    never sees an odd Lambda_1.  Returns the two leading Ritz values, the
+    real Ritz vector of the first, both residuals relative to |theta_0| and
+    the matvec count.
     """
-    scale = lam0 / (psi_l @ psi_r)
-
-    def defl(x):
-        return matvec(x) - np.outer(psi_r, scale * (psi_l @ x))
-
-    block = min(4, dim - 1)
-    z = defl(np.linalg.qr(uniforms(29, dim * block).reshape(dim, block) - 0.5)[0])
+    k = min(KRYLOV_DIM, dim)
+    q = np.empty((k + 1, dim))
+    v = uniforms(29, dim) + 0.5
+    used = 0
     best = math.inf
-    lam1 = math.inf
-    last_resid = math.inf
-    stall = 0
-    widenings = 0
-    for it in range(1, max_iterations + 1):
-        if float(np.linalg.norm(z)) <= tol * abs(lam0):
-            # deflated operator numerically vanishes on the block: rank-one regime
-            return float(np.linalg.norm(z)) / math.sqrt(block), 0.0, it, widenings
-        q, _ = np.linalg.qr(z)
-        z = defl(q)
-        w, vecs = np.linalg.eig(q.T @ z)
-        j = int(np.argmax(np.abs(w)))
-        mu, x = w[j], vecs[:, j]
-        resid = float(np.linalg.norm(z @ x - mu * (q @ x))) / abs(lam0)
-        best = min(best, resid)
-        new = float(abs(mu))
-        drift = abs(new - lam1) / abs(lam0) if math.isfinite(lam1) else math.inf
-        lam1 = new
-        if resid < tol and drift < tol:
-            return lam1, resid, it, widenings
-        stall = stall + 1 if resid > 0.5 * last_resid else 0
-        last_resid = resid
-        if stall >= 40 and block < min(16, dim - 1):
-            block = min(2 * block, 16, dim - 1)
-            fresh = uniforms(31 + block, dim * block).reshape(dim, block) - 0.5
-            z = defl(np.linalg.qr(np.hstack([q, fresh]))[0][:, :block])
-            widenings += 1
-            stall = 0
-            last_resid = math.inf
-    raise ConvergenceError(
-        f"deflated subspace iteration did not converge in {max_iterations} steps", best
-    )
+    while used < max_iterations:
+        m = min(k, max_iterations - used)
+        h = np.zeros((m + 1, m))
+        q[0] = v / np.linalg.norm(v)
+        for j in range(m):
+            w = matvec(q[j])
+            norms = []
+            for _ in range(2):
+                c = q[:j + 1] @ w
+                w -= c @ q[:j + 1]
+                h[:j + 1, j] += c
+                norms.append(np.linalg.norm(w))
+            if norms[1] <= 0.5 * norms[0]:
+                # the second pass removed most of w: it was rounding error
+                # inside span(Q), so span(Q) is invariant (Kahan's test)
+                m = j + 1
+                break
+            h[j + 1, j] = norms[1]
+            q[j + 1] = w / norms[1]
+        used += m
+        theta, y = np.linalg.eig(h[:m, :m])
+        top = np.argsort(-np.abs(theta))[:2]
+        theta, y = theta[top], y[:, top]
+        resid = np.abs(h[m, m - 1] * y[m - 1]) / abs(theta[0])
+        worst = float(resid.max()) if m > 1 else math.inf
+        if worst < tol:
+            return theta, y[:, 0].real @ q[:m], resid, used
+        best = min(best, worst)
+        v = (y[:, 0].real + y[:, -1].real + y[:, -1].imag) @ q[:m]
+    raise ConvergenceError(f"Arnoldi did not converge in {max_iterations} matvecs", best)
 
 
 def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: int = 100_000,
                      method: str = "power") -> SpectralSummary:
     """Top of the spectrum: Lambda_0, |Lambda_1|, their ratio and Psi_0^R.
 
-    method="power" (default) runs power iteration plus one deflation and
-    needs nothing beyond matvecs: it applies T and T^T as row products of
-    `t.source` and never reads `t.entries`.  method="dense" is the LAPACK
-    cross-check backend.  Residuals are relative to Lambda_0: `residual` is
-    that of (Lambda_0, Psi_0^R), `residual_deflation` that of the dominant
-    Ritz pair behind |Lambda_1| (0.0 for the dense method).
+    method="power" (default) is restarted Arnoldi on matvecs alone: it
+    applies T as row products of `t.source` and never reads `t.entries`.
+    Lambda_0, Psi_0^R and |Lambda_1| are the two leading Ritz pairs of one
+    Krylov space, and `max_iterations` bounds the number of matvecs.
+    method="dense" is the LAPACK cross-check backend.  Residuals are Ritz
+    residuals relative to Lambda_0: `residual` is that of (Lambda_0,
+    Psi_0^R), `residual_lambda1` that of the pair behind |Lambda_1| (0.0
+    for the dense method).  Both are below `tol` on return; otherwise
+    ConvergenceError carries the best value reached.
     """
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not 0 < tol < math.inf:
-        raise ValidationError(f"tol must be a positive finite real number, got {tol!r}")
+    require_positive_real("tol", tol)
     require_positive_int("max_iterations", max_iterations)
     if method == "dense":
         return _dense_summary(t, tol)
@@ -270,35 +250,24 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
         raise ValidationError(f"unknown spectral method {method!r}")
 
     g = _gate(t.source)
-
-    def matvec(x):
-        return _row_sweep(g, t.n, x, reverse=False)
-
-    def rmatvec(x):
-        return _row_sweep(g.T, t.n, x, reverse=True)
-
-    lam0, psi0, resid, it_r = _power_dominant(matvec, t.dim, tol, max_iterations)
-    if lam0 <= 0:
-        raise NumericalError(f"dominant eigenvalue must be positive, got {lam0}")
+    theta, psi0, resid, used = _arnoldi_top(
+        lambda x: _row_sweep(g, t.n, x, reverse=False), t.dim, tol, max_iterations
+    )
+    lam0 = float(theta[0].real)
+    if theta[0].imag != 0 or lam0 <= 0:
+        raise NumericalError(f"dominant eigenvalue must be real and positive, got {theta[0]}")
+    psi0 /= np.linalg.norm(psi0)
     if psi0.sum() < 0:
         psi0 = -psi0
-    _, psi0_l, _, it_l = _power_dominant(rmatvec, t.dim, tol, max_iterations)
-    if psi0_l.sum() < 0:
-        psi0_l = -psi0_l
-    lam1_abs, resid_d, it_d, widenings = _deflated_second(matvec, t.dim, lam0, psi0, psi0_l,
-                                                          tol, max_iterations)
-    lam1_abs = min(lam1_abs, lam0)  # guard fp overshoot; Perron gives strict inequality
+    lam1_abs = min(float(abs(theta[1])), lam0)  # guard fp overshoot; Perron gives strict inequality
     return SpectralSummary(
         lambda0=lam0,
         lambda1_abs=lam1_abs,
         ratio=lam1_abs / lam0,
         psi0_right=psi0,
-        residual=resid,
-        residual_deflation=resid_d,
-        iterations_right=it_r,
-        iterations_left=it_l,
-        iterations_deflation=it_d,
-        widenings=widenings,
+        residual=float(resid[0]),
+        residual_lambda1=float(resid[1]),
+        iterations=used,
         method="power",
     )
 

@@ -49,10 +49,8 @@ def test_spectrum_outputs_and_entropy_seed_recorded(tmp_path):
     meta = json.loads((tmp_path / "spectrum.json").read_text())
     assert isinstance(meta["seed"], int)  # drawn from entropy, recorded
     assert 0 < meta["ratio"] < 1
-    assert meta["iterations"] == (meta["iterations_right"] + meta["iterations_left"]
-                                  + meta["iterations_deflation"])
-    assert meta["widenings"] >= 0
-    assert 0 <= meta["residual_deflation"] < 1e-10  # the default --tol
+    assert meta["iterations"] == 16  # dim 16 <= 30: the Krylov space is all of R^16
+    assert 0 <= meta["residual_lambda1"] < 1e-10  # the default --tol
     assert (tmp_path / "spectrum.csv").exists()
     assert (tmp_path / "psi0.csv").exists()
 
@@ -62,7 +60,7 @@ def test_spectrum_dense_method(tmp_path):
                    "--method", "dense", "--out", str(tmp_path)) == 0
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 8  # header plus every eigenvalue magnitude
-    assert json.loads((tmp_path / "spectrum.json").read_text())["residual_deflation"] == 0.0
+    assert json.loads((tmp_path / "spectrum.json").read_text())["residual_lambda1"] == 0.0
 
 
 def test_spectrum_cap_is_a_validation_error(tmp_path):
@@ -270,14 +268,14 @@ PINNED_OUTPUTS = {
         "model.json": "25f01b990c50a75915d5ae973ff920800566fe0b2178fbc56f556c4baedc04a7",
     },
     ("spectrum", "--seed", "7", "--n", "4"): {
-        "psi0.csv": "48358e0323a8967038e60451eeda194bcdaf8d032e3234f8f8c7a6e403306317",
-        "spectrum.csv": "b148fe087c0b42257cc7dbceb6a3c453410d7dee6482d252bad8e2b5f339aec1",
-        "spectrum.json": "ada93558a0f0568a51219a8f3e247efb25569fa5d753baa633cd70ab212aafa2",
+        "psi0.csv": "6f15c6e0a39f98f682b9b84b9978ab6f6b17867c54ea27a06d8e7d92fc7421a0",
+        "spectrum.csv": "b3a074bdb4709324a593ce9d42824ae0fa4527fc61347a549b8d9d048f46e557",
+        "spectrum.json": "85f4ab6d4ecc435f36f13421cefec644c1c6784aa3f88e86c201cba762c1dd05",
     },
     ("spectrum", "--seed", "4", "--n", "3", "--method", "dense"): {
         "psi0.csv": "5856394eea85fbef52de871d798f7438b55c55b3477629854a52494d1c4f35b6",
         "spectrum.csv": "ca5ce411c6efdd13f22fcbab5eb1335bc14763fae43ae81374eb0112fa4789ed",
-        "spectrum.json": "4792b1cf3ed378934fe482edad5074fe042a8f1abf510ecc76cdf38c7ce545b3",
+        "spectrum.json": "d97fef4188530798d9adf32da12e6dd554358c994a8e7d528c9f906b7c3f7dbe",
     },
     ("simulate", "--seed", "6", "--n", "2", "--m", "2", "--shots", "4000",
      "--meaningful-floor", "100"): {
@@ -300,11 +298,11 @@ PINNED_OUTPUTS = {
     },
     ("estimate", "--seed", "11", "--n", "2", "--shots", "8000", "--inputs", "2",
      "--meaningful-floor", "100"): {
-        "estimate.json": "c6e237193eabb252595bffd654d3e02c931842db8f3efbf80ebf691431018729",
+        "estimate.json": "d2e9362e989ea163b60ae6d4aa6714ecf71f3b46eff745a5b56541406455e908",
         "estimate.svg": "49515898dd2a92d7a012bc407a08686cc194dc6d2d0a819d77bc6ca181cdbd96",
     },
     ("estimate", "--seed", "11", "--n", "3", "--mode", "exact"): {
-        "estimate.json": "141c8af72a8d0978bba4e96379312c5057d69f1002848380e3397b53336d0341",
+        "estimate.json": "8ed4cb6543202e3b5c24c9f84cf3e2aa898d568702044c0cbdfeaceba6411de2",
         "estimate.svg": "dab374c73ce3322507e39f5c05898e58ba7b29d769c3b54b0306731e6e536f1b",
     },
     ("export-circuit", "--seed", "2", "--n", "3", "--m", "2"): {
@@ -322,8 +320,9 @@ def test_cli_outputs_are_pinned(tmp_path):
 
 
 # Every number in the files whose bytes follow the last bits of the gate's
-# factorization, pinned to 1e-12 relative before the factorization moved to
-# numpy's SVD: a change of SVD routine may move the digests above, not these.
+# factorization or of the eigensolver, pinned to 1e-12 relative: a change of
+# SVD routine or eigensolver may move the digests above, not these.  The
+# spectra and the estimators' oracle numbers are the dense backend's.
 PINNED_VALUES = json.loads((Path(__file__).parent / "cli_values.json").read_text())
 
 
@@ -339,7 +338,8 @@ def file_numbers(path: Path) -> list[float]:
     if "psi0_right" in meta:
         return [meta["lambda0"], meta["lambda1_abs"], meta["ratio"], *meta["psi0_right"]]
     if "estimates" in meta:
-        return [e[key] for e in meta["estimates"] for key in ("f0", "f1", "estimate")]
+        return [e[key] for e in meta["estimates"] for key in ("f0", "f1", "estimate")] + [
+            meta["oracle_lambda1"]]
     return [meta["keep_probability"]]
 
 

@@ -587,10 +587,11 @@ _GOLDEN_EXACT_ACTION = {
               0.03623982820005897, 0.005960345802084121],
              0.42793960807265463),
 }
-# n: (f0, f1, estimate, oracle_lambda1, psi0_iterations) of the exact backend
+# n: (f0, f1, estimate, oracle_lambda1, psi0_iterations) of the exact backend;
+# oracle_lambda1 is the dense backend's ratio
 _GOLDEN_EXACT_ESTIMATE = {
-    2: (0.7499036362723556, 0.9948991570047843, 0.11493362183281178, 0.0755589325808171, 13),
-    3: (0.7005613567700761, 0.9953480249761711, 0.09502746796520024, 0.06936964955244906, 13),
+    2: (0.7499036362723556, 0.9948991570047843, 0.11493362183281178, 0.07555893258129114, 13),
+    3: (0.7005613567700761, 0.9953480249761711, 0.09502746796520024, 0.06936964955145553, 13),
 }
 
 
@@ -650,6 +651,8 @@ def test_golden_estimates(n):
                          rep.psi0_iterations, rep.degenerate)
     assert got == _GOLDEN_SHOT_DIGESTS["estimate", n]
     assert abs(rep.oracle_lambda1 - oracle) <= 1e-12 * oracle
+    dense = spectral_summary(assemble_transfer(r_matrix(_GOLDEN_MODEL), n), method="dense")
+    assert abs(dense.ratio - oracle) <= 1e-12 * oracle
     rep = estimate_lambda1(_GOLDEN_MODEL, n, _golden_psi(n), backend="exact")
     np.testing.assert_allclose([rep.f0, rep.f1, rep.estimate, rep.oracle_lambda1],
                                [f0, f1, estimate, oracle], rtol=1e-12, atol=0)
@@ -659,8 +662,9 @@ def test_golden_estimates(n):
 def test_golden_convergence_report_refeed():
     rows = convergence_report(_GOLDEN_MODEL, [2], [0, 1, 2], shots=_GOLDEN_SHOTS,
                               seed=_GOLDEN_SEED, mode="refeed", meaningful_floor=_GOLDEN_FLOOR)
+    # distances to the dense backend's psi0
     np.testing.assert_allclose([r.distance for r in rows],
-                               [0.7504654194948229, 0.10211157462604918, 0.03767242380506961],
+                               [0.7504654195020729, 0.10211157461932484, 0.037672423800009056],
                                rtol=1e-12, atol=0)
     assert [(r.m, r.shots_used, _hex([r.meaningful_fraction])[0], r.oracle_available)
             for r in rows] == [(0, 0, (1.0).hex(), True), (1, 4000, (0.37925).hex(), True),

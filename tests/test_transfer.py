@@ -220,62 +220,67 @@ def test_power_and_dense_backends_agree():
 
 
 SPECTRAL_GOLDENS = [
-    # (c, seed, n, lambda0, ratio, iterations); each widens the block once
-    (0.4, 7, 9, 0.037704954811444834, 0.05603663273455123, 66),
-    (0.0, 0, 5, 11.260293642349216, 0.11720441046805723, 72),
-    (0.4, 2, 6, 0.015313578822767723, 0.07067964961812169, 68),
+    # (c, seed, n, lambda0, ratio), pinned from the dense backend
+    pytest.param(0.4, 7, 9, 0.037704954810838305, 0.056036632741361975, id="c0.4-seed7-n9"),
+    pytest.param(0.0, 0, 5, 11.26029364223763, 0.11720441047149353, id="c0-seed0-n5"),
+    pytest.param(0.4, 2, 6, 0.015313578823075564, 0.07067964960952265, id="c0.4-seed2-n6"),
 ]
 
 
-@pytest.mark.parametrize("c, seed, n, lambda0, ratio, iterations", SPECTRAL_GOLDENS)
-def test_spectral_goldens(c, seed, n, lambda0, ratio, iterations):
+@pytest.mark.parametrize("c, seed, n, lambda0, ratio", SPECTRAL_GOLDENS)
+def test_spectral_goldens(c, seed, n, lambda0, ratio):
     t = assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n)
-    s = spectral_summary(t)
-    assert abs(s.lambda0 - lambda0) <= 1e-12 * lambda0
-    assert abs(s.ratio - ratio) <= 1e-12 * ratio
-    assert s.iterations == iterations
-    assert abs(s.ratio - spectral_summary(t, method="dense").ratio) < 1e-10
+    for method in ("power", "dense"):
+        s = spectral_summary(t, method=method)
+        assert abs(s.lambda0 - lambda0) <= 1e-12 * lambda0, method
+        assert abs(s.ratio - ratio) <= 1e-12 * ratio, method
 
 
-# (c, seed, n, lambda0, ratio) of the dense backend: SPECTRAL_GOLDENS, and the
-# models behind the experiment and CLI goldens that carry an oracle number
-DENSE_SPECTRAL_GOLDENS = [
-    (0.4, 7, 9, 0.037704954810838305, 0.056036632741361975),
-    (0.0, 0, 5, 11.26029364223763, 0.11720441047149353),
-    (0.4, 2, 6, 0.015313578823075564, 0.07067964960952265),
-    (0.4, 7, 2, 0.483171670108638, 0.07555893258129114),
-    (0.4, 7, 3, 0.3353762993200498, 0.06936964955145553),
-    (0.4, 7, 4, 0.23296820028651916, 0.06515994187542364),
-    (0.4, 11, 2, 0.5518872761709439, 0.09277542371190389),
-    (0.4, 11, 3, 0.4100368242150723, 0.10281924446738701),
-]
-
-
-@pytest.mark.parametrize("c, seed, n, lambda0, ratio", DENSE_SPECTRAL_GOLDENS)
-def test_dense_spectral_goldens(c, seed, n, lambda0, ratio):
-    t = assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n)
-    s = spectral_summary(t, method="dense")
-    assert abs(s.lambda0 - lambda0) <= 1e-12 * lambda0
-    assert abs(s.ratio - ratio) <= 1e-12 * ratio
-    # the power method agrees to well inside its tolerance
-    p = spectral_summary(t)
-    assert abs(p.lambda0 - lambda0) <= 1e-9 * lambda0
-    assert abs(p.ratio - ratio) <= 1e-9 * ratio
-
-
-def test_spectral_phase_counts():
-    phases = []
-    for c, seed, n, *_ in SPECTRAL_GOLDENS:
+def test_spectral_matvec_counts():
+    # one Krylov space of 30 vectors resolves the goldens, |Lambda_1| pairs included
+    for c, seed, n, *_ in (p.values for p in SPECTRAL_GOLDENS):
         s = spectral_summary(assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n))
-        assert s.iterations == s.iterations_right + s.iterations_left + s.iterations_deflation
-        assert s.widenings >= 1
-        phases.append((s.iterations_right, s.iterations_left, s.iterations_deflation))
-    assert phases[0] == (10, 10, 46)
-    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 3)
-    assert spectral_summary(t).widenings == 0
+        assert 0 < s.iterations <= 30
+        assert max(s.residual, s.residual_lambda1) < 1e-10
+    # a basis that spans R^dim is invariant: exact Ritz values after dim matvecs
+    for n in (1, 2, 3):
+        t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), n)
+        s = spectral_summary(t)
+        assert (s.iterations, s.residual, s.residual_lambda1) == (t.dim, 0.0, 0.0)
     dense = spectral_summary(t, method="dense")
-    assert [getattr(dense, k) for k in ("iterations", "iterations_right", "iterations_left",
-                                        "iterations_deflation", "widenings")] == [0] * 5
+    assert (dense.iterations, dense.residual_lambda1) == (0, 0.0)
+
+
+@settings(max_examples=60, derandomize=True)
+@given(
+    n=st.integers(1, 6),
+    seed=st.integers(0, 2 ** 16),
+    c=st.sampled_from([0.0, 0.4, 2.0]),
+)
+def test_arnoldi_matches_dense(n, seed, c):
+    t = assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n)
+    a = spectral_summary(t)
+    b = spectral_summary(t, method="dense")
+    assert abs(a.lambda0 - b.lambda0) <= 1e-12 * b.lambda0
+    # a matvec rounds at about eps * Lambda_0 whatever the vector, so at c = 2,
+    # where |Lambda_1| / Lambda_0 falls to 1e-7, the ratio is known to 1e-13
+    # absolute at best (2.5e-14 is the worst seen over 2500 random draws)
+    assert abs(a.ratio - b.ratio) <= 1e-10 * b.ratio + 1e-13
+    assert np.linalg.norm(a.psi0_right - b.psi0_right) <= 1e-10
+
+
+def test_spectral_spin_flip_symmetric_models():
+    # eps(d,u,l,r) = eps(1-d,1-u,1-l,1-r): T commutes with flipping every bit,
+    # and |Lambda_1| belongs to a flip-odd eigenvector.  A flat start vector is
+    # flip-even, so its Krylov space never holds that eigenvector.
+    for seed in range(10):
+        e = generate_model(0.4, 2.0, seed).energies
+        model = VertexModel(energies=tuple(e[min(i, 15 - i)] for i in range(16)), beta=2.0)
+        for n in (1, 2, 3):
+            t = assemble_transfer(r_matrix(model), n)
+            a = spectral_summary(t)
+            b = spectral_summary(t, method="dense")
+            assert abs(a.ratio - b.ratio) <= 1e-10 * b.ratio, (seed, n)
 
 
 def test_perron_frobenius_properties():
