@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_positive_real
 from .model import RMatrix
 
 
@@ -45,8 +45,11 @@ def svd_scaled(r: RMatrix, tol: float = 1e-12) -> SVDFactors:
 
     numpy's SVD fixes each singular vector pair only up to a common sign; the
     gauge here makes the first entry above 1e-14 of each column of u positive
-    and flips the matching row of v, so the factors are deterministic.
+    and flips the matching row of v, so the factors are deterministic.  Both
+    self-checks, reconstruction and orthogonality, must hold to `tol`, a
+    positive finite real number.
     """
+    require_positive_real("tol", tol)
     u, s, v = np.linalg.svd(r.entries)
     flip = np.sign(u[np.argmax(np.abs(u) > 1e-14, axis=0), np.arange(4)])
     u, v = u * flip, v * flip[:, None]

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -206,5 +208,13 @@ def test_terashima_requires_scaled_input():
 def test_svd_scaled_raises_on_malformed_gate():
     with pytest.raises(ValidationError):
         RMatrix(entries=np.full((4, 4), np.nan))
+    # a tolerance below any rounding error makes the self-checks fire
     with pytest.raises(NumericalError):
-        svd_scaled(RMatrix(entries=np.ones((4, 4))), tol=0.0)
+        svd_scaled(RMatrix(entries=np.ones((4, 4))), tol=1e-300)
+
+
+@pytest.mark.parametrize("tol", [math.nan, True, "a", None, 0.0, -1e-12, math.inf])
+def test_svd_scaled_rejects_bad_tolerance(tol):
+    # nan would switch both self-checks off; True would run as 1.0
+    with pytest.raises(ValidationError):
+        svd_scaled(r_matrix(generate_model(0.4, 2.0, 7)), tol=tol)
