@@ -176,10 +176,14 @@ class CircuitPlan:
                 f"bad register layout: {self.n_data_bits} data bits in "
                 f"{self.n_classical_bits} classical bits"
             )
+        checked = set()  # (id, width) of the matrices checked in this call
         for ins in self.instructions:
             if isinstance(ins, ApplyUnitary):
                 check_targets(ins.targets, self.n_qubits)
-                _check_unitary(ins.matrix, len(ins.targets))
+                key = (id(ins.matrix), len(ins.targets))
+                if key not in checked:
+                    _check_unitary(ins.matrix, len(ins.targets))
+                    checked.add(key)
             elif isinstance(ins, MeasureAll):
                 if not ins.qubits:
                     raise ValidationError("measure needs at least one qubit")

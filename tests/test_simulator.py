@@ -181,6 +181,23 @@ def test_apply_unitary_validates():
         circuit(2, ApplyUnitary(matrix=np.eye(4), targets=(0, 0)))  # repeated target
 
 
+def test_validate_checks_each_distinct_matrix_once():
+    plan = build_t_plan(svd_scaled(r_matrix(generate_model(0.4, 2.0, 7))), 6, 2)
+    gates = [ins for ins in plan.instructions if isinstance(ins, ApplyUnitary)]
+    distinct = {(id(g.matrix), len(g.targets)) for g in gates}
+    assert len(gates) == 36 and len(distinct) == 3
+    with mock.patch.object(simulator, "_check_unitary", wraps=simulator._check_unitary) as check:
+        plan.validate()
+    assert check.call_count == 3
+    # an object is checked again at each new width, and every other object once
+    bad = np.diag([1.0, 1.0, 1.0, 1.5])
+    for matrix, targets in ((X_GATE, (0, 1)), (bad, (0, 1))):
+        with pytest.raises(ValidationError):
+            circuit(2, ApplyUnitary(matrix=np.eye(4), targets=(0, 1)),
+                    ApplyUnitary(matrix=X_GATE, targets=(0,)),
+                    ApplyUnitary(matrix=matrix, targets=targets))
+
+
 def test_run_shots_trivial_plan_single_bin():
     plan = CircuitPlan(
         n_qubits=3,
