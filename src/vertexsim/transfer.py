@@ -181,15 +181,16 @@ def _arnoldi_top(matvec, dim: int, tol: float, max_iterations: int):
     Each cycle grows an orthonormal Krylov basis Q of up to KRYLOV_DIM
     vectors, Gram-Schmidt run twice per step, and the Hessenberg matrix
     H = Q^T T Q.  A Ritz pair (theta, Q y) of H has the residual
-    |H[m, m-1] y[m-1]|.  A basis that spans R^dim (always when dim <=
-    KRYLOV_DIM) or a step that leaves nothing to normalize is invariant
-    under T: its Ritz values are exact and the iteration ends.  Otherwise
-    the next cycle starts from the real span of the two leading Ritz
-    vectors.  The start vector is pseudo-random, not flat: a flat start
-    lies in the spin-flip-even sector of a spin-flip-symmetric model and
-    never sees an odd Lambda_1.  Returns the two leading Ritz values, the
-    real Ritz vector of the first, both residuals relative to |theta_0| and
-    the matvec count.
+    |H[m, m-1] y[m-1]|.  When the second Gram-Schmidt pass removes more
+    than half of the new vector, what is left is rounding inside span(Q)
+    (Kahan's twice-is-enough test): the basis is invariant under T, its
+    Ritz values are exact and the iteration ends.  That happens at step dim
+    when dim <= KRYLOV_DIM.  Otherwise the next cycle starts from the real
+    span of the two leading Ritz vectors.  The start vector is
+    pseudo-random, not flat: a flat start lies in the spin-flip-even sector
+    of a spin-flip-symmetric model and sees a flip-odd Lambda_1 only through
+    rounding.  Returns the two leading Ritz values, the real Ritz vector of
+    the first, both residuals relative to |theta_0| and the matvec count.
     """
     k = min(KRYLOV_DIM, dim)
     q = np.empty((k + 1, dim))
@@ -208,9 +209,7 @@ def _arnoldi_top(matvec, dim: int, tol: float, max_iterations: int):
                 w -= c @ q[:j + 1]
                 h[:j + 1, j] += c
                 norms.append(np.linalg.norm(w))
-            if norms[1] <= 0.5 * norms[0]:
-                # the second pass removed most of w: it was rounding error
-                # inside span(Q), so span(Q) is invariant (Kahan's test)
+            if norms[1] <= 0.5 * norms[0]:  # breakdown: span(Q) is invariant
                 m = j + 1
                 break
             h[j + 1, j] = norms[1]

@@ -271,8 +271,9 @@ def test_arnoldi_matches_dense(n, seed, c):
 
 def test_spectral_spin_flip_symmetric_models():
     # eps(d,u,l,r) = eps(1-d,1-u,1-l,1-r): T commutes with flipping every bit,
-    # and |Lambda_1| belongs to a flip-odd eigenvector.  A flat start vector is
-    # flip-even, so its Krylov space never holds that eigenvector.
+    # and on these models |Lambda_1| belongs to a flip-odd eigenvector.  A flat
+    # start vector is flip-even; at n = 1 its Krylov space never leaves the
+    # even sector, and above that only rounding carries it out.
     for seed in range(10):
         e = generate_model(0.4, 2.0, seed).energies
         model = VertexModel(energies=tuple(e[min(i, 15 - i)] for i in range(16)), beta=2.0)
