@@ -341,7 +341,8 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     when T is normal.  For any T it is <= ||(I-P) T (I-P)||_2 <psi0,psi> /
     <psi0,T psi> with P = psi0 psi0^T, which is lambda_1 for normal T; on
     non-normal T the estimate can exceed lambda_1.  `oracle_lambda1` is the
-    power-method `spectral_summary` ratio, None above the dense cap.
+    ratio of `spectral_summary` (the default Arnoldi method), None above the
+    dense cap.
     """
     vec = _validate_positive_input(input_amplitudes, n)
     require_positive_int("psi0_iterations", psi0_iterations)
