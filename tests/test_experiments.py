@@ -449,19 +449,16 @@ def test_mode_equivalence_exact_paths():
     np.testing.assert_allclose(deep, vec, atol=1e-10)
 
 
-def test_convergence_report_rows():
+def test_psi0_chain_distances():
     model = generate_model(0.4, 2.0, 23)
-    rows = convergence_report(model, [2], [0, 1, 2, 3], mode="exact")
-    assert [r.m for r in rows] == [0, 1, 2, 3]
     oracle = spectral_summary(assemble_transfer(r_matrix(model), 2)).psi0_right
-    start = np.zeros(8)
-    start[0] = 1.0
-    assert abs(rows[0].distance - np.linalg.norm(start - oracle)) < 1e-12
-    dists = [r.distance for r in rows]
-    assert dists[3] < dists[1]
+    dists = [float(np.linalg.norm(
+        power_iterate_psi0(model, 2, backend="exact", tol=0.0, max_steps=m).vector - oracle))
+        for m in (1, 2, 3)]
+    assert dists[2] < dists[0]
     ratio = spectral_summary(assemble_transfer(r_matrix(model), 2)).ratio
     # per-step contraction tracks the eigenvalue ratio within a loose band
-    assert dists[3] / dists[2] < 3 * ratio + 0.05
+    assert dists[2] / dists[1] < 3 * ratio + 0.05
 
 
 def test_convergence_report_beyond_dense_cap_uses_successive_difference():
@@ -480,8 +477,9 @@ def test_convergence_rates_comparable_across_widths():
     slopes = []
     for n in (5, 6, 7):
         ratio = spectral_summary(assemble_transfer(r_matrix(model), n)).ratio
-        rows = convergence_report(model, [n], [1, 2, 3], mode="exact")
-        d = [r.distance for r in rows]
+        oracle = spectral_summary(assemble_transfer(r_matrix(model), n)).psi0_right
+        d = [np.linalg.norm(power_iterate_psi0(model, n, backend="exact", tol=0.0,
+                                               max_steps=m).vector - oracle) for m in (1, 2, 3)]
         slope = d[2] / d[1]
         assert 0.5 * ratio < slope < 1.5 * ratio
         slopes.append(slope)
@@ -659,13 +657,23 @@ def test_golden_estimates(n):
     assert (rep.psi0_iterations, rep.shots_used, rep.degenerate) == (iterations, 0, False)
 
 
-def test_golden_convergence_report_refeed():
-    rows = convergence_report(_GOLDEN_MODEL, [2], [0, 1, 2], shots=_GOLDEN_SHOTS,
-                              seed=_GOLDEN_SEED, mode="refeed", meaningful_floor=_GOLDEN_FLOOR)
-    # distances to the dense backend's psi0
-    np.testing.assert_allclose([r.distance for r in rows],
-                               [0.7504654195020729, 0.10211157461932484, 0.037672423800009056],
-                               rtol=1e-12, atol=0)
-    assert [(r.m, r.shots_used, _hex([r.meaningful_fraction])[0], r.oracle_available)
-            for r in rows] == [(0, 0, (1.0).hex(), True), (1, 4000, (0.37925).hex(), True),
-                               (2, 8000, (0.37925).hex(), True)]
+def test_golden_refeed_chain():
+    # step m of the refeed chain is the m-th iterate of power_iterate_psi0, bit for bit
+    e0 = np.zeros(8)
+    e0[0] = 1.0
+    dense = spectral_summary(assemble_transfer(r_matrix(_GOLDEN_MODEL), 2), method="dense")
+    for m, distance, shots_used in ((1, 0.10211157461932484, 4000),
+                                    (2, 0.037672423800009056, 8000)):
+        vec, diag = simulated_t_action(_GOLDEN_MODEL, 2, m, e0, shots=_GOLDEN_SHOTS,
+                                       seed=_GOLDEN_SEED, mode="refeed",
+                                       meaningful_floor=_GOLDEN_FLOOR)
+        # distance to the dense backend's psi0
+        got = float(np.linalg.norm(vec - dense.psi0_right))
+        assert abs(got - distance) <= 1e-12 * distance
+        assert diag.shots_used == shots_used
+        assert diag.meaningful_fractions[0] == 0.37925
+        res = power_iterate_psi0(_GOLDEN_MODEL, 2, shots_per_step=_GOLDEN_SHOTS,
+                                 seed=_GOLDEN_SEED, max_steps=m, tol=0.0,
+                                 meaningful_floor=_GOLDEN_FLOOR)
+        np.testing.assert_array_equal(res.vector, vec)
+        assert res.shots_used == shots_used
