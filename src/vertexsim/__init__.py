@@ -22,12 +22,10 @@ from .errors import (
 )
 from .experiments import (
     ActionDiagnostics,
-    ConvergenceRow,
     EstimatorReport,
     build_d_test_plan,
     build_t_plan,
     build_terashima_plan,
-    convergence_report,
     dense_from_wire,
     estimate_lambda1,
     power_iterate_psi0,

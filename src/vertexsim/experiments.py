@@ -372,64 +372,3 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
         degenerate=degenerate,
     )
 
-
-@dataclass
-class ConvergenceRow:
-    n: int
-    m: int
-    distance: float
-    shots_used: int
-    meaningful_fraction: float
-    oracle_available: bool
-
-
-def convergence_report(model: VertexModel, n_list: list[int], m_list: list[int],
-                       shots: int = 40_000, seed: int = 0, mode: str = "refeed",
-                       meaningful_floor: int = DEFAULT_MEANINGFUL_FLOOR,
-                       ) -> list[ConvergenceRow]:
-    """Distance of the iterated circuit vector to the dominant eigenvector.
-
-    For n within the dense cap the distance is to the oracle eigenvector;
-    beyond it, to the previous iterate (successive difference).  m = 0 rows
-    report the starting vector itself.
-    """
-    if mode not in MODES:
-        raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    for m in m_list:
-        if m != 0 or isinstance(m, (bool, float)):
-            require_positive_int("nonzero m in m_list", m)
-    rows: list[ConvergenceRow] = []
-    for n in n_list:
-        check_circuit_width(n)
-        oracle = None
-        if n + 1 <= DENSE_CAP_QUBITS:
-            oracle = spectral_summary(assemble_transfer(r_matrix(model), n)).psi0_right
-        start = np.zeros(2 ** (n + 1))
-        start[0] = 1.0
-        prev = start
-        vec = start
-        fractions_total: list[float] = []
-        shots_so_far = 0
-        for m in sorted(m_list):
-            if m > 0:
-                vec, diag = simulated_t_action(
-                    model, n, m, start, shots=shots, seed=seed, mode=mode,
-                    meaningful_floor=meaningful_floor,
-                )
-                shots_so_far = diag.shots_used
-                fractions_total = diag.meaningful_fractions
-            if oracle is not None:
-                dist = float(np.linalg.norm(vec - oracle))
-            else:
-                dist = float(np.linalg.norm(vec - prev)) if m > 0 else math.nan
-            rows.append(
-                ConvergenceRow(
-                    n=n, m=m, distance=dist, shots_used=shots_so_far,
-                    meaningful_fraction=(
-                        min(fractions_total) if fractions_total else 1.0
-                    ),
-                    oracle_available=oracle is not None,
-                )
-            )
-            prev = vec
-    return rows

@@ -15,7 +15,6 @@ from vertexsim import (
     apply_transfer,
     assemble_transfer,
     build_t_plan,
-    convergence_report,
     dense_from_wire,
     dilate,
     estimate_lambda1,
@@ -191,9 +190,6 @@ _PSI = positive_state(8, 1)
     pytest.param(lambda: power_iterate_psi0(_MODEL, 2, tol=None, backend="exact"),
                  id="psi0-tolNone"),
     pytest.param(lambda: estimate_lambda1(_MODEL, 2, _PSI, psi0_iterations=0), id="estimate-it0"),
-    pytest.param(lambda: convergence_report(_MODEL, [2], [-1]), id="report-m-1"),
-    pytest.param(lambda: convergence_report(_MODEL, [2], [0.0, 1]), id="report-m0.0"),
-    pytest.param(lambda: convergence_report(_MODEL, [2.5], [0]), id="report-n2.5"),
     pytest.param(lambda: simulated_t_action(_MODEL, 2, 1, _PSI, shots=10, meaningful_floor=-5),
                  id="deep-floor-5"),
     pytest.param(lambda: simulated_t_action(_MODEL, 2, 1, _PSI, shots=10, meaningful_floor=2.5),
@@ -214,7 +210,6 @@ def test_experiment_counts_must_be_positive_integers(call):
     pytest.param(lambda: simulated_t_action(_MODEL, 60, 1, np.ones(4), mode="exact"), id="action"),
     pytest.param(lambda: power_iterate_psi0(_MODEL, 60, backend="exact"), id="psi0"),
     pytest.param(lambda: estimate_lambda1(_MODEL, 60, np.ones(4), backend="exact"), id="estimate"),
-    pytest.param(lambda: convergence_report(_MODEL, [60], [1]), id="report"),
 ])
 def test_circuit_width_is_capped_before_allocation(call):
     # a 62-qubit state would need 2^62 amplitudes; the cap fires first
@@ -232,7 +227,6 @@ def test_circuit_width_is_capped_before_allocation(call):
     pytest.param(lambda s: estimate_lambda1(_MODEL, 2, _PSI, shots=10, seed=s), id="estimate-shot"),
     pytest.param(lambda s: estimate_lambda1(_MODEL, 2, _PSI, seed=s, backend="exact"),
                  id="estimate-exact"),
-    pytest.param(lambda s: convergence_report(_MODEL, [1], [1], shots=10, seed=s), id="report"),
     pytest.param(lambda s: generate_model(0.4, 2.0, s), id="generate_model"),
 ])
 def test_seeds_must_be_integers(call, seed):
@@ -459,14 +453,6 @@ def test_psi0_chain_distances():
     ratio = spectral_summary(assemble_transfer(r_matrix(model), 2)).ratio
     # per-step contraction tracks the eigenvalue ratio within a loose band
     assert dists[2] / dists[1] < 3 * ratio + 0.05
-
-
-def test_convergence_report_beyond_dense_cap_uses_successive_difference():
-    model = generate_model(0.4, 2.0, 23)
-    rows = convergence_report(model, [13], [0, 1, 2], mode="exact")
-    assert not rows[0].oracle_available
-    assert math.isnan(rows[0].distance)
-    assert rows[2].distance < rows[1].distance
 
 
 def test_convergence_rates_comparable_across_widths():
