@@ -33,6 +33,7 @@ from vertexsim import (
 from vertexsim import experiments
 from vertexsim.experiments import MODES, _embed_input
 from vertexsim.model import VertexModel, energy_index
+from vertexsim.rng import uniforms
 
 from conftest import estimator_bound, positive_state
 
@@ -401,6 +402,16 @@ def test_estimator_degenerate_input_flagged():
     assert rep.degenerate
     assert math.isnan(rep.estimate)
     assert rep.f0 > 1 - 1e-9
+
+
+def test_estimator_zero_overlap_flagged():
+    # 30 shots of the action at n=6 all land outside psi0's support
+    psi = uniforms(6, 128)
+    rep = estimate_lambda1(generate_model(0.4, 2.0, 5), 6, psi / np.linalg.norm(psi), shots=30,
+                           seed=5 + 7919, meaningful_floor=1)
+    assert rep.f1 == 0.0 and rep.f0 > 0
+    assert rep.degenerate
+    assert math.isnan(rep.estimate)
 
 
 def test_estimator_shot_backend_reports():
