@@ -328,8 +328,9 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     Resolves the dominant eigenvector by refeed iteration, then forms
     f0 = <psi0|psi> and f1 = <psi0|C_T psi> and returns
     sqrt((f1^-2 - 1) / (f0^-2 - 1)).  Inputs parallel to psi0 make the
-    denominator vanish, and a zero overlap leaves the formula undefined;
-    such runs are flagged degenerate with a NaN estimate.  The shot backend follows the published protocol (fixed
+    denominator vanish, and a zero overlap (a few shots can miss psi0's
+    support) leaves the formula undefined; such runs are flagged
+    degenerate with a NaN estimate.  The shot backend follows the published protocol (fixed
     iteration count, step k seeded by substream k of `seed`, the action
     run by substream 2^20); the exact backend iterates psi0 to numerical
     convergence instead.  R is computed, factorized and built into the
@@ -363,7 +364,6 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     if n + 1 <= DENSE_CAP_QUBITS:
         oracle = spectral_summary(assemble_transfer(r, n)).ratio
 
-    # a zero overlap (a few shots can miss psi0's support) leaves the estimate undefined too
     degenerate = 0.0 in (f0, f1) or f0 ** -2 - 1.0 <= 1e-12 or f1 ** -2 - 1.0 < 0.0
     return EstimatorReport(
         f0=f0, f1=f1,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -105,10 +105,12 @@ class TransferOperator:
 class SpectralSummary:
     """Lambda_0, |Lambda_1|, their ratio and Psi_0^R, as `spectral_summary` finds them.
 
-    `residual` and `residual_lambda1` are the Ritz residuals, relative to
-    Lambda_0, of (Lambda_0, Psi_0^R) and of the pair behind |Lambda_1|;
-    the dense method reports the former's true residual and 0.0 for the
-    latter.  `iterations` counts the matvecs with T (0 for the dense method).
+    `residual` is the true residual ||T Psi_0^R - Lambda_0 Psi_0^R|| /
+    Lambda_0 for both methods.  `residual_lambda1` is the Ritz residual,
+    relative to Lambda_0, of the pair behind |Lambda_1| (0.0 for the dense
+    method); since it is relative to Lambda_0, a small ratio is known to
+    about 1e-13 absolute, not relative.  `iterations` counts the Arnoldi
+    matvecs with T (0 for the dense method).
     """
 
     lambda0: float
@@ -235,11 +237,11 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     applies T as row products of `t.source` and never reads `t.entries`.
     Lambda_0, Psi_0^R and |Lambda_1| are the two leading Ritz pairs of one
     Krylov space, and `max_iterations` bounds the number of matvecs.
-    method="dense" is the LAPACK cross-check backend.  Residuals are Ritz
-    residuals relative to Lambda_0: `residual` is that of (Lambda_0,
-    Psi_0^R), `residual_lambda1` that of the pair behind |Lambda_1| (0.0
-    for the dense method).  Both are below `tol` on return; otherwise
-    ConvergenceError carries the best value reached.
+    method="dense" is the LAPACK cross-check backend.  Both pairs are
+    accepted at Ritz residuals below `tol * Lambda_0`, so the ratio is known
+    to about `tol` absolute.  Both methods then check the true residual of
+    (Lambda_0, Psi_0^R), one more product with T, against max(tol, 1e-9).
+    ConvergenceError carries the best residual reached.
     """
     require_positive_real("tol", tol)
     require_positive_int("max_iterations", max_iterations)
@@ -249,9 +251,8 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
         raise ValidationError(f"unknown spectral method {method!r}")
 
     g = _gate(t.source)
-    theta, psi0, resid, used = _arnoldi_top(
-        lambda x: _row_sweep(g, t.n, x, reverse=False), t.dim, tol, max_iterations
-    )
+    matvec = partial(_row_sweep, g, t.n, reverse=False)
+    theta, psi0, resid, used = _arnoldi_top(matvec, t.dim, tol, max_iterations)
     lam0 = float(theta[0].real)
     if theta[0].imag != 0 or lam0 <= 0:
         raise NumericalError(f"dominant eigenvalue must be real and positive, got {theta[0]}")
@@ -264,7 +265,7 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
         lambda1_abs=lam1_abs,
         ratio=lam1_abs / lam0,
         psi0_right=psi0,
-        residual=float(resid[0]),
+        residual=_true_residual(matvec, lam0, psi0, tol),
         residual_lambda1=float(resid[1]),
         iterations=used,
         method="power",
@@ -280,18 +281,23 @@ def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
     psi0 /= np.linalg.norm(psi0)
     if psi0.sum() < 0:
         psi0 = -psi0
-    resid = float(np.linalg.norm(t.entries @ psi0 - lam0 * psi0)) / abs(lam0)
-    if resid > max(tol, 1e-9):
-        raise ConvergenceError("dense eigensolver residual above tolerance", resid)
     lam1_abs = float(np.abs(ev[1]))
     return SpectralSummary(
         lambda0=lam0,
         lambda1_abs=lam1_abs,
         ratio=lam1_abs / lam0,
         psi0_right=psi0,
-        residual=resid,
+        residual=_true_residual(t.entries.__matmul__, lam0, psi0, tol),
         method="dense",
     )
+
+
+def _true_residual(matvec, lam0: float, psi0: np.ndarray, tol: float) -> float:
+    """||T psi0 - Lambda_0 psi0|| / Lambda_0; ConvergenceError above max(tol, 1e-9)."""
+    resid = float(np.linalg.norm(matvec(psi0) - lam0 * psi0)) / abs(lam0)
+    if resid > max(tol, 1e-9):
+        raise ConvergenceError("eigenpair residual above tolerance", resid)
+    return resid
 
 
 def _parse_boundary(bits: str, n: int, what: str) -> int:

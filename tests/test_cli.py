@@ -278,7 +278,7 @@ PINNED_OUTPUTS = {
     ("spectrum", "--seed", "7", "--n", "4"): {
         "psi0.csv": "6f15c6e0a39f98f682b9b84b9978ab6f6b17867c54ea27a06d8e7d92fc7421a0",
         "spectrum.csv": "b3a074bdb4709324a593ce9d42824ae0fa4527fc61347a549b8d9d048f46e557",
-        "spectrum.json": "85f4ab6d4ecc435f36f13421cefec644c1c6784aa3f88e86c201cba762c1dd05",
+        "spectrum.json": "58ae9f489ff84f8a0b5f13c59540a1fdc1a2f2e068e68111a106ed708658c76b",
     },
     ("spectrum", "--seed", "4", "--n", "3", "--method", "dense"): {
         "psi0.csv": "5856394eea85fbef52de871d798f7438b55c55b3477629854a52494d1c4f35b6",

@@ -28,6 +28,7 @@ from vertexsim.transfer import (
     DENSE_CAP_QUBITS,
     _gate,
     _row_sweep,
+    _true_residual,
 )
 
 from conftest import dense_transfer_reference, positive_state
@@ -242,11 +243,13 @@ def test_spectral_matvec_counts():
         s = spectral_summary(assemble_transfer(r_matrix(generate_model(c, 2.0, seed)), n))
         assert 0 < s.iterations <= 30
         assert max(s.residual, s.residual_lambda1) < 1e-10
-    # a basis that spans R^dim is invariant: exact Ritz values after dim matvecs
+    # a basis that spans R^dim is invariant: exact Ritz values after dim matvecs,
+    # and psi0's true residual is rounding
     for n in (1, 2, 3):
         t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), n)
         s = spectral_summary(t)
-        assert (s.iterations, s.residual, s.residual_lambda1) == (t.dim, 0.0, 0.0)
+        assert (s.iterations, s.residual_lambda1) == (t.dim, 0.0)
+        assert s.residual < 1e-14
     dense = spectral_summary(t, method="dense")
     assert (dense.iterations, dense.residual_lambda1) == (0, 0.0)
 
@@ -319,6 +322,20 @@ def test_spectral_nonconvergence_reports_residual():
     with pytest.raises(ConvergenceError) as err:
         spectral_summary(t, tol=1e-10, max_iterations=2)
     assert err.value.residual > 0
+
+
+def test_power_residual_is_the_true_residual():
+    # the Ritz estimate reads 0.0 on this model; the true residual is rounding
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 9)
+    s = spectral_summary(t)
+    psi0 = s.psi0_right
+    want = float(np.linalg.norm(apply_transfer(t, psi0) - s.lambda0 * psi0)) / s.lambda0
+    assert s.residual == want
+    assert 0 < s.residual < 1e-14
+    # both methods reject a pair whose true residual is above max(tol, 1e-9)
+    with pytest.raises(ConvergenceError) as err:
+        _true_residual(lambda x: 2.0 * x + 1e-6, 2.0, psi0, 1e-10)
+    assert err.value.residual > 1e-9
 
 
 def test_partition_element_n1_m1_single_entry():
