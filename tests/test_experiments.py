@@ -425,6 +425,13 @@ def test_estimator_shot_backend_reports():
     assert not rep.degenerate
 
 
+
+def test_estimator_has_no_oracle_above_the_dense_cap():
+    rep = estimate_lambda1(generate_model(0.4, 2.0, 23), 13, np.ones(2 ** 14), shots=20_000,
+                           seed=1, psi0_iterations=1, meaningful_floor=10)
+    assert rep.oracle_lambda1 is None
+    assert not rep.degenerate
+
 @pytest.mark.parametrize("backend", ["shot", "exact"])
 def test_estimator_factorizes_and_builds_once(monkeypatch, backend):
     calls = {}

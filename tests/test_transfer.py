@@ -24,6 +24,7 @@ from vertexsim import (
     r_matrix,
     spectral_summary,
 )
+from vertexsim import transfer
 from vertexsim.transfer import (
     DENSE_CAP_QUBITS,
     _gate,
@@ -323,6 +324,19 @@ def test_spectral_nonconvergence_reports_residual():
         spectral_summary(t, tol=1e-10, max_iterations=2)
     assert err.value.residual > 0
 
+
+@pytest.mark.parametrize("seed", [2, 9, 10])
+def test_arnoldi_restart_matches_one_cycle(monkeypatch, seed):
+    # these N=12 models take a second cycle at KRYLOV_DIM = 30; one cycle of 80 agrees
+    t = assemble_transfer(r_matrix(generate_model(0.0, 2.0, seed)), 12)
+    restarted = spectral_summary(t)
+    assert restarted.iterations > transfer.KRYLOV_DIM
+    monkeypatch.setattr(transfer, "KRYLOV_DIM", 80)
+    one = spectral_summary(t)
+    assert one.iterations <= 80
+    assert abs(restarted.lambda0 - one.lambda0) <= 1e-14 * one.lambda0
+    assert abs(restarted.ratio - one.ratio) <= 1e-14
+    assert np.linalg.norm(restarted.psi0_right - one.psi0_right) <= 1e-14
 
 def test_power_residual_is_the_true_residual():
     # the Ritz estimate reads 0.0 on this model; the true residual is rounding
