@@ -329,13 +329,13 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     f0 = <psi0|psi> and f1 = <psi0|C_T psi> and returns
     sqrt((f1^-2 - 1) / (f0^-2 - 1)).  Inputs parallel to psi0 make the
     denominator vanish, and a zero overlap (a few shots can miss psi0's
-    support) leaves the formula undefined; such runs are flagged
-    degenerate with a NaN estimate.  The shot backend follows the published protocol (fixed
-    iteration count, step k seeded by substream k of `seed`, the action
-    run by substream 2^20); the exact backend iterates psi0 to numerical
-    convergence instead.  R is computed, factorized and built into the
-    one-block plan once per call: the iteration and the action run that
-    plan, and the oracle uses the same R.
+    support) leaves the formula undefined; such runs are flagged degenerate
+    with a NaN estimate.  The shot backend follows the published protocol
+    (fixed iteration count, step k seeded by substream k of `seed`, the
+    action run by substream 2^20); the exact backend iterates psi0 to
+    numerical convergence instead.  R is computed, factorized and built
+    into the one-block plan once per call: the iteration and the action run
+    that plan, and the oracle uses the same R.
 
     What the exact backend promises: the estimate equals
     tan(theta(T psi, psi0)) / tan(theta(psi, psi0)).  It is <= lambda_1

@@ -108,9 +108,9 @@ class SpectralSummary:
     `residual` is the true residual ||T Psi_0^R - Lambda_0 Psi_0^R|| /
     Lambda_0 for both methods.  `residual_lambda1` is the Ritz residual,
     relative to Lambda_0, of the pair behind |Lambda_1| (0.0 for the dense
-    method); since it is relative to Lambda_0, a small ratio is known to
-    about 1e-13 absolute, not relative.  `iterations` counts the Arnoldi
-    matvecs with T (0 for the dense method).
+    method).  Since |Lambda_1| is accepted at a Ritz residual below
+    `tol * Lambda_0`, a small ratio is known to about 1e-13 absolute, not
+    relative.  `iterations` counts the Arnoldi matvecs with T (0 for dense).
     """
 
     lambda0: float
@@ -237,11 +237,11 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     applies T as row products of `t.source` and never reads `t.entries`.
     Lambda_0, Psi_0^R and |Lambda_1| are the two leading Ritz pairs of one
     Krylov space, and `max_iterations` bounds the number of matvecs.
-    method="dense" is the LAPACK cross-check backend.  Both pairs are
-    accepted at Ritz residuals below `tol * Lambda_0`, so the ratio is known
-    to about `tol` absolute.  Both methods then check the true residual of
-    (Lambda_0, Psi_0^R), one more product with T, against max(tol, 1e-9).
-    ConvergenceError carries the best residual reached.
+    method="dense" is the LAPACK cross-check backend.  The power method
+    accepts both Ritz pairs at residuals below `tol * Lambda_0`; then both
+    methods check the true residual of (Lambda_0, Psi_0^R), one more product
+    with T, against max(tol, 1e-9).  ConvergenceError carries the best
+    residual reached.
     """
     require_positive_real("tol", tol)
     require_positive_int("max_iterations", max_iterations)
@@ -287,7 +287,7 @@ def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
         lambda1_abs=lam1_abs,
         ratio=lam1_abs / lam0,
         psi0_right=psi0,
-        residual=_true_residual(t.entries.__matmul__, lam0, psi0, tol),
+        residual=_true_residual(lambda x: t.entries @ x, lam0, psi0, tol),
         method="dense",
     )
 

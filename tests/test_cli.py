@@ -185,15 +185,12 @@ def test_degenerate_estimate_is_written_as_null(tmp_path):
     (entry,) = json.loads(text)["estimates"]
     assert list(entry) == ["f0", "f1", "estimate", "oracle_lambda1", "shots_used",
                            "psi0_iterations", "degenerate"]
-
-
-
-def test_zero_overlap_estimate_is_written_as_null(tmp_path):
     # 30 shots at n=6: the action's support misses psi0's, so f1 = 0
     assert run_cli("estimate", "--n", "6", "--shots", "30", "--meaningful-floor", "1",
                    "--seed", "5", "--out", str(tmp_path)) == 0
     (entry,) = json.loads((tmp_path / "estimate.json").read_text())["estimates"]
     assert (entry["f1"], entry["estimate"], entry["degenerate"]) == (0.0, None, True)
+
 
 # small seeded runs of every command; each run passes --format once
 _FORMAT_RUNS = {
