@@ -425,12 +425,12 @@ def test_estimator_shot_backend_reports():
     assert not rep.degenerate
 
 
-
 def test_estimator_has_no_oracle_above_the_dense_cap():
     rep = estimate_lambda1(generate_model(0.4, 2.0, 23), 13, np.ones(2 ** 14), shots=20_000,
                            seed=1, psi0_iterations=1, meaningful_floor=10)
     assert rep.oracle_lambda1 is None
     assert not rep.degenerate
+
 
 @pytest.mark.parametrize("backend", ["shot", "exact"])
 def test_estimator_factorizes_and_builds_once(monkeypatch, backend):
@@ -463,14 +463,13 @@ def test_mode_equivalence_exact_paths():
 
 def test_psi0_chain_distances():
     model = generate_model(0.4, 2.0, 23)
-    oracle = spectral_summary(assemble_transfer(r_matrix(model), 2)).psi0_right
-    dists = [float(np.linalg.norm(
-        power_iterate_psi0(model, 2, backend="exact", tol=0.0, max_steps=m).vector - oracle))
-        for m in (1, 2, 3)]
+    s = spectral_summary(assemble_transfer(r_matrix(model), 2))
+    dists = [np.linalg.norm(power_iterate_psi0(model, 2, backend="exact", tol=0.0,
+                                               max_steps=m).vector - s.psi0_right)
+             for m in (1, 2, 3)]
     assert dists[2] < dists[0]
-    ratio = spectral_summary(assemble_transfer(r_matrix(model), 2)).ratio
     # per-step contraction tracks the eigenvalue ratio within a loose band
-    assert dists[2] / dists[1] < 3 * ratio + 0.05
+    assert dists[2] / dists[1] < 3 * s.ratio + 0.05
 
 
 def test_convergence_rates_comparable_across_widths():
@@ -480,12 +479,12 @@ def test_convergence_rates_comparable_across_widths():
     model = generate_model(0.0, 2.0, 2)
     slopes = []
     for n in (5, 6, 7):
-        ratio = spectral_summary(assemble_transfer(r_matrix(model), n)).ratio
-        oracle = spectral_summary(assemble_transfer(r_matrix(model), n)).psi0_right
+        s = spectral_summary(assemble_transfer(r_matrix(model), n))
         d = [np.linalg.norm(power_iterate_psi0(model, n, backend="exact", tol=0.0,
-                                               max_steps=m).vector - oracle) for m in (1, 2, 3)]
+                                               max_steps=m).vector - s.psi0_right)
+             for m in (1, 2, 3)]
         slope = d[2] / d[1]
-        assert 0.5 * ratio < slope < 1.5 * ratio
+        assert 0.5 * s.ratio < slope < 1.5 * s.ratio
         slopes.append(slope)
     assert max(slopes) / min(slopes) < 1.3
 

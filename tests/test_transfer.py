@@ -338,6 +338,7 @@ def test_arnoldi_restart_matches_one_cycle(monkeypatch, seed):
     assert abs(restarted.ratio - one.ratio) <= 1e-14
     assert np.linalg.norm(restarted.psi0_right - one.psi0_right) <= 1e-14
 
+
 def test_power_residual_is_the_true_residual():
     # the Ritz estimate reads 0.0 on this model; the true residual is rounding
     t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 9)
