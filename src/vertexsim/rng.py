@@ -29,16 +29,21 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
 
 
+def _mix_in_place(x: np.ndarray) -> np.ndarray:
+    """SplitMix64 finalizer on a fresh uint64 array, in place, with one shift buffer."""
+    buf = np.empty_like(x)
+    with np.errstate(over="ignore"):
+        x ^= np.right_shift(x, np.uint64(30), out=buf)
+        x *= _M1
+        x ^= np.right_shift(x, np.uint64(27), out=buf)
+        x *= _M2
+        x ^= np.right_shift(x, np.uint64(31), out=buf)
+    return x
+
+
 def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
     """SplitMix64 finalizer on uint64 scalars or arrays (wraps mod 2^64)."""
-    x = np.asarray(x, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x = x ^ (x >> np.uint64(30))  # a new array: the steps below work in place
-        x *= _M1
-        x ^= x >> np.uint64(27)
-        x *= _M2
-        x ^= x >> np.uint64(31)
-        return x
+    return _mix_in_place(np.array(x, dtype=np.uint64))[()]
 
 
 def _u64(seed: int) -> np.uint64:
@@ -50,9 +55,11 @@ def _u64(seed: int) -> np.uint64:
 
 def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Raw 64-bit values `start..start+count-1` of the top-level stream."""
-    idx = np.arange(start + 1, start + count + 1, dtype=np.uint64)
+    x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        return mix64(_u64(seed) + idx * GOLDEN)
+        x *= GOLDEN
+        x += _u64(seed)
+    return _mix_in_place(x)
 
 
 def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -62,15 +69,20 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
 
 def substream_seed(seed: int, k: int | np.ndarray) -> np.ndarray | np.uint64:
     """Seed of independent substream k (e.g. one stream per shot)."""
-    k = np.asarray(k, dtype=np.uint64)
+    x = np.array(k, dtype=np.uint64)  # a copy: the steps below work in place
     with np.errstate(over="ignore"):
-        return mix64(_u64(seed) + (k + np.uint64(1)) * LEAP)
+        x += np.uint64(1)
+        x *= LEAP
+        x += _u64(seed)
+    return _mix_in_place(x)[()]
 
 
 def substream_value(sub_seeds: np.ndarray, index: int) -> np.ndarray:
     """Value `index` of each substream, vectorized over substream seeds."""
     with np.errstate(over="ignore"):
-        return mix64(sub_seeds + np.uint64(index + 1) * GOLDEN)
+        step = np.uint64(index + 1) * GOLDEN
+    x = np.add(sub_seeds, step, out=np.empty(np.shape(sub_seeds), dtype=np.uint64))
+    return _mix_in_place(x)[()]
 
 
 def to_unit(x: np.ndarray) -> np.ndarray:

@@ -24,17 +24,32 @@ of shots: between measurements every shot sees the same evolution, so a
 branch is evolved once for all of them.  A shot is dropped at its first
 failed post-selection (the first measurement that sets a select bit), so
 only live shots draw, and a measurement that writes data bits splits a
-branch by the outcomes its live shots realize.  Post-selected circuits thus
-run on one branch, where a post-selection costs one draw, one comparison and
-one compaction per live shot: a measurement that writes no data bit keeps
-the shots whose key is below the first threshold (outcome 0), with no
-outcome search.  `run_exact` walks the same branches with a weight in place
-of shots.  Gates and marginals move the state's axes with the transposes
-that `gates.target_axes` caches per (targets, n).
+branch by the outcomes its live shots realize.  `run_exact` walks the same
+branches with a weight in place of shots.  Gates and marginals move the
+state's axes with the transposes that `gates.target_axes` caches per
+(targets, n).
+
+`run_shots` samples CHUNK_SHOTS shots at a time, but every chunk starts on
+the same branch, the trunk: the measurements up to and including the first
+that writes a data bit, which on a transfer plan is the whole plan.  The
+first chunk to reach a trunk measurement prepares it (the gates before it,
+its state, its thresholds and its readout table) and later chunks of the
+same call reuse it, so the trunk is evolved once per call.  The call keeps
+one state per trunk measurement; branches after the first data split are
+evolved per chunk.  The draws stay per shot:
+* a measurement that writes no data bit keeps the shots whose raw value x is
+  below t0 << 11, which is key < t0 for the first threshold t0 < 2^53
+  (outcome 0) with no shift; at t0 >= 2^53 every shot lives and none draws;
+* a measurement that writes data bits reads each outcome from a table over
+  the key's top bits, about 128 buckets per outcome.  A bucket holds the
+  outcome all its keys share, or -1 when a threshold falls inside it, and
+  searchsorted over the thresholds (clipped at 2^53, so sorted) settles
+  those few keys exactly.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -289,75 +304,127 @@ def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumStat
     return (QuantumState(nq, kept[0]) if len(kept) == 1 else None), keep
 
 
-def _simulate_chunk(plan: CircuitPlan, amps0: np.ndarray, seed: int, start: int,
+class _Measurement:
+    """A measurement prepared for sampling: everything about it that does not
+    depend on the shots.
+
+    Built from the state entering instruction `pc`, it applies the gates up
+    to the next measurement and keeps that measurement's index (`pc`), the
+    state before it (`amps`) and how a shot's raw 64-bit value x decides its
+    outcome.  `written[o]` is the data word of outcome o, None when the
+    measurement writes no data bit, and `select` masks the outcome bits read
+    into select bits.  With no data bit a shot lives when x < `limit` (None:
+    always); with data bits `outcomes` reads x against `thresholds` through
+    `table`.
+    """
+
+    def __init__(self, plan: CircuitPlan, amps: np.ndarray, pc: int):
+        nq, ins = plan.n_qubits, plan.instructions
+        while isinstance(ins[pc], ApplyUnitary):
+            amps = apply_matrix(amps, ins[pc].matrix, ins[pc].targets, nq)
+            pc += 1
+        op = ins[pc]
+        self.pc, self.amps, self.qubits, self.n_qubits = pc, amps, op.qubits, nq
+        k = len(op.qubits)
+        written, self.select = np.zeros(1 << k, dtype=np.uint64), 0
+        for j, cb in enumerate(op.cbits):
+            if cb < plan.n_data_bits:
+                written |= ((np.arange(1 << k) >> j) & 1).astype(np.uint64) << np.uint64(cb)
+            else:
+                self.select |= 1 << j
+        self.written = written.tolist() if written.any() else None
+        probs = _marginal_probs(amps, op.qubits, nq)
+        if self.written is None:
+            # key < t0 exactly when x < t0 << 11, for t0 < 2^53; at or
+            # above 2^53 every key is below t0 and every shot lives
+            t0 = math.ceil(probs[0] * 2.0 ** 53)
+            self.limit = np.uint64(t0 << 11) if t0 < 1 << 53 else None
+            return
+        cum = np.cumsum(probs)
+        cum[-1] = 1.0
+        # clipped at 1, so at 2^53 (which no key reaches), the thresholds are
+        # sorted and still give searchsorted's outcomes
+        self.thresholds = np.ceil(np.minimum(cum, 1.0) * 2.0 ** 53).astype(np.uint64)
+        # about 128 buckets per outcome, at most 2^16: bucket j holds the
+        # keys [j << s, (j + 1) << s).  Its entry counts the thresholds in
+        # buckets 0..j, the outcome of every key in it unless a threshold
+        # falls inside it, past its first key: then the entry is -1
+        bits = min(k + 7, 16)
+        s = 53 - bits
+        bucket = (self.thresholds >> np.uint64(s)).astype(np.intp)
+        self.table = np.cumsum(np.bincount(bucket, minlength=(1 << bits) + 1)[:1 << bits])
+        self.table[bucket[self.thresholds & np.uint64((1 << s) - 1) != 0]] = -1
+        self.shift = np.uint64(s + 11)
+
+    def outcomes(self, x: np.ndarray) -> np.ndarray:
+        """The outcome of each raw value: searchsorted(thresholds, x >> 11, side="right")."""
+        idx = self.table[(x >> self.shift).view(np.int64)]
+        miss = np.flatnonzero(idx < 0)
+        idx[miss] = np.searchsorted(self.thresholds, x[miss] >> np.uint64(11), side="right")
+        return idx
+
+    def collapsed(self, outcome: int) -> tuple[np.ndarray, int]:
+        """The state after `outcome` and the next instruction: a branch's entry."""
+        return _collapse_outcome(self.amps, self.qubits, outcome, self.n_qubits), self.pc + 1
+
+
+def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, start: int,
                     stop: int) -> tuple[Counter, np.ndarray]:
     """Meaningful shots among shots [start, stop) counted by data word, and
     the number of live shots after each measurement.
 
-    A task is one branch: (state, live shots' substream seeds, data bits so
-    far, next instruction, next measurement).  A shot's outcome is the
-    binary search of its 53-bit key over the branch's thresholds
-    ceil(cum * 2^53), which gives searchsorted's outcome exactly (module
-    notes): cum is non-decreasing except its pinned last entry, whose
-    threshold 2^53 no key reaches, so `threshold <= key` holds on a prefix.
-    Outcome 0 is therefore `key < thresholds[0]`, the one comparison a
-    measurement that writes no data bit makes: it keeps those shots, all on
-    outcome 0.  A measurement that writes data bits searches every outcome
-    and pushes one task per outcome its live shots realize, and the plan's
-    last measurement counts each outcome's shots.
+    A task is one branch: (live shots' substream seeds, data bits so far,
+    next measurement, entry), where the entry is the branch's state and next
+    instruction.  The root task has no entry: it walks `trunk`, the trunk
+    measurements this call has prepared (at least the first), and prepares
+    the next one when it gets past the last.  A measurement that writes no
+    data bit keeps the shots below its limit; one that writes data bits
+    reads each live shot's outcome from its table and pushes one task per
+    outcome realized, except the plan's last measurement, which counts each
+    outcome's shots.
     """
-    nq, nd, ins = plan.n_qubits, plan.n_data_bits, plan.instructions
-    measures = [i for i, op in enumerate(ins) if isinstance(op, MeasureAll)]
+    measures = [i for i, op in enumerate(plan.instructions) if isinstance(op, MeasureAll)]
     survivors = np.zeros(len(measures), dtype=np.int64)
-    subs = substream_seed(seed, np.arange(start, stop, dtype=np.uint64))
     if not measures:
-        return Counter({0: len(subs)}), survivors
+        return Counter({0: stop - start}), survivors
     counts = Counter()
-    tasks = [(amps0, subs, 0, 0, 0)]
+    tasks = [(substream_seed(seed, np.arange(start, stop, dtype=np.uint64)), 0, 0, None)]
     while tasks:
-        amps, subs, word, pc, event = tasks.pop()
-        for pc in range(pc, measures[-1] + 1):
-            op = ins[pc]
-            if isinstance(op, ApplyUnitary):
-                amps = apply_matrix(amps, op.matrix, op.targets, nq)
-                continue
-            m = 1 << len(op.qubits)
-            cum = np.cumsum(_marginal_probs(amps, op.qubits, nq))
-            cum[-1] = 1.0
-            thresholds = np.ceil(cum * 2.0 ** 53).astype(np.uint64)
-            key = substream_value(subs, event) >> np.uint64(11)
-            written, select = np.zeros(m, dtype=np.uint64), 0
-            for j, cb in enumerate(op.cbits):
-                if cb < nd:
-                    written |= ((np.arange(m) >> j) & 1).astype(np.uint64) << np.uint64(cb)
-                else:
-                    select |= 1 << j
-            splits = bool(written.any())
-            if splits:
-                idx = 0
-                for j in reversed(range(len(op.qubits))):
-                    idx = idx + (key >= thresholds[(1 << j) - 1:][idx]) * (1 << j)
-                if select:
-                    live = np.flatnonzero((idx & select) == 0)
-                    subs, idx = subs[live], idx[live]
+        subs, word, event, entry = tasks.pop()
+        while True:
+            if entry is not None:
+                node = _Measurement(plan, *entry)
             else:
-                # every bit is a select bit: a shot lives exactly on outcome 0
-                subs = subs[np.flatnonzero(key < thresholds[0])]
+                if event == len(trunk):
+                    trunk.append(_Measurement(plan, *trunk[-1].collapsed(0)))
+                node = trunk[event]
+            if node.written is None:
+                if node.limit is not None:
+                    subs = subs[np.flatnonzero(substream_value(subs, event) < node.limit)]
+            else:
+                idx = node.outcomes(substream_value(subs, event))
+                if node.select:
+                    live = np.flatnonzero((idx & node.select) == 0)
+                    subs, idx = subs[live], idx[live]
             survivors[event] += len(subs)
             event += 1
             if not len(subs):
                 break
-            if pc == measures[-1]:
-                tally = np.bincount(idx, minlength=m).tolist() if splits else [len(subs)]
-                for bits, c in zip(written.tolist(), tally):
-                    if c:
-                        counts[word | bits] += c
+            if node.pc == measures[-1]:
+                if node.written is None:
+                    counts[word] += len(subs)
+                else:
+                    tally = np.bincount(idx, minlength=len(node.written)).tolist()
+                    for bits, c in zip(node.written, tally):
+                        if c:
+                            counts[word | bits] += c
                 break
-            if splits:
-                tasks += [(_collapse_outcome(amps, op.qubits, o, nq), subs[np.flatnonzero(idx == o)],
-                           word | int(written[o]), pc + 1, event) for o in np.unique(idx).tolist()]
+            if node.written is not None:
+                tasks += [(subs[np.flatnonzero(idx == o)], word | node.written[o], event,
+                           node.collapsed(o)) for o in np.unique(idx).tolist()]
                 break
-            amps = _collapse_outcome(amps, op.qubits, 0, nq)
+            if entry is not None:
+                entry = node.collapsed(0)
     return counts, survivors
 
 
@@ -376,10 +443,13 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
             "classical register too wide to sample: the data section is limited to 64 bits"
         )
     amps0 = input_state.amplitudes.astype(np.complex128)
+    # the trunk lives for this call: every chunk reads the measurements it holds
+    trunk = [_Measurement(plan, amps0, 0)] if any(
+        isinstance(op, MeasureAll) for op in plan.instructions) else []
     counts = Counter()
     survivors = 0
     for begin in range(0, shots, CHUNK_SHOTS):
-        tally, live = _simulate_chunk(plan, amps0, seed, begin, min(begin + CHUNK_SHOTS, shots))
+        tally, live = _simulate_chunk(plan, trunk, seed, begin, min(begin + CHUNK_SHOTS, shots))
         counts.update(tally)
         survivors = survivors + live
     width = plan.n_classical_bits

@@ -1,6 +1,10 @@
+import warnings
+
 import numpy as np
 
-from vertexsim.rng import mix64, stream_u64, substream_seed, substream_value, to_unit, uniforms
+from vertexsim.rng import (
+    GOLDEN, LEAP, mix64, stream_u64, substream_seed, substream_value, to_unit, uniforms,
+)
 
 
 def test_matches_published_splitmix64_vectors():
@@ -77,3 +81,36 @@ def test_seeds_accept_numpy_integers():
     for seed in (np.int64(-5), np.uint64(2 ** 63 + 1), np.int32(7)):
         np.testing.assert_array_equal(stream_u64(seed, 4), stream_u64(int(seed), 4))
         assert substream_seed(seed, 3) == substream_seed(int(seed), 3)
+
+
+_MASK = (1 << 64) - 1
+
+
+def _mix64_int(x: int) -> int:
+    """SplitMix64 finalizer on Python integers: the scalar path."""
+    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
+    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK
+    return x ^ (x >> 31)
+
+
+def test_substreams_work_on_copies_and_match_the_scalar_path():
+    # the mix runs in place on a fresh array: the argument must not change,
+    # and wrapping mod 2^64 must stay silent (warnings are errors here)
+    ks = np.array([0, 1, 7, 2**63, 2**64 - 2, 2**64 - 1], dtype=np.uint64)
+    kept = ks.copy()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        seeds = substream_seed(2**64 - 3, ks)
+        values = substream_value(seeds, 2**40)
+        scalar_seed = substream_seed(np.int64(-3), np.uint64(2**64 - 1))
+        scalar_value = substream_value(np.uint64(2**64 - 1), np.int64(5))
+    assert np.array_equal(ks, kept)
+    sub = [_mix64_int((2**64 - 3 + (k + 1) * int(LEAP)) & _MASK) for k in ks.tolist()]
+    assert seeds.tolist() == sub
+    assert values.tolist() == [_mix64_int((s + (2**40 + 1) * int(GOLDEN)) & _MASK) for s in sub]
+    kept_seeds = seeds.copy()
+    substream_value(seeds, 3)
+    assert np.array_equal(seeds, kept_seeds)
+    assert isinstance(scalar_seed, np.uint64) and isinstance(scalar_value, np.uint64)
+    assert scalar_seed == sub[-1]
+    assert scalar_value == _mix64_int((2**64 - 1 + 6 * int(GOLDEN)) & _MASK)

@@ -696,3 +696,109 @@ def test_pure_postselection_keeps_exactly_outcome_zero():
         with mock.patch.object(simulator, "CHUNK_SHOTS", chunk_shots):
             hist = run_shots(plan, state, 3000, 8)
         assert (hist.counts, hist.meaningful_shots, hist.survivors) == (counts, meaningful, survivors)
+
+
+def _state_with_t0(t0):
+    """A 2-qubit state whose q1-marginal p0 has ceil(p0 * 2^53) == t0, or None."""
+    up = down = math.sqrt(t0 / 2.0 ** 53)
+    for _ in range(4):
+        for probe in (up, down):
+            state = init_state(2, np.array([probe, 0.0, math.sqrt(1.0 - probe * probe), 0.0]))
+            p0 = _marginal_probs(state.amplitudes.astype(np.complex128), (1,), 2)[0]
+            if math.ceil(p0 * 2.0 ** 53) == t0:
+                return state
+        up, down = np.nextafter(up, 2.0), np.nextafter(down, 0.0)
+    return None
+
+
+def test_postselection_compares_raw_values_at_the_edges():
+    # a post-selection keeps key < t0 = ceil(p0 * 2^53) as x < t0 << 11, and
+    # every shot once t0 >= 2^53; the reference sampler compares floats
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
+    plan = CircuitPlan(2, 2, [MeasureAll((1,), (1,)), ApplyUnitary(hadamard, (0,)),
+                              MeasureAll((0,), (0,))], n_data_bits=1)
+    seed, shots = 6, 200
+    keys = (substream_value(substream_seed(seed, np.arange(shots, dtype=np.uint64)), 0)
+            >> np.uint64(11)).tolist()
+
+    def check(state):
+        counts, meaningful, survivors = reference_shots(plan, state, shots, seed)
+        hist = run_shots(plan, state, shots, seed)
+        assert hist.counts == counts
+        assert (hist.meaningful_shots, hist.survivors) == (meaningful, survivors)
+        return survivors[0]
+
+    # t0 on a shot's key drops that shot; t0 one above keeps it.  Keys with
+    # p0 in [1/16, 1/4) leave p0 fine enough steps to hit every t0.
+    for key in (k for k in keys if 1 << 49 <= k < 1 << 51):
+        on, above = _state_with_t0(key), _state_with_t0(key + 1)
+        if on is not None and above is not None:
+            break
+    else:
+        pytest.fail("no key has both states")
+    below = sum(k < key for k in keys)
+    assert check(on) == below
+    assert check(above) == below + 1
+    # p0 = 1 gives t0 = 2^53, and p0 rounded above 1 gives more: no shot drops
+    for x in np.linspace(0.1, 0.9, 9):
+        v = np.array([x, 1.0, 0.0, 0.0]) / math.hypot(x, 1.0)
+        over = init_state(2, v)
+        if _marginal_probs(over.amplitudes.astype(np.complex128), (1,), 2)[0] > 1.0:
+            break
+    else:
+        pytest.fail("no state rounds p0 above 1")
+    assert check(over) == shots
+    assert check(basis_state(2, 1)) == shots
+
+
+def _binary_search_outcomes(cum, x):
+    """The readout before the bucket table: log2(m) passes over the unclipped
+    thresholds, which hold `threshold <= key` on a prefix."""
+    thresholds = np.ceil(cum * 2.0 ** 53).astype(np.uint64)
+    key = x >> np.uint64(11)
+    idx = 0
+    for j in reversed(range(len(cum).bit_length() - 1)):
+        idx = idx + (key >= thresholds[(1 << j) - 1:][idx]) * (1 << j)
+    return idx
+
+
+@settings(max_examples=60)
+@given(k=hs.integers(1, 5), data=hs.data())
+def test_table_readout_is_exact(k, data):
+    m = 1 << k
+    weights = np.array(data.draw(hs.lists(
+        hs.sampled_from([0.0, 1e-300, 1e-17, 0.1, 0.5, 1.0]) | hs.floats(0.0, 1.0),
+        min_size=m, max_size=m)))
+    if not weights.any():
+        weights[data.draw(hs.integers(0, m - 1))] = 1.0
+    # a few ulps over 1 push the cumsum above 1.0 before the pinned last entry
+    weights = weights / weights.sum() * (1.0 + data.draw(hs.integers(-4, 8)) * 2.0 ** -52)
+    amps = np.sqrt(weights).astype(np.complex128)
+    node = simulator._Measurement(CircuitPlan(k, k, [MeasureAll(tuple(range(k)), tuple(range(k)))]),
+                                  amps, 0)
+    cum = np.cumsum(_marginal_probs(amps, tuple(range(k)), k))
+    cum[-1] = 1.0
+    # adversarial keys: on each threshold and one below it, and each
+    # bucket's first and last key
+    thresholds = np.ceil(cum * 2.0 ** 53).astype(np.int64)
+    width = int(node.shift) - 11  # a bucket holds 2^width keys
+    starts = np.arange(1 << (53 - width), dtype=np.int64) << width
+    keys = np.concatenate([thresholds - 1, thresholds, starts, starts + (1 << width) - 1])
+    keys = np.clip(keys, 0, (1 << 53) - 1).astype(np.uint64)
+    low = np.uint64(data.draw(hs.integers(0, (1 << 11) - 1)))
+    x = np.concatenate([keys << np.uint64(11), (keys << np.uint64(11)) | low,
+                        stream_u64(data.draw(hs.integers(0, 99)), 64)])
+    got = node.outcomes(x)
+    assert np.array_equal(got, np.searchsorted(cum, to_unit(x), side="right"))
+    assert np.array_equal(got, _binary_search_outcomes(cum, x))
+
+
+def test_trunk_is_evolved_once_per_call():
+    # a transfer plan's trunk is the whole plan, so every chunk reuses the
+    # states evolved by the first chunk that reached each measurement
+    plan, state = _golden_case("t_4_1")
+    with mock.patch.object(simulator, "CHUNK_SHOTS", 17), \
+            mock.patch.object(simulator, "apply_matrix", wraps=simulator.apply_matrix) as gate:
+        hist = run_shots(plan, state, 400, seed=3)
+    assert hist.meaningful_shots > 0
+    assert gate.call_count == plan.count_unitaries()
