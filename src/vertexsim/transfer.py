@@ -44,6 +44,7 @@ from .rng import uniforms
 DENSE_CAP_QUBITS = 13  # N + 1 <= 13: dense storage grows as 4^(N+1)
 ENUMERATION_BUDGET = 1 << 26
 _ASSEMBLY_BLOCK = 256  # identity columns per sweep in `entries`; bounds the temporaries
+FUSED_GATES = 3  # gates per block of the row sweep: 16 x 16 blocks
 KRYLOV_DIM = 30  # Arnoldi basis vectors per restart cycle, capped at dim
 
 
@@ -69,10 +70,11 @@ class TransferOperator:
     """Row-transfer operator of one lattice row of N vertices, held as its gate R.
 
     The constructor rejects n unless it is a positive integer with
-    n + 1 <= DENSE_CAP_QUBITS.  Products with T and T^T are row sweeps of
-    `source` (`_row_sweep`); `apply_transfer` is the public T product.
-    `entries`, the dense matrix, is swept from the identity on first read and
-    cached read-only for `method="dense"` and the CLI's dense listing.
+    n + 1 <= DENSE_CAP_QUBITS.  Products with T and T^T are row sweeps
+    (`_row_sweep`) of `_blocks`, the gates of `source` fused FUSED_GATES at a
+    time, built on first use and cached; `apply_transfer` is the public T
+    product.  `entries`, the dense matrix, is swept from the identity on first
+    read and cached read-only for `method="dense"` and the CLI's dense listing.
     """
 
     n: int
@@ -92,13 +94,16 @@ class TransferOperator:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        g = _gate(self.source)
         out = np.empty((self.dim, self.dim))
         for s in range(0, self.dim, _ASSEMBLY_BLOCK):
             b = min(_ASSEMBLY_BLOCK, self.dim - s)
-            out[:, s:s + b] = _row_sweep(g, self.n, np.eye(self.dim, b, -s), reverse=False)
+            out[:, s:s + b] = _row_sweep(self._blocks, np.eye(self.dim, b, -s), reverse=False)
         out.setflags(write=False)
         return out
+
+    @cached_property
+    def _blocks(self) -> tuple[np.ndarray, ...]:
+        return _fused_blocks(self.source, self.n)
 
 
 @dataclass(frozen=True)
@@ -142,38 +147,59 @@ def apply_transfer(t: TransferOperator, x: np.ndarray) -> np.ndarray:
         raise DimensionError(
             f"array has shape {x.shape}, operator needs ({t.dim},) or ({t.dim}, b)"
         )
-    return _row_sweep(_gate(t.source), t.n, x, reverse=False)
+    return _row_sweep(t._blocks, x, reverse=False)
 
 
-def _gate(r: RMatrix) -> np.ndarray:
-    """R with rows reordered from (l, d) to (d, l), as `_row_sweep` applies it.
+def _fused_blocks(r: RMatrix, n: int) -> tuple[np.ndarray, ...]:
+    """The n gates of a row product fused FUSED_GATES at a time, gate n first.
 
-    The lateral bond then leaves each gate as the minor bit, next to the
-    vertical bit the following gate consumes.  T^T applies the transpose.
+    Each gate is g, R with rows reordered from (l, d) to (d, l), so that the
+    lateral bond leaves it as the minor bit, next to the vertical bit the
+    following gate consumes.  A block of p gates k, k-1, ..., k-p+1 is one
+    2^(p+1) x 2^(p+1) matrix from (bond, u_k, ..., u_{k-p+1}) to
+    (d_k, ..., d_{k-p+1}, bond).  Adding a gate sums over the bond between:
+
+        B_{q+1}[(x, d, c), (i, u)] = sum_b B_q[(x, b), i] g[(d, c), (b, u)].
+
+    Full blocks are all the same matrix; the last block takes the remaining
+    n mod FUSED_GATES gates.
     """
-    return r.entries[[0, 2, 1, 3]]
+    g = r.entries[[0, 2, 1, 3]]
+    chain = [g]
+    g4 = g.reshape(2, 2, 2, 2)
+    while len(chain) < min(FUSED_GATES, n):
+        s = len(chain[-1]) // 2
+        b = np.einsum("xbi,dcbu->xdciu", chain[-1].reshape(s, 2, 2 * s), g4)
+        chain.append(b.reshape(4 * s, 4 * s))
+    full, rest = divmod(n, FUSED_GATES)
+    return (chain[-1],) * full + (chain[rest - 1],) * (rest > 0)
 
 
-def _row_sweep(g: np.ndarray, n: int, x: np.ndarray, reverse: bool) -> np.ndarray:
-    """T @ x (g = _gate(R), reverse=False) or T^T @ x (g.T, reverse=True).
+def _row_sweep(blocks: tuple[np.ndarray, ...], x: np.ndarray, reverse: bool) -> np.ndarray:
+    """T @ x (reverse=False) or T^T @ x (reverse=True), blocks = `_fused_blocks`.
 
     x is (dim,) or (dim, b).  Forward, the lateral bond r is first moved in
-    front of the vertical bits, (r, u_N, ..., u_1); after the j finished d
-    bits the bond and the next vertical bit u_k (k = N - j) then sit side by
-    side, so gate k is one batched 4x4 matmul over the contiguous view
-    (2^j, 4, rest) that writes (d_k, bond) in their place.  After gate 1 the
-    axes read (d_N, ..., d_1, l), the natural order.  Reverse runs the
-    transposed steps back to front (gate 1 first) and moves the bond from
-    the front to the back at the end.  Either way one copy moves the bond.
+    front of the vertical bits, (r, u_N, ..., u_1); once the first `done`
+    d bits are written, the bond and the next vertical bits sit side by
+    side, so a block of p gates is one batched matmul over the contiguous
+    view (done, 2^(p+1), rest) that writes (d_k, ..., d_{k-p+1}, bond) in
+    their place.  After the last block the axes read (d_N, ..., d_1, l), the
+    natural order.  Reverse applies the block transposes back to front and
+    moves the bond from the front to the back at the end.  Either way one
+    copy moves the bond.
     """
     if reverse:
         y = x
-        for j in range(n - 1, -1, -1):
-            y = g @ y.reshape(2 ** j, 4, -1)
-        return y.reshape(2, 2 ** n, -1).transpose(1, 0, 2).reshape(x.shape)
-    y = x.reshape(2 ** n, 2, -1).transpose(1, 0, 2)
-    for j in range(n):
-        y = g @ y.reshape(2 ** j, 4, -1)
+        done = len(x) // 2
+        for b in reversed(blocks):
+            done //= len(b) // 2
+            y = b.T @ y.reshape(done, len(b), -1)
+        return y.reshape(2, len(x) // 2, -1).transpose(1, 0, 2).reshape(x.shape)
+    y = x.reshape(len(x) // 2, 2, -1).transpose(1, 0, 2)
+    done = 1
+    for b in blocks:
+        y = b @ y.reshape(done, len(b), -1)
+        done *= len(b) // 2
     return y.reshape(x.shape)
 
 
@@ -250,8 +276,7 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     if method != "power":
         raise ValidationError(f"unknown spectral method {method!r}")
 
-    g = _gate(t.source)
-    matvec = partial(_row_sweep, g, t.n, reverse=False)
+    matvec = partial(_row_sweep, t._blocks, reverse=False)
     theta, psi0, resid, used = _arnoldi_top(matvec, t.dim, tol, max_iterations)
     lam0 = float(theta[0].real)
     if theta[0].imag != 0 or lam0 <= 0:
@@ -320,11 +345,10 @@ def partition_element(t: TransferOperator, m: int, bottom: str, top: str) -> flo
     require_positive_int("m (rows)", m)
     row = _parse_boundary(bottom, t.n, "bottom")
     col = _parse_boundary(top, t.n, "top")
-    g = _gate(t.source)
     v = np.zeros(t.dim)
     v[col] = 1.0
     for _ in range(m):
-        v = _row_sweep(g, t.n, v, reverse=False)
+        v = _row_sweep(t._blocks, v, reverse=False)
     return float(v[row])
 
 

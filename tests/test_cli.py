@@ -273,14 +273,14 @@ PINNED_OUTPUTS = {
         "model.json": "25f01b990c50a75915d5ae973ff920800566fe0b2178fbc56f556c4baedc04a7",
     },
     ("spectrum", "--seed", "7", "--n", "4"): {
-        "psi0.csv": "6f15c6e0a39f98f682b9b84b9978ab6f6b17867c54ea27a06d8e7d92fc7421a0",
-        "spectrum.csv": "b3a074bdb4709324a593ce9d42824ae0fa4527fc61347a549b8d9d048f46e557",
-        "spectrum.json": "58ae9f489ff84f8a0b5f13c59540a1fdc1a2f2e068e68111a106ed708658c76b",
+        "psi0.csv": "01115596c5456ffa5013893d17a807776d9968f3ea74a2381dc659621b85c273",
+        "spectrum.csv": "edc2b4989b19fd4813188bdf80cf1e01c63b1b351ce3ab777c2bd97c4672105e",
+        "spectrum.json": "03d5dd87cf331237e2fab45a7cb751180db4a5afebc818b6e98623f6740e5595",
     },
     ("spectrum", "--seed", "4", "--n", "3", "--method", "dense"): {
-        "psi0.csv": "5856394eea85fbef52de871d798f7438b55c55b3477629854a52494d1c4f35b6",
-        "spectrum.csv": "ca5ce411c6efdd13f22fcbab5eb1335bc14763fae43ae81374eb0112fa4789ed",
-        "spectrum.json": "d97fef4188530798d9adf32da12e6dd554358c994a8e7d528c9f906b7c3f7dbe",
+        "psi0.csv": "cdcd4571d587779deea5e195967b87577e628dd03d093de88b2e2d9bd05f87c3",
+        "spectrum.csv": "b37c3465aad817ebc80406b25017c1999e843808f8efbd3c821fd56974c29a54",
+        "spectrum.json": "29d3bafd8acf56933d40ba841e6bea1acd447df51e496f3b25e41154c61f325e",
     },
     ("simulate", "--seed", "6", "--n", "2", "--m", "2", "--shots", "4000",
      "--meaningful-floor", "100"): {
@@ -303,11 +303,11 @@ PINNED_OUTPUTS = {
     },
     ("estimate", "--seed", "11", "--n", "2", "--shots", "8000", "--inputs", "2",
      "--meaningful-floor", "100"): {
-        "estimate.json": "d2e9362e989ea163b60ae6d4aa6714ecf71f3b46eff745a5b56541406455e908",
+        "estimate.json": "8e7b1501a034e2a3c3a36398b21d7144d51d19b0b6be1ba75b186107ccb580df",
         "estimate.svg": "49515898dd2a92d7a012bc407a08686cc194dc6d2d0a819d77bc6ca181cdbd96",
     },
     ("estimate", "--seed", "11", "--n", "3", "--mode", "exact"): {
-        "estimate.json": "8ed4cb6543202e3b5c24c9f84cf3e2aa898d568702044c0cbdfeaceba6411de2",
+        "estimate.json": "1ca0a1ed979896a57d0957b7ea842567c8691ea565988f1aa647d7b90fb05333",
         "estimate.svg": "dab374c73ce3322507e39f5c05898e58ba7b29d769c3b54b0306731e6e536f1b",
     },
     ("export-circuit", "--seed", "2", "--n", "3", "--m", "2"): {

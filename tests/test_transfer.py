@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,6 @@ from vertexsim import (
 from vertexsim import transfer
 from vertexsim.transfer import (
     DENSE_CAP_QUBITS,
-    _gate,
     _row_sweep,
     _true_residual,
 )
@@ -163,11 +163,36 @@ def test_row_product_and_transpose_match_dense(n, seed, c, b):
     for x in (rng.uniform(-1, 1, T.shape[0]), rng.uniform(-1, 1, (T.shape[0], b))):
         for dense, got in (
             (T, apply_transfer(assemble_transfer(R, n), x)),
-            (T.T, _row_sweep(_gate(R).T, n, x, reverse=True)),
+            (T.T, _row_sweep(assemble_transfer(R, n)._blocks, x, reverse=True)),
         ):
             assert got.shape == x.shape
             # componentwise: rounding scales with |T| |x|, not with |T x|
             assert np.all(np.abs(got - dense @ x) <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+
+
+@pytest.mark.parametrize("n, c", [(7, 0.0), (8, 0.4), (9, 2.0), (10, 0.4)])
+def test_row_product_and_transpose_match_dense_over_several_blocks(n, c):
+    # n mod FUSED_GATES = 1, 2, 0, 1: each remainder block after two or three full ones
+    R = r_matrix(generate_model(c, 2.0, n))
+    T = dense_transfer_reference(R, n)
+    t = assemble_transfer(R, n)
+    assert len(t._blocks) == -(-n // transfer.FUSED_GATES)
+    rng = np.random.default_rng(n)
+    for x in (rng.uniform(-1, 1, t.dim), rng.uniform(-1, 1, (t.dim, 3))):
+        for dense, got in ((T, apply_transfer(t, x)),
+                           (T.T, _row_sweep(t._blocks, x, reverse=True))):
+            assert got.shape == x.shape
+            assert np.all(np.abs(got - dense @ x) <= 1e-13 * (np.abs(dense) @ np.abs(x)))
+
+
+def test_blocks_are_built_once_per_operator():
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 5)
+    with mock.patch.object(transfer, "_fused_blocks", wraps=transfer._fused_blocks) as build:
+        spectral_summary(t)
+        spectral_summary(t, method="dense")
+        apply_transfer(t, np.ones(t.dim))
+        partition_element(t, 2, "0" * 6, "1" * 6)
+    build.assert_called_once()
 
 
 def test_power_oracle_never_reads_dense_entries():
