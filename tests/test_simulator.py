@@ -603,6 +603,62 @@ def test_golden_histograms(name, seed):
         assert count <= large.counts.get(key, 0)
 
 
+def _chunk_edge_case(name: str):
+    from vertexsim.experiments import _embed_input
+
+    if name == "t_4_1":
+        return _golden_case(name)
+    if name == "deep_6_2":
+        factors = svd_scaled(r_matrix(generate_model(0.4, 2.0, 7)))
+        return build_t_plan(factors, 6, 2), _embed_input(np.eye(2 ** 7)[0], 6)
+    # a data split (q0 -> c0) before the post-selection (q2 -> c2)
+    rng = np.random.default_rng(5)
+    plan = CircuitPlan(3, 3, [ApplyUnitary(haar_unitary(rng, 3), (0, 1, 2)),
+                              MeasureAll((0,), (0,)),
+                              ApplyUnitary(haar_unitary(rng, 2), (1, 2)),
+                              MeasureAll((2,), (2,)),
+                              ApplyUnitary(haar_unitary(rng, 2), (0, 1)),
+                              MeasureAll((1,), (1,))], n_data_bits=2)
+    return plan, basis_state(3, 0)
+
+
+# sha256 of json.dumps([counts, meaningful_shots, survivors], sort_keys=True)
+# at shot counts on either side of the chunk edges, pinned before the chunk
+# loop moved into a per-call workspace.
+CHUNK_EDGE_DIGESTS = {
+    "t_4_1": (
+        "f7187099e15b2f7afddec141813196e1ae6e430e059cebc712508dba23cdf956",
+        "f7187099e15b2f7afddec141813196e1ae6e430e059cebc712508dba23cdf956",
+        "336acaaec57613236eab5af3b00344b2a9a2cda92ba743229d349d70570c5b28",
+        "5cec2a44fd13d1232127f6cac0ac3dd055c9c6f3b0506e32698c4ea82a84de89",
+    ),
+    "deep_6_2": (
+        "fc328b7fe5711888d888157afe7a85d9d66a4243e6c64be2e0320e6279abf922",
+        "fc328b7fe5711888d888157afe7a85d9d66a4243e6c64be2e0320e6279abf922",
+        "d590df2f7cabd43f6e4ee963f01d11f266f7ba58aeac880dd617c7bf8c3d4f54",
+        "c5beb4c2b33c0263483eb4062ebfb152579a024380776c1a9c8aefe0ab22f92f",
+    ),
+    "split_then_select": (
+        "345f2f5e08e2230ffd0cdc41f5a595c684ebced333c9494aad53ad815beb056c",
+        "c97a50613e567e1af2652f7fa35df12f84a20e9b3cdb8acfe61699a43939442c",
+        "86fdb8944cf19ca9612a376199bdb5faabfcc9674c0b33a2b50c337e40434bd7",
+        "4099e5cfcc3e6230ee6641a0f799cf83e468c399aaa40b1b6be5730ec38e5065",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["t_4_1", "deep_6_2", "split_then_select"])
+def test_run_shots_pinned_at_chunk_edges(name):
+    plan, state = _chunk_edge_case(name)
+    chunk = simulator.CHUNK_SHOTS
+    for shots, want in zip((chunk - 1, chunk, chunk + 1, 2 * chunk + 3),
+                           CHUNK_EDGE_DIGESTS[name], strict=True):
+        hist = run_shots(plan, state, shots, seed=17)
+        blob = json.dumps([hist.counts, hist.meaningful_shots, list(hist.survivors)],
+                          sort_keys=True)
+        assert hashlib.sha256(blob.encode()).hexdigest() == want, (name, shots)
+
+
 # ---------------------------------------------------------------- reference sampler
 
 
@@ -664,6 +720,18 @@ def test_run_shots_matches_reference_sampler(case, seed, small_chunk, fewer):
     head = run_shots(plan, state, fewer, seed)
     assert all(count <= counts.get(key, 0) for key, count in head.counts.items())
     assert all(a <= b for a, b in zip(head.survivors, survivors, strict=True))
+
+
+def test_split_branches_keep_their_own_seeds():
+    # the first post-selection comes after a data split, so every branch
+    # compacts seeds it was pushed with; they must survive the sibling
+    # branches and chunks sampled after the push
+    plan, state = _chunk_edge_case("split_then_select")
+    counts, meaningful, survivors = reference_shots(plan, state, 41, 2)
+    with mock.patch.object(simulator, "CHUNK_SHOTS", 5):
+        hist = run_shots(plan, state, 41, seed=2)
+    assert (hist.counts, hist.meaningful_shots, hist.survivors) == (counts, meaningful, survivors)
+    assert len(hist.counts) > 1 and 0 < meaningful < 41
 
 
 def test_pure_postselection_keeps_exactly_outcome_zero():
