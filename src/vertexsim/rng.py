@@ -14,6 +14,11 @@ u = (x >> 11) * 2^-53.  So u is the 53-bit integer key k = x >> 11 scaled
 exactly, and for any double c, u >= c holds exactly when k >= ceil(c * 2^53)
 (c * 2^53 is exact, and k is an integer).  The shot engine compares such
 integer keys against integer thresholds instead of forming u.
+
+`substream_seed` and `substream_value` take numpy's `out=` and a scratch
+`buf=` for the mix's shifts, both uint64 arrays shaped like the result (`out`
+may be the input itself).  With them a caller that draws many times, like the
+shot engine's per-call workspace, allocates nothing per draw.
 """
 
 from __future__ import annotations
@@ -29,9 +34,11 @@ _M2 = np.uint64(0x94D049BB133111EB)
 _MASK = (1 << 64) - 1
 
 
-def _mix_in_place(x: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer on a fresh uint64 array, in place, with one shift buffer."""
-    buf = np.empty_like(x)
+def _mix_in_place(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+    """SplitMix64 finalizer on a uint64 array, in place; `buf`, shaped like x
+    (fresh when None), holds the shifts."""
+    if buf is None:
+        buf = np.empty_like(x)
     with np.errstate(over="ignore"):
         x ^= np.right_shift(x, np.uint64(30), out=buf)
         x *= _M1
@@ -67,22 +74,38 @@ def uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     return to_unit(stream_u64(seed, count, start))
 
 
-def substream_seed(seed: int, k: int | np.ndarray) -> np.ndarray | np.uint64:
-    """Seed of independent substream k (e.g. one stream per shot)."""
-    x = np.array(k, dtype=np.uint64)  # a copy: the steps below work in place
+def substream_seed(seed: int, k: int | np.ndarray, *, out: np.ndarray | None = None,
+                   buf: np.ndarray | None = None) -> np.ndarray | np.uint64:
+    """Seed of independent substream k (e.g. one stream per shot).
+
+    Given `out`, the seeds of the uint64 counters k are written there and
+    `out` is returned; `buf` is the mix's shift buffer.
+    """
     with np.errstate(over="ignore"):
-        x += np.uint64(1)
+        if out is None:
+            x = np.array(k, dtype=np.uint64)  # a copy: the steps below work in place
+            x += np.uint64(1)
+        else:
+            x = np.add(k, np.uint64(1), out=out)
         x *= LEAP
         x += _u64(seed)
-    return _mix_in_place(x)[()]
+    _mix_in_place(x, buf)
+    return x[()] if out is None else out
 
 
-def substream_value(sub_seeds: np.ndarray, index: int) -> np.ndarray:
-    """Value `index` of each substream, vectorized over substream seeds."""
+def substream_value(sub_seeds: np.ndarray, index: int, *, out: np.ndarray | None = None,
+                    buf: np.ndarray | None = None) -> np.ndarray:
+    """Value `index` of each substream, vectorized over substream seeds.
+
+    Given `out`, the values are written there and `out` is returned; `buf`
+    is the mix's shift buffer.
+    """
     with np.errstate(over="ignore"):
         step = np.uint64(index + 1) * GOLDEN
-    x = np.add(sub_seeds, step, out=np.empty(np.shape(sub_seeds), dtype=np.uint64))
-    return _mix_in_place(x)[()]
+    x = np.add(sub_seeds, step,
+               out=np.empty(np.shape(sub_seeds), dtype=np.uint64) if out is None else out)
+    _mix_in_place(x, buf)
+    return x[()] if out is None else out
 
 
 def to_unit(x: np.ndarray) -> np.ndarray:

@@ -45,6 +45,15 @@ evolved per chunk.  The draws stay per shot:
   outcome all its keys share, or -1 when a threshold falls inside it, and
   searchsorted over the thresholds (clipped at 2^53, so sorted) settles
   those few keys exactly.
+
+Every chunk of a call samples in one workspace that the call allocates: three
+uint64 rows of min(shots, CHUNK_SHOTS).  Two rows take turns holding the live
+shots' seeds and the values drawn from them, the third is the mix's shift
+buffer and, viewed as bool, the survival mask; the survivors are compacted
+into the values' row with np.take(..., out=).  The only fresh shot-sized
+arrays a chunk makes are its shot counters, the survivors' indices, the
+readout's outcomes and the seeds of branches pushed after a data split,
+which never share the workspace.
 """
 
 from __future__ import annotations
@@ -93,6 +102,8 @@ def init_state(n: int, amplitudes: np.ndarray) -> QuantumState:
     amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
     if amps.shape != (2 ** n,):
         raise DimensionError(f"state over {n} qubits needs 2^{n} amplitudes, got {amps.shape}")
+    if not np.all(np.isfinite(amps)):
+        raise ValidationError("input amplitudes must be finite")
     nrm = float(np.linalg.norm(amps))
     if nrm == 0.0:
         raise ValidationError("cannot initialize from the zero vector")
@@ -356,9 +367,12 @@ class _Measurement:
         self.table[bucket[self.thresholds & np.uint64((1 << s) - 1) != 0]] = -1
         self.shift = np.uint64(s + 11)
 
-    def outcomes(self, x: np.ndarray) -> np.ndarray:
-        """The outcome of each raw value: searchsorted(thresholds, x >> 11, side="right")."""
-        idx = self.table[(x >> self.shift).view(np.int64)]
+    def outcomes(self, x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
+        """The outcome of each raw value: searchsorted(thresholds, x >> 11, side="right").
+
+        `buf`, a uint64 array shaped like x (fresh when None), takes the keys' buckets.
+        """
+        idx = self.table[np.right_shift(x, self.shift, out=buf).view(np.int64)]
         miss = np.flatnonzero(idx < 0)
         idx[miss] = np.searchsorted(self.thresholds, x[miss] >> np.uint64(11), side="right")
         return idx
@@ -369,7 +383,7 @@ class _Measurement:
 
 
 def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, start: int,
-                    stop: int) -> tuple[Counter, np.ndarray]:
+                    stop: int, work: np.ndarray) -> tuple[Counter, np.ndarray]:
     """Meaningful shots among shots [start, stop) counted by data word, and
     the number of live shots after each measurement.
 
@@ -382,13 +396,26 @@ def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, sta
     reads each live shot's outcome from its table and pushes one task per
     outcome realized, except the plan's last measurement, which counts each
     outcome's shots.
+
+    `work` is the call's workspace (see the module docstring), three uint64
+    rows of at least stop - start entries.  The root's seeds start in row 0;
+    each draw writes into row `spare`, the one of rows 0 and 1 that does not
+    hold the running task's seeds, and a compaction moves the seeds there.
+    A pushed task gets fresh seed arrays, never a view of `work`: a task
+    runs to its end before the next is popped, so only the running task's
+    seeds live in `work`.
     """
     measures = [i for i, op in enumerate(plan.instructions) if isinstance(op, MeasureAll)]
     survivors = np.zeros(len(measures), dtype=np.int64)
     if not measures:
         return Counter({0: stop - start}), survivors
     counts = Counter()
-    tasks = [(substream_seed(seed, np.arange(start, stop, dtype=np.uint64)), 0, 0, None)]
+    n = stop - start
+    buf, mask = work[2], work[2].view(np.bool_)
+    root = substream_seed(seed, np.arange(start, stop, dtype=np.uint64), out=work[0, :n],
+                          buf=buf[:n])
+    spare = 1  # the row of work[0], work[1] that does not hold the seeds
+    tasks = [(root, 0, 0, None)]
     while tasks:
         subs, word, event, entry = tasks.pop()
         while True:
@@ -398,14 +425,26 @@ def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, sta
                 if event == len(trunk):
                     trunk.append(_Measurement(plan, *trunk[-1].collapsed(0)))
                 node = trunk[event]
+            n, keep = len(subs), None
             if node.written is None:
                 if node.limit is not None:
-                    subs = subs[np.flatnonzero(substream_value(subs, event) < node.limit)]
+                    x = substream_value(subs, event, out=work[spare, :n], buf=buf[:n])
+                    keep = np.less(x, node.limit, out=mask[:n])
             else:
-                idx = node.outcomes(substream_value(subs, event))
+                x = substream_value(subs, event, out=work[spare, :n], buf=buf[:n])
+                idx = node.outcomes(x, buf[:n])
                 if node.select:
-                    live = np.flatnonzero((idx & node.select) == 0)
-                    subs, idx = subs[live], idx[live]
+                    # the values are spent: their row takes idx & select
+                    sel = np.bitwise_and(idx, node.select, out=work[spare, :n].view(np.intp))
+                    keep = np.equal(sel, 0, out=mask[:n])
+            if keep is not None:
+                live = np.flatnonzero(keep)
+                # mode="clip" writes straight into the row; the default
+                # "raise" would stage the result in a fresh array first
+                subs = np.take(subs, live, out=work[spare, :len(live)], mode="clip")
+                spare ^= 1
+                if node.written is not None:
+                    idx = idx[live]
             survivors[event] += len(subs)
             event += 1
             if not len(subs):
@@ -446,10 +485,13 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
     # the trunk lives for this call: every chunk reads the measurements it holds
     trunk = [_Measurement(plan, amps0, 0)] if any(
         isinstance(op, MeasureAll) for op in plan.instructions) else []
+    # so does the workspace every chunk samples in (see _simulate_chunk)
+    work = np.empty((3, min(shots, CHUNK_SHOTS)), dtype=np.uint64)
     counts = Counter()
     survivors = 0
     for begin in range(0, shots, CHUNK_SHOTS):
-        tally, live = _simulate_chunk(plan, trunk, seed, begin, min(begin + CHUNK_SHOTS, shots))
+        tally, live = _simulate_chunk(plan, trunk, seed, begin, min(begin + CHUNK_SHOTS, shots),
+                                      work)
         counts.update(tally)
         survivors = survivors + live
     width = plan.n_classical_bits

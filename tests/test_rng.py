@@ -114,3 +114,29 @@ def test_substreams_work_on_copies_and_match_the_scalar_path():
     assert isinstance(scalar_seed, np.uint64) and isinstance(scalar_value, np.uint64)
     assert scalar_seed == sub[-1]
     assert scalar_value == _mix64_int((2**64 - 1 + 6 * int(GOLDEN)) & _MASK)
+    # out= and buf= write the allocating calls' bits into the caller's arrays:
+    # into views shorter than the rows behind them, and onto the input itself
+    n = len(ks)
+    rows = np.full((3, n + 5), 12345, dtype=np.uint64)
+    seeds_out, values_out, buf = rows[0, :n], rows[1, :n], rows[2, :n]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert substream_seed(2**64 - 3, ks, out=seeds_out, buf=buf) is seeds_out
+        assert substream_value(seeds_out, 2**40, out=values_out, buf=buf) is values_out
+        assert seeds_out.tolist() == sub
+        assert values_out.tolist() == values.tolist()
+        in_place = ks.copy()
+        assert substream_seed(2**64 - 3, in_place, out=in_place) is in_place
+        assert in_place.tolist() == sub
+        assert substream_value(in_place, 2**40, out=in_place) is in_place
+        assert in_place.tolist() == values.tolist()
+        # a 0-d input still gives a scalar; with a 0-d out, that array
+        zero_d = np.array(2**64 - 1, dtype=np.uint64)
+        assert isinstance(substream_seed(np.int64(-3), zero_d), np.uint64)
+        assert isinstance(substream_value(zero_d, np.int64(5)), np.uint64)
+        box = np.empty((), dtype=np.uint64)
+        assert substream_seed(np.int64(-3), zero_d, out=box) is box and box == sub[-1]
+        assert substream_value(zero_d, np.int64(5), out=box) is box and box == scalar_value
+    # past the views, the rows are untouched, and so is a separate input
+    assert (rows[:, n:] == 12345).all()
+    assert np.array_equal(ks, kept)

@@ -88,6 +88,10 @@ def test_init_state_errors():
         init_state(2, np.zeros(4))
     with pytest.raises(ValidationError):
         init_state(2, np.full(4, 0.7))  # norm 1.4, far outside tolerance
+    # abs(nan - 1) > 1e-9 is False, so the norm check alone lets NaN through
+    for bad in ([np.nan, 1.0], [np.inf, 0.0], [1.0, complex(0.0, np.nan)], [np.nan, np.nan]):
+        with pytest.raises(ValidationError, match="finite"):
+            init_state(1, bad)
 
 
 def circuit(nq, *instructions):
