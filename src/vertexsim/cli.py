@@ -130,8 +130,15 @@ def _resolve_seed(args) -> int:
 
 def _load_model(args, seed: int) -> VertexModel:
     if args.model is not None:
-        return model_from_json(args.model.read_text())
+        return model_from_json(_read_text(args.model))
     return generate_model(args.c, args.beta, seed)
+
+
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path} is not text: {exc}") from exc
 
 
 def _wants(args, fmt: str) -> bool:
@@ -161,7 +168,7 @@ def _random_positive_state(dim: int, seed: int) -> np.ndarray:
 def _load_input_vector(path: Path, dim: int) -> np.ndarray:
     v = np.zeros(dim)
     seen = set()
-    for line in path.read_text().splitlines():
+    for line in _read_text(path).splitlines():
         line = line.strip()
         if not line or line.startswith("index"):
             continue
@@ -170,6 +177,8 @@ def _load_input_vector(path: Path, dim: int) -> np.ndarray:
             idx, val = int(idx_s), float(val_s)
         except ValueError as exc:
             raise ValidationError(f"input file {path}: want 'index,value', got {line!r}") from exc
+        if not math.isfinite(val):
+            raise ValidationError(f"input file {path}: amplitude {val} is not finite")
         if not 0 <= idx < dim:
             raise ValidationError(f"input file {path}: index {idx} out of range for {dim} amplitudes")
         if idx in seen:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -49,7 +50,7 @@ def test_spectrum_outputs_and_entropy_seed_recorded(tmp_path):
     meta = json.loads((tmp_path / "spectrum.json").read_text())
     assert isinstance(meta["seed"], int)  # drawn from entropy, recorded
     assert 0 < meta["ratio"] < 1
-    assert meta["iterations"] == 16  # dim 16 <= 30: the Krylov space is all of R^16
+    assert meta["iterations"] == 16  # dim 16 <= KRYLOV_DIM: the Krylov space is all of R^16
     assert 0 <= meta["residual_lambda1"] < 1e-10  # the default --tol
     assert (tmp_path / "spectrum.csv").exists()
     assert (tmp_path / "psi0.csv").exists()
@@ -122,6 +123,36 @@ def test_repeated_input_index_exits_2(tmp_path, capsys):
     (line,) = capsys.readouterr().err.splitlines()
     assert line.startswith("error:") and "index 0 appears twice" in line
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("args, option", [
+    (("spectrum", "--n", "4"), "--model"),
+    (("simulate", "--n", "1"), "--input-file"),
+])
+def test_non_utf8_file_exits_2(tmp_path, capsys, args, option):
+    path = tmp_path / "bad.bin"
+    path.write_bytes(b"\xff\xfe{\x80\x81}")
+    out = tmp_path / "out"
+    assert run_cli(*args, "--seed", "1", option, str(path), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error:") and str(path) in line
+    assert not out.exists()
+
+
+def test_non_finite_input_amplitude_exits_2_without_warning(tmp_path, capsys):
+    path = tmp_path / "input.csv"
+    out = tmp_path / "out"
+    for text in ("0,1e400\n", "0,1\n1,-inf\n", "1,nan\n"):
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--seed", "1", "--n", "1", "--mode", "exact",
+                           "--input-file", str(path), "--out", str(out)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and "not finite" in line
+    assert not out.exists()
 
 
 def test_simulate_insufficient_statistics_exit_code(tmp_path):
@@ -273,9 +304,9 @@ PINNED_OUTPUTS = {
         "model.json": "25f01b990c50a75915d5ae973ff920800566fe0b2178fbc56f556c4baedc04a7",
     },
     ("spectrum", "--seed", "7", "--n", "4"): {
-        "psi0.csv": "01115596c5456ffa5013893d17a807776d9968f3ea74a2381dc659621b85c273",
-        "spectrum.csv": "edc2b4989b19fd4813188bdf80cf1e01c63b1b351ce3ab777c2bd97c4672105e",
-        "spectrum.json": "03d5dd87cf331237e2fab45a7cb751180db4a5afebc818b6e98623f6740e5595",
+        "psi0.csv": "49c72dc5eeb4917c9d3e6bbe74f1dffcd2ba80802dd81d4d80fd5e362cfc36fc",
+        "spectrum.csv": "5c3ac240d1e5764a26b191904c45d4507776a238a62d234b7f2a1f93283162ad",
+        "spectrum.json": "d1f31cfd6d2637cc61c1195b54438dd07a5cecf2ac049b8efdb3d6ee9720c3d2",
     },
     ("spectrum", "--seed", "4", "--n", "3", "--method", "dense"): {
         "psi0.csv": "cdcd4571d587779deea5e195967b87577e628dd03d093de88b2e2d9bd05f87c3",

@@ -298,6 +298,21 @@ def test_arnoldi_matches_dense(n, seed, c):
     assert np.linalg.norm(a.psi0_right - b.psi0_right) <= 1e-10
 
 
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.integers(4, 7),
+    seed=st.integers(0, 2 ** 16),
+    beta=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+)
+def test_small_ratio_is_known_to_1e_12_absolute(n, seed, beta):
+    # the SpectralSummary docstring's figure: at c = 2 the ratio falls to 1e-10,
+    # and the default tol bounds its error in units of Lambda_0, not of itself
+    t = assemble_transfer(r_matrix(generate_model(2.0, beta, seed)), n)
+    a = spectral_summary(t)
+    b = spectral_summary(t, method="dense")
+    assert abs(a.ratio - b.ratio) <= 2e-12
+
+
 def test_spectral_spin_flip_symmetric_models():
     # eps(d,u,l,r) = eps(1-d,1-u,1-l,1-r): T commutes with flipping every bit,
     # and on these models |Lambda_1| belongs to a flip-odd eigenvector.  A flat
@@ -350,6 +365,14 @@ def test_spectral_nonconvergence_reports_residual():
     assert err.value.residual > 0
 
 
+def test_one_dimensional_invariant_space_stops_at_once():
+    # at beta 300 T's entries are near 1e-296 and T q_0 rounds into span(q_0):
+    # no second Ritz pair can follow, so the budget is not spent on restarts
+    t = assemble_transfer(r_matrix(generate_model(0.4, 300.0, 1)), 4)
+    with pytest.raises(ConvergenceError, match="in 1 matvecs"):
+        spectral_summary(t)
+
+
 @pytest.mark.parametrize("seed", [2, 9, 10])
 def test_arnoldi_restart_matches_one_cycle(monkeypatch, seed):
     # these N=12 models take a second cycle at KRYLOV_DIM = 30; one cycle of 80 agrees
@@ -362,6 +385,33 @@ def test_arnoldi_restart_matches_one_cycle(monkeypatch, seed):
     assert abs(restarted.lambda0 - one.lambda0) <= 1e-14 * one.lambda0
     assert abs(restarted.ratio - one.ratio) <= 1e-14
     assert np.linalg.norm(restarted.psi0_right - one.psi0_right) <= 1e-14
+
+
+@pytest.mark.parametrize("krylov_dim", [12, 16, 20])
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_restart_keeps_the_lambda1_direction(monkeypatch, krylov_dim, beta):
+    # a restart that keeps too little of the space loses |Lambda_1| on this model
+    # and converges to a smaller pair: 0.046578 for the true 0.046635 at beta 1, k = 12
+    t = assemble_transfer(r_matrix(generate_model(0.0, beta, 6)), 7)
+    want = spectral_summary(t, method="dense").ratio
+    monkeypatch.setattr(transfer, "KRYLOV_DIM", krylov_dim)
+    assert abs(spectral_summary(t).ratio - want) <= 1e-10 * want
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(
+    n=st.sampled_from([5, 7]),
+    seed=st.integers(0, 2 ** 16),
+    c=st.sampled_from([0.0, 0.4]),
+    beta=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+)
+def test_small_krylov_space_finds_lambda1(n, seed, c, beta):
+    # at k = 12 these models restart, and |Lambda_1| must survive each restart
+    t = assemble_transfer(r_matrix(generate_model(c, beta, seed)), n)
+    want = spectral_summary(t, method="dense").ratio
+    with mock.patch.object(transfer, "KRYLOV_DIM", 12):
+        got = spectral_summary(t).ratio
+    assert abs(got - want) <= 1e-6 * want + 1e-8
 
 
 def test_power_residual_is_the_true_residual():
