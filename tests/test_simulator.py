@@ -663,6 +663,28 @@ def test_run_shots_pinned_at_chunk_edges(name):
         assert hashlib.sha256(blob.encode()).hexdigest() == want, (name, shots)
 
 
+# sha256 of the kept amplitudes' bytes (none when the kept state is a mixture)
+# followed by repr(keep), pinned before run_exact walked _Measurement nodes.
+EXACT_DIGESTS = {
+    "t_2_1": "d0936b2554b76b254de4541631aeaa09909115a67db43391d9494d10eace579c",
+    "t_4_1": "483703efcbf265698976f5db2adaee5ca4444f6d9af51c169b1fc214918d4155",
+    "t_4_3": "9aa2ba926351e85b9448f3e931597eed96e8521c5fd070327a402057ec5cc3fa",
+    "t_6_2": "2d2b0569e8dcb852d09324c4966738ad215e58081dd9d8e086a07565570b4531",
+    "d_test": "2d783cccafbdb37ef0226a1cc2cb61865ef746d09d0fb8800bae5d675889495f",
+    "terashima": "124db42a68585896c5801e1315e296ca174e0d96b6ba733cb18ce04f20cda17f",
+    "mid_circuit": "dfffb5c18ae36b13e299e27444633347bcaa061b3e7f5b5b74cfc26039a42edd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_DIGESTS))
+def test_run_exact_is_pinned(name):
+    plan, state = _golden_case(name)
+    out, keep = run_exact(plan, state)
+    assert (out is None) == (name == "mid_circuit")
+    blob = (b"" if out is None else out.amplitudes.tobytes()) + repr(keep).encode()
+    assert hashlib.sha256(blob).hexdigest() == EXACT_DIGESTS[name]
+
+
 # ---------------------------------------------------------------- reference sampler
 
 
