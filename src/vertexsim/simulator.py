@@ -19,24 +19,25 @@ Conventions
   exactly when the 53-bit key x >> 11 is >= ceil(c * 2^53) (see rng), so
   it compares keys against the thresholds ceil(cum * 2^53).
 
-Both runners walk a worklist of branches, each one state shared by a group
-of shots: between measurements every shot sees the same evolution, so a
-branch is evolved once for all of them.  A shot is dropped at its first
-failed post-selection (the first measurement that sets a select bit), so
-only live shots draw, and a measurement that writes data bits splits a
-branch by the outcomes its live shots realize.  `run_exact` walks the same
-branches with a weight in place of shots.  Gates and marginals move the
-state's axes with the transposes that `gates.target_axes` caches per
-(targets, n).
+Both runners walk the same branches, each one state shared by a group of
+shots: between measurements every shot sees the same evolution, so a branch
+is evolved once for all of them.  A `_Measurement` node is one step of a
+branch: it applies the gates up to the next measurement (or the plan's end),
+splits that measurement's classical bits into data and select bits, and
+holds its outcome weights, `probs`.  A shot is dropped at its first failed
+post-selection (the first measurement that sets a select bit), so only live
+shots draw, and a measurement that writes data bits splits a branch by the
+outcomes its live shots realize.  `run_exact` walks the same nodes with a
+weight in place of shots and never builds their sampling tables.  Gates and
+marginals move the state's axes with the transposes that `gates.target_axes`
+caches per (targets, n).
 
 `run_shots` samples CHUNK_SHOTS shots at a time, but every chunk starts on
 the same branch, the trunk: the measurements up to and including the first
 that writes a data bit, which on a transfer plan is the whole plan.  The
-first chunk to reach a trunk measurement prepares it (the gates before it,
-its state, its thresholds and its readout table) and later chunks of the
-same call reuse it, so the trunk is evolved once per call.  The call keeps
-one state per trunk measurement; branches after the first data split are
-evolved per chunk.  The draws stay per shot:
+first chunk to reach a trunk measurement builds its node, and later chunks
+of the same call reuse it, so the trunk is evolved once per call; branches
+after the first data split are evolved per chunk.  The draws stay per shot:
 * a measurement that writes no data bit keeps the shots whose raw value x is
   below t0 << 11, which is key < t0 for the first threshold t0 < 2^53
   (outcome 0) with no shift; at t0 >= 2^53 every shot lives and none draws;
@@ -46,14 +47,12 @@ evolved per chunk.  The draws stay per shot:
   searchsorted over the thresholds (clipped at 2^53, so sorted) settles
   those few keys exactly.
 
-Every chunk of a call samples in one workspace that the call allocates: three
-uint64 rows of min(shots, CHUNK_SHOTS).  Two rows take turns holding the live
-shots' seeds and the values drawn from them, the third is the mix's shift
-buffer and, viewed as bool, the survival mask; the survivors are compacted
-into the values' row with np.take(..., out=).  The only fresh shot-sized
-arrays a chunk makes are its shot counters, the survivors' indices, the
-readout's outcomes and the seeds of branches pushed after a data split,
-which never share the workspace.
+Every chunk of a call samples in one workspace, three uint64 rows of
+min(shots, CHUNK_SHOTS): two take turns holding the live shots' seeds and the
+values drawn from them, the third is the mix's shift buffer and, viewed as
+bool, the survival mask.  A chunk's only fresh shot-sized arrays are its shot
+counters, the survivors' indices, the readout's outcomes and the seeds of
+branches pushed after a data split.
 """
 
 from __future__ import annotations
@@ -61,15 +60,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DimensionError,
-    ImpossiblePostselectionError,
-    ValidationError,
-    require_positive_int,
-)
+from .errors import (DimensionError, ImpossiblePostselectionError, ValidationError,
+                     require_positive_int)
 from .gates import apply_matrix, check_targets, target_axes
 from .rng import substream_seed, substream_value
 
@@ -126,10 +122,8 @@ def _check_unitary(matrix: np.ndarray, k: int) -> None:
 
 
 def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index).
-
-    Not renormalized: on a unit state they sum to 1 up to rounding.
-    """
+    """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index), not
+    renormalized: on a unit state they sum to 1 up to rounding."""
     front = target_axes(tuple(qubits), n_qubits)[0]
     dens = np.abs(amps.reshape((2,) * n_qubits)) ** 2
     return dens.transpose(front).reshape(1 << len(qubits), -1).sum(axis=-1)
@@ -138,14 +132,15 @@ def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) ->
 def _collapse_outcome(amps: np.ndarray, qubits: tuple[int, ...], outcome: int,
                       n_qubits: int) -> np.ndarray:
     """Project `qubits` onto an outcome and renormalize (weight must be > 0)."""
-    view = amps.reshape([2] * n_qubits)
+    view = amps.reshape((2,) * n_qubits)
     keep = [slice(None)] * n_qubits
     for j, q in enumerate(qubits):
         keep[n_qubits - 1 - q] = (outcome >> j) & 1
-    kept = np.zeros_like(view)
+    kept = np.zeros(view.shape, dtype=view.dtype)
     kept[tuple(keep)] = view[tuple(keep)]
     flat = kept.reshape(-1)
-    p = float(np.linalg.norm(flat))
+    # np.linalg.norm(flat), without its argument handling
+    p = math.sqrt(flat.real.dot(flat.real) + flat.imag.dot(flat.imag))
     if p == 0.0:
         raise ImpossiblePostselectionError("measurement collapsed onto a zero-weight outcome")
     return flat / p
@@ -198,10 +193,8 @@ class CircuitPlan:
         if self.n_qubits < 1:
             raise ValidationError("plan needs at least one qubit")
         if not 0 <= self.n_data_bits <= self.n_classical_bits:
-            raise ValidationError(
-                f"bad register layout: {self.n_data_bits} data bits in "
-                f"{self.n_classical_bits} classical bits"
-            )
+            raise ValidationError(f"bad register layout: {self.n_data_bits} data bits in "
+                                  f"{self.n_classical_bits} classical bits")
         checked = set()  # (id, width) of the matrices checked in this call
         for ins in self.instructions:
             if isinstance(ins, ApplyUnitary):
@@ -268,110 +261,115 @@ def _check_input(plan: CircuitPlan, input_state: QuantumState) -> None:
 def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumState | None, float]:
     """Infinite-shot limit of `run_shots`: the kept state and keep probability.
 
-    Walks the branches of `run_shots` with a weight in place of shots.  The
-    qubits a measurement writes into select bits are projected onto 0 and
-    the weight multiplied by p0, their weight there (a branch with p0 = 0
-    dies).  A measurement into data bits splits the branch on every outcome
-    of nonzero weight, except the readout, the plan's last instruction,
-    whose data qubits stay coherent.  The keep probability is the summed
-    weight of the surviving branches; the kept state is None when more than
-    one survives, since it is then a mixture.  Raises
-    ImpossiblePostselectionError when every branch dies, and ValidationError
-    when the branches expanded would exceed MAX_STATE_AMPLITUDES amplitudes.
+    Walks the `_Measurement` nodes of `run_shots` with a weight in place of
+    shots: every outcome of nonzero weight that sets no select bit becomes a
+    branch, its weight multiplied by the outcome's.  The readout, the plan's
+    last instruction, keeps its data qubits coherent (`_Measurement.readout`).
+    The keep probability is the summed weight of the surviving branches; the
+    kept state is None when more than one survives, since it is then a
+    mixture.  Raises ImpossiblePostselectionError when every branch dies, and
+    ValidationError when data splits expand over MAX_STATE_AMPLITUDES.
     """
     _check_input(plan, input_state)
-    nq, nd, ins = plan.n_qubits, plan.n_data_bits, plan.instructions
-    tasks = [(input_state.amplitudes.copy(), 1.0, 0)]
+    nq, last = plan.n_qubits, len(plan.instructions) - 1
+    tasks = [(input_state.amplitudes.copy(), 0, 1.0)]
     expanded, kept, keep = 1, [], 0.0
     while tasks:
-        amps, weight, pc = tasks.pop()
-        for pc in range(pc, len(ins)):
-            op = ins[pc]
-            if isinstance(op, ApplyUnitary):
-                amps = apply_matrix(amps, op.matrix, op.targets, nq)
-                continue
-            if select := tuple(q for q, c in zip(op.qubits, op.cbits) if c >= nd):
-                p0 = float(_marginal_probs(amps, select, nq)[0])
-                if p0 <= 0.0:
-                    break
-                amps = _collapse_outcome(amps, select, 0, nq)
-                weight *= p0
-            data = tuple(q for q, c in zip(op.qubits, op.cbits) if c < nd)
-            if data and pc < len(ins) - 1:
-                probs = _marginal_probs(amps, data, nq)
-                outcomes = np.flatnonzero(probs > 0.0).tolist()
-                expanded += len(outcomes)
-                if expanded << nq > MAX_STATE_AMPLITUDES:
-                    raise ValidationError(f"run_exact would expand {expanded} branches of "
-                                          f"{nq} qubits, over {MAX_STATE_AMPLITUDES} amplitudes")
-                tasks += [(_collapse_outcome(amps, data, o, nq), weight * float(probs[o]), pc + 1)
-                          for o in outcomes]
-                break
-        else:
-            kept.append(amps)
-            keep += weight
+        amps, pc, weight = tasks.pop()
+        node = _Measurement(plan, amps, pc)
+        if node.pc >= last:
+            amps, p0 = node.readout()
+            if p0 > 0.0:
+                kept.append(amps)
+                keep += weight * p0
+            continue
+        probs = node.probs.tolist()
+        outcomes = [o for o, p in enumerate(probs) if p > 0.0 and not o & node.select]
+        if node.written is not None:
+            expanded += len(outcomes)
+            if expanded << nq > MAX_STATE_AMPLITUDES:
+                raise ValidationError(f"run_exact would expand {expanded} branches of "
+                                      f"{nq} qubits, over {MAX_STATE_AMPLITUDES} amplitudes")
+        tasks += [(*node.collapsed(o), weight * probs[o]) for o in outcomes]
     if not kept:
         raise ImpossiblePostselectionError("every branch failed a post-selection of weight zero")
     return (QuantumState(nq, kept[0]) if len(kept) == 1 else None), keep
 
 
 class _Measurement:
-    """A measurement prepared for sampling: everything about it that does not
-    depend on the shots.
+    """One step of a branch: the gates up to a measurement, and the measurement.
 
     Built from the state entering instruction `pc`, it applies the gates up
-    to the next measurement and keeps that measurement's index (`pc`), the
-    state before it (`amps`) and how a shot's raw 64-bit value x decides its
-    outcome.  `written[o]` is the data word of outcome o, None when the
-    measurement writes no data bit, and `select` masks the outcome bits read
-    into select bits.  With no data bit a shot lives when x < `limit` (None:
-    always); with data bits `outcomes` reads x against `thresholds` through
-    `table`.
+    to the next measurement and keeps its index `pc` (the plan's length when
+    none is left) and the state before it, `amps`.  `select` masks the
+    outcome bits read into select bits and `probs` holds the outcome weights.
+    For sampling, `written[o]` is the data word of outcome o (None: no data
+    bit); with no data bit a shot lives when its raw 64-bit value x < `limit`
+    (None: always), and with data bits `outcomes` reads x against
+    `thresholds` through `table`.  All but `select` and `shift` are computed
+    on first use, so `run_exact` never builds a table or a readout's weights.
     """
 
     def __init__(self, plan: CircuitPlan, amps: np.ndarray, pc: int):
         nq, ins = plan.n_qubits, plan.instructions
-        while isinstance(ins[pc], ApplyUnitary):
-            amps = apply_matrix(amps, ins[pc].matrix, ins[pc].targets, nq)
-            pc += 1
-        op = ins[pc]
-        self.pc, self.amps, self.qubits, self.n_qubits = pc, amps, op.qubits, nq
-        k = len(op.qubits)
-        written, self.select = np.zeros(1 << k, dtype=np.uint64), 0
+        for pc in range(pc, len(ins)):
+            if not isinstance(op := ins[pc], ApplyUnitary):
+                break
+            amps = apply_matrix(amps, op.matrix, op.targets, nq)
+        else:
+            pc, op = len(ins), MeasureAll((), ())
+        self.pc, self.amps, self.qubits, self.cbits, self.n_qubits = (
+            pc, amps, op.qubits, op.cbits, nq)
+        self._probs = None
+        self.select = 0
         for j, cb in enumerate(op.cbits):
-            if cb < plan.n_data_bits:
-                written |= ((np.arange(1 << k) >> j) & 1).astype(np.uint64) << np.uint64(cb)
-            else:
+            if cb >= plan.n_data_bits:
                 self.select |= 1 << j
-        self.written = written.tolist() if written.any() else None
-        probs = _marginal_probs(amps, op.qubits, nq)
-        if self.written is None:
-            # key < t0 exactly when x < t0 << 11, for t0 < 2^53; at or
-            # above 2^53 every key is below t0 and every shot lives
-            t0 = math.ceil(probs[0] * 2.0 ** 53)
-            self.limit = np.uint64(t0 << 11) if t0 < 1 << 53 else None
-            return
-        cum = np.cumsum(probs)
+        if self.select == (1 << len(op.qubits)) - 1:
+            self.written = None  # else the cached property below
+        # about 128 buckets per outcome, at most 2^16, of 2^(shift - 11) keys each
+        self.shift = 64 - min(len(op.qubits) + 7, 16)
+
+    @property
+    def probs(self) -> np.ndarray:
+        # run_exact reads it at every node: cached_property's lock costs more
+        if self._probs is None:
+            self._probs = _marginal_probs(self.amps, self.qubits, self.n_qubits)
+        return self._probs
+
+    @cached_property
+    def written(self) -> list[int]:
+        o = np.arange(1 << len(self.cbits), dtype=np.uint64)
+        return np.bitwise_or.reduce([(o >> np.uint64(j) & np.uint64(1)) << np.uint64(cb) for j, cb
+                                     in enumerate(self.cbits) if not self.select >> j & 1]).tolist()
+
+    @cached_property
+    def limit(self) -> np.uint64 | None:
+        # key < t0 exactly when x < t0 << 11, for t0 < 2^53; above, every shot lives
+        t0 = math.ceil(self.probs[0] * 2.0 ** 53)
+        return np.uint64(t0 << 11) if t0 < 1 << 53 else None
+
+    @cached_property
+    def thresholds(self) -> np.ndarray:
+        cum = np.cumsum(self.probs)
         cum[-1] = 1.0
-        # clipped at 1, so at 2^53 (which no key reaches), the thresholds are
-        # sorted and still give searchsorted's outcomes
-        self.thresholds = np.ceil(np.minimum(cum, 1.0) * 2.0 ** 53).astype(np.uint64)
-        # about 128 buckets per outcome, at most 2^16: bucket j holds the
-        # keys [j << s, (j + 1) << s).  Its entry counts the thresholds in
-        # buckets 0..j, the outcome of every key in it unless a threshold
-        # falls inside it, past its first key: then the entry is -1
-        bits = min(k + 7, 16)
-        s = 53 - bits
+        # clipped at 2^53, which no key reaches: sorted, with searchsorted's outcomes
+        return np.ceil(np.minimum(cum, 1.0) * 2.0 ** 53).astype(np.uint64)
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        # bucket j holds the keys [j << s, (j + 1) << s).  Its entry counts the
+        # thresholds in buckets 0..j, the outcome of every key in it unless a
+        # threshold falls inside it, past its first key: then the entry is -1
+        s = self.shift - 11
         bucket = (self.thresholds >> np.uint64(s)).astype(np.intp)
-        self.table = np.cumsum(np.bincount(bucket, minlength=(1 << bits) + 1)[:1 << bits])
-        self.table[bucket[self.thresholds & np.uint64((1 << s) - 1) != 0]] = -1
-        self.shift = np.uint64(s + 11)
+        table = np.cumsum(np.bincount(bucket, minlength=(1 << 53 - s) + 1)[:1 << 53 - s])
+        table[bucket[self.thresholds & np.uint64((1 << s) - 1) != 0]] = -1
+        return table
 
     def outcomes(self, x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
-        """The outcome of each raw value: searchsorted(thresholds, x >> 11, side="right").
-
-        `buf`, a uint64 array shaped like x (fresh when None), takes the keys' buckets.
-        """
+        """The outcome of each raw value, searchsorted(thresholds, x >> 11, side="right");
+        `buf`, a uint64 array shaped like x (fresh when None), takes the keys' buckets."""
         idx = self.table[np.right_shift(x, self.shift, out=buf).view(np.int64)]
         miss = np.flatnonzero(idx < 0)
         idx[miss] = np.searchsorted(self.thresholds, x[miss] >> np.uint64(11), side="right")
@@ -381,6 +379,16 @@ class _Measurement:
         """The state after `outcome` and the next instruction: a branch's entry."""
         return _collapse_outcome(self.amps, self.qubits, outcome, self.n_qubits), self.pc + 1
 
+    def readout(self) -> tuple[np.ndarray | None, float]:
+        """The state `run_exact` keeps here at the plan's end, and its weight p0:
+        the qubits read into select bits projected onto 0 (None when p0 = 0),
+        the data qubits left coherent."""
+        if not self.select:
+            return self.amps, 1.0
+        sel = tuple(q for j, q in enumerate(self.qubits) if self.select >> j & 1)
+        p0 = float(_marginal_probs(self.amps, sel, self.n_qubits)[0])
+        return (_collapse_outcome(self.amps, sel, 0, self.n_qubits) if p0 > 0.0 else None), p0
+
 
 def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, start: int,
                     stop: int, work: np.ndarray) -> tuple[Counter, np.ndarray]:
@@ -389,21 +397,19 @@ def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, sta
 
     A task is one branch: (live shots' substream seeds, data bits so far,
     next measurement, entry), where the entry is the branch's state and next
-    instruction.  The root task has no entry: it walks `trunk`, the trunk
-    measurements this call has prepared (at least the first), and prepares
-    the next one when it gets past the last.  A measurement that writes no
-    data bit keeps the shots below its limit; one that writes data bits
-    reads each live shot's outcome from its table and pushes one task per
-    outcome realized, except the plan's last measurement, which counts each
-    outcome's shots.
+    instruction.  The root task has no entry: it walks `trunk`, the nodes
+    this call has built (at least the first), and builds the next one when
+    it gets past the last.  A node that writes no data bit keeps the shots
+    below its limit; one that writes data bits reads each live shot's
+    outcome and pushes one task per outcome realized, except at the plan's
+    last measurement, which counts each outcome's shots.
 
-    `work` is the call's workspace (see the module docstring), three uint64
-    rows of at least stop - start entries.  The root's seeds start in row 0;
-    each draw writes into row `spare`, the one of rows 0 and 1 that does not
-    hold the running task's seeds, and a compaction moves the seeds there.
-    A pushed task gets fresh seed arrays, never a view of `work`: a task
-    runs to its end before the next is popped, so only the running task's
-    seeds live in `work`.
+    `work` is the call's workspace (see the module docstring), with rows of
+    at least stop - start entries.  The root's seeds start in row 0; each
+    draw writes into row `spare`, the one of rows 0 and 1 that does not hold
+    the running task's seeds, and a compaction moves the seeds there.  A
+    pushed task gets fresh seed arrays, so only the running task's seeds
+    live in `work`.
     """
     measures = [i for i, op in enumerate(plan.instructions) if isinstance(op, MeasureAll)]
     survivors = np.zeros(len(measures), dtype=np.int64)
@@ -478,9 +484,8 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
     require_positive_int("shots", shots)
     _check_input(plan, input_state)
     if plan.n_data_bits > 64:
-        raise ValidationError(
-            "classical register too wide to sample: the data section is limited to 64 bits"
-        )
+        raise ValidationError("classical register too wide to sample: the data section is "
+                              "limited to 64 bits")
     amps0 = input_state.amplitudes.astype(np.complex128)
     # the trunk lives for this call: every chunk reads the measurements it holds
     trunk = [_Measurement(plan, amps0, 0)] if any(
@@ -496,10 +501,5 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
         survivors = survivors + live
     width = plan.n_classical_bits
     keyed = {format(v, f"0{width}b"): c for v, c in sorted(counts.items())}
-    return ShotHistogram(
-        counts=keyed,
-        total_shots=shots,
-        meaningful_shots=sum(counts.values()),
-        seed=seed,
-        survivors=tuple(survivors.tolist()),
-    )
+    return ShotHistogram(counts=keyed, total_shots=shots, meaningful_shots=sum(counts.values()),
+                         seed=seed, survivors=tuple(survivors.tolist()))
