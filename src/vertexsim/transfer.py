@@ -302,40 +302,29 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     lam0 = float(theta[0].real)
     if theta[0].imag != 0 or lam0 <= 0:
         raise NumericalError(f"dominant eigenvalue must be real and positive, got {theta[0]}")
-    psi0 /= np.linalg.norm(psi0)
-    if psi0.sum() < 0:
-        psi0 = -psi0
     lam1_abs = min(float(abs(theta[1])), lam0)  # guard fp overshoot; Perron gives strict inequality
-    return SpectralSummary(
-        lambda0=lam0,
-        lambda1_abs=lam1_abs,
-        ratio=lam1_abs / lam0,
-        psi0_right=psi0,
-        residual=_true_residual(matvec, lam0, psi0, tol),
-        residual_lambda1=float(resid[1]),
-        iterations=used,
-        method="power",
-    )
+    return _summary(matvec, lam0, lam1_abs, psi0, tol, residual_lambda1=float(resid[1]),
+                    iterations=used, method="power")
 
 
 def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
     ev, vec = np.linalg.eig(t.entries)
     order = np.argsort(-np.abs(ev))
     ev, vec = ev[order], vec[:, order]
-    lam0 = float(np.real(ev[0]))
-    psi0 = np.real(vec[:, 0])
+    return _summary(lambda x: t.entries @ x, float(np.real(ev[0])), float(np.abs(ev[1])),
+                    np.real(vec[:, 0]), tol, method="dense")
+
+
+def _summary(matvec, lam0: float, lam1_abs: float, psi0: np.ndarray, tol: float,
+             **fields) -> SpectralSummary:
+    """The summary of both methods: psi0 scaled to unit norm and a positive sum,
+    the ratio, and the true residual checked by `_true_residual`."""
     psi0 /= np.linalg.norm(psi0)
     if psi0.sum() < 0:
         psi0 = -psi0
-    lam1_abs = float(np.abs(ev[1]))
-    return SpectralSummary(
-        lambda0=lam0,
-        lambda1_abs=lam1_abs,
-        ratio=lam1_abs / lam0,
-        psi0_right=psi0,
-        residual=_true_residual(lambda x: t.entries @ x, lam0, psi0, tol),
-        method="dense",
-    )
+    return SpectralSummary(lambda0=lam0, lambda1_abs=lam1_abs, ratio=lam1_abs / lam0,
+                           psi0_right=psi0, residual=_true_residual(matvec, lam0, psi0, tol),
+                           **fields)
 
 
 def _true_residual(matvec, lam0: float, psi0: np.ndarray, tol: float) -> float:
