@@ -187,7 +187,12 @@ def _load_input_vector(path: Path, dim: int) -> np.ndarray:
         v[idx] = val
     if not np.any(v):
         raise ValidationError(f"input file {path} holds no amplitudes")
-    return v / np.linalg.norm(v)
+    with np.errstate(over="ignore"):  # a norm that over- or underflows is redone below
+        norm = np.linalg.norm(v)
+    if norm == 0.0 or math.isinf(norm):
+        v = v / np.abs(v).max()
+        norm = np.linalg.norm(v)
+    return v / norm
 
 
 def cmd_gen_model(args) -> int:

@@ -99,13 +99,15 @@ def generate_model(c: float, beta: float, seed: int) -> VertexModel:
         raise ValidationError(f"c must be finite, got {c}")
     noise = to_unit(stream_u64(seed, 16))
     ramp = np.array([bin(i).count("1") for i in range(16)], dtype=np.float64)
-    energies = (c * ramp * DELTA + noise * DELTA).tolist()
+    with np.errstate(over="ignore"):  # an infinite energy fails VertexModel's check
+        energies = (c * ramp * DELTA + noise * DELTA).tolist()
     return VertexModel(energies=tuple(energies), beta=float(beta), c=float(c), seed=int(seed))
 
 
 def r_matrix(model: VertexModel) -> RMatrix:
     """Boltzmann gate of a model: exp(-beta * eps) in the (2l+d, 2r+u) layout."""
-    flat = np.exp(-model.beta * model.energy_array())
+    with np.errstate(over="ignore"):  # an entry of 0 or inf fails RMatrix's check
+        flat = np.exp(-model.beta * model.energy_array())
     return RMatrix(entries=flat.reshape(4, 4))
 
 

@@ -1,10 +1,15 @@
 import hashlib
+import io
 import json
+import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexsim import NumericalError, parse_circuit_text
 from vertexsim.cli import main
@@ -153,6 +158,107 @@ def test_non_finite_input_amplitude_exits_2_without_warning(tmp_path, capsys):
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error:") and "not finite" in line
     assert not out.exists()
+
+
+@pytest.mark.parametrize("body", ["0,1e200\n1,1e200\n", "0,1e-300\n1,1e-300\n"])
+def test_input_file_normalizes_at_both_extremes_without_warning(tmp_path, body):
+    # the plain norm overflows to inf or underflows to 0; both inputs are (1, 1)
+    path = tmp_path / "input.csv"
+    path.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("simulate", "--seed", "1", "--n", "1", "--mode", "exact",
+                       "--input-file", str(path), "--out", str(tmp_path / "a")) == 0
+    path.write_text("0,1\n1,1\n")
+    assert run_cli("simulate", "--seed", "1", "--n", "1", "--mode", "exact",
+                   "--input-file", str(path), "--out", str(tmp_path / "b")) == 0
+    assert (tmp_path / "a" / "action.csv").read_text() == (tmp_path / "b" / "action.csv").read_text()
+
+
+@pytest.mark.parametrize("args", [("gen-model", "--c=1e308"), ("gen-model", "--c=-1e308"),
+                                  ("spectrum", "--n=2", "--beta=1e308"),
+                                  ("export-circuit", "--n=2", "--beta=1e308")])
+def test_huge_model_parameters_exit_2_without_warning(tmp_path, capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli(*args, "--seed", "1", "--out", str(tmp_path / "out")) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:")
+    assert not (tmp_path / "out").exists()
+
+
+# every option at boundary values (zero, negative, huge, tiny, not-a-number,
+# non-numbers) or at values it accepts; n and shots stay small so a run is quick
+_EDGES = ["0", "-1", "1e308", "-1e308", "1e-300", "nan", "inf", "-inf", "x", ""]
+_FUZZ_OPTIONS = {
+    "--c": ["0.4", "2"],
+    "--beta": ["2", "0.5"],
+    "--seed": ["1", "18446744073709551617"],
+    "--n": ["1", "2", "3"],
+    "--m": ["1", "2"],
+    "--shots": ["1", "2000"],
+    "--meaningful-floor": ["1", "2000"],
+    "--inputs": ["1", "2"],
+    "--tol": ["1e-10", "0.5"],
+    "--method": ["power", "dense"],
+    "--mode": ["deep", "refeed", "exact"],
+    "--format": ["csv", "json", "svg"],
+}
+_FUZZ_COMMANDS = {
+    "gen-model": ["--c", "--beta", "--seed", "--model"],
+    "spectrum": ["--c", "--beta", "--seed", "--model", "--format", "--n", "--method", "--tol"],
+    "simulate": ["--c", "--beta", "--seed", "--model", "--format", "--n", "--m", "--shots",
+                 "--mode", "--input-file", "--meaningful-floor"],
+    "estimate": ["--c", "--beta", "--seed", "--model", "--format", "--n", "--shots", "--mode",
+                 "--inputs", "--input-file", "--meaningful-floor"],
+    "export-circuit": ["--c", "--beta", "--seed", "--model", "--n", "--m"],
+}
+# file bodies; None makes the path a directory
+_FUZZ_FILES = {
+    "--model": ['{"beta": 2, "c": 0.4, "seed": 1}', '{"beta": 1e308, "c": 0.4, "seed": 1}',
+                '{"beta": 2, "energies": [-1e308, 1e308, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+                '{"beta": 2, "c": 1e308, "seed": 1}', '{"beta": 2', "[]", "", b"\xff\xfe", None],
+    "--input-file": ["0,1\n", "0,1e200\n3,-1e308\n", "0,1e-300\n1,5e-324\n", "1,nan\n",
+                     "0,0\n", "99,1\n", "0;1\n", "", b"\xff\xfe", None],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_any_option_values_end_in_a_documented_exit(data):
+    command = data.draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [command]
+        for option in data.draw(st.lists(st.sampled_from(_FUZZ_COMMANDS[command]), unique=True)):
+            if option in _FUZZ_FILES:
+                body = data.draw(st.sampled_from(_FUZZ_FILES[option]))
+                path = Path(tmp) / option.strip("-")
+                if body is None:
+                    path.mkdir()
+                else:
+                    path.write_bytes(body if isinstance(body, bytes) else body.encode())
+                argv.append(f"{option}={path}")
+            else:
+                value = st.sampled_from(_EDGES) | st.sampled_from(_FUZZ_OPTIONS[option])
+                argv.append(f"{option}={data.draw(value)}")
+        for option, small in (("--seed", "1"), ("--n", "2"), ("--shots", "2000")):
+            if option in _FUZZ_COMMANDS[command] and not any(a.startswith(option + "=") for a in argv):
+                argv.append(f"{option}={small}")
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), \
+                redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            try:
+                code = main(argv + [f"--out={out}"])
+            except SystemExit as exc:  # argparse rejects the command line
+                code = exc.code
+        assert code in (0, 2, 3, 4), argv
+        assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert "Traceback" not in err.getvalue()
+        assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
+        if code != 0:
+            assert not out.exists() or not any(out.iterdir()), argv
 
 
 def test_simulate_insufficient_statistics_exit_code(tmp_path):
