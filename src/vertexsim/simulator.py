@@ -38,14 +38,9 @@ that writes a data bit, which on a transfer plan is the whole plan.  The
 first chunk to reach a trunk measurement builds its node, and later chunks
 of the same call reuse it, so the trunk is evolved once per call; branches
 after the first data split are evolved per chunk.  The draws stay per shot:
-* a measurement that writes no data bit keeps the shots whose raw value x is
-  below t0 << 11, which is key < t0 for the first threshold t0 < 2^53
-  (outcome 0) with no shift; at t0 >= 2^53 every shot lives and none draws;
-* a measurement that writes data bits reads each outcome from a table over
-  the key's top bits, about 128 buckets per outcome.  A bucket holds the
-  outcome all its keys share, or -1 when a threshold falls inside it, and
-  searchsorted over the thresholds (clipped at 2^53, so sorted) settles
-  those few keys exactly.
+a measurement that writes no data bit compares each live shot's raw value
+with one limit, and one that writes data bits reads each outcome from a
+bucket table over the key's top bits (see `_Measurement`).
 
 Every chunk of a call samples in one workspace, three uint64 rows of
 min(shots, CHUNK_SHOTS): two take turns holding the live shots' seeds and the
@@ -193,8 +188,10 @@ class CircuitPlan:
         if self.n_qubits < 1:
             raise ValidationError("plan needs at least one qubit")
         if not 0 <= self.n_data_bits <= self.n_classical_bits:
-            raise ValidationError(f"bad register layout: {self.n_data_bits} data bits in "
-                                  f"{self.n_classical_bits} classical bits")
+            raise ValidationError(
+                f"bad register layout: {self.n_data_bits} data bits in "
+                f"{self.n_classical_bits} classical bits"
+            )
         checked = set()  # (id, width) of the matrices checked in this call
         for ins in self.instructions:
             if isinstance(ins, ApplyUnitary):
@@ -303,11 +300,10 @@ class _Measurement:
     to the next measurement and keeps its index `pc` (the plan's length when
     none is left) and the state before it, `amps`.  `select` masks the
     outcome bits read into select bits and `probs` holds the outcome weights.
-    For sampling, `written[o]` is the data word of outcome o (None: no data
-    bit); with no data bit a shot lives when its raw 64-bit value x < `limit`
-    (None: always), and with data bits `outcomes` reads x against
-    `thresholds` through `table`.  All but `select` and `shift` are computed
-    on first use, so `run_exact` never builds a table or a readout's weights.
+    For sampling, `written[o]` is outcome o's data word (None: no data bit);
+    a shot lives when its raw value x < `limit` (None: always), or `outcomes`
+    reads x through `table`.  All but `select` and `shift` are computed on
+    first use, so `run_exact` never builds a table or a readout's weights.
     """
 
     def __init__(self, plan: CircuitPlan, amps: np.ndarray, pc: int):
@@ -318,9 +314,8 @@ class _Measurement:
             amps = apply_matrix(amps, op.matrix, op.targets, nq)
         else:
             pc, op = len(ins), MeasureAll((), ())
-        self.pc, self.amps, self.qubits, self.cbits, self.n_qubits = (
-            pc, amps, op.qubits, op.cbits, nq)
-        self._probs = None
+        self.pc, self.amps, self.qubits, self.cbits, self.n_qubits, self._probs = (
+            pc, amps, op.qubits, op.cbits, nq, None)
         self.select = 0
         for j, cb in enumerate(op.cbits):
             if cb >= plan.n_data_bits:
@@ -380,9 +375,8 @@ class _Measurement:
         return _collapse_outcome(self.amps, self.qubits, outcome, self.n_qubits), self.pc + 1
 
     def readout(self) -> tuple[np.ndarray | None, float]:
-        """The state `run_exact` keeps here at the plan's end, and its weight p0:
-        the qubits read into select bits projected onto 0 (None when p0 = 0),
-        the data qubits left coherent."""
+        """The state `run_exact` keeps at the plan's end and its weight p0: select
+        qubits projected onto 0 (None when p0 = 0), data qubits left coherent."""
         if not self.select:
             return self.amps, 1.0
         sel = tuple(q for j, q in enumerate(self.qubits) if self.select >> j & 1)
@@ -484,8 +478,9 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
     require_positive_int("shots", shots)
     _check_input(plan, input_state)
     if plan.n_data_bits > 64:
-        raise ValidationError("classical register too wide to sample: the data section is "
-                              "limited to 64 bits")
+        raise ValidationError(
+            "classical register too wide to sample: the data section is limited to 64 bits"
+        )
     amps0 = input_state.amplitudes.astype(np.complex128)
     # the trunk lives for this call: every chunk reads the measurements it holds
     trunk = [_Measurement(plan, amps0, 0)] if any(
@@ -501,5 +496,10 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
         survivors = survivors + live
     width = plan.n_classical_bits
     keyed = {format(v, f"0{width}b"): c for v, c in sorted(counts.items())}
-    return ShotHistogram(counts=keyed, total_shots=shots, meaningful_shots=sum(counts.values()),
-                         seed=seed, survivors=tuple(survivors.tolist()))
+    return ShotHistogram(
+        counts=keyed,
+        total_shots=shots,
+        meaningful_shots=sum(counts.values()),
+        seed=seed,
+        survivors=tuple(survivors.tolist()),
+    )
