@@ -117,8 +117,10 @@ def _check_unitary(matrix: np.ndarray, k: int) -> None:
 
 
 def _marginal_probs(amps: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index), not
-    renormalized: on a unit state they sum to 1 up to rounding."""
+    """Outcome weights over `qubits` (qubits[0] = LSB of the outcome index).
+
+    Not renormalized: on a unit state they sum to 1 up to rounding.
+    """
     front = target_axes(tuple(qubits), n_qubits)[0]
     dens = np.abs(amps.reshape((2,) * n_qubits)) ** 2
     return dens.transpose(front).reshape(1 << len(qubits), -1).sum(axis=-1)
@@ -308,12 +310,10 @@ class _Measurement:
 
     def __init__(self, plan: CircuitPlan, amps: np.ndarray, pc: int):
         nq, ins = plan.n_qubits, plan.instructions
-        for pc in range(pc, len(ins)):
-            if not isinstance(op := ins[pc], ApplyUnitary):
-                break
-            amps = apply_matrix(amps, op.matrix, op.targets, nq)
-        else:
-            pc, op = len(ins), MeasureAll((), ())
+        while pc < len(ins) and isinstance(ins[pc], ApplyUnitary):
+            amps = apply_matrix(amps, ins[pc].matrix, ins[pc].targets, nq)
+            pc += 1
+        op = ins[pc] if pc < len(ins) else MeasureAll((), ())
         self.pc, self.amps, self.qubits, self.cbits, self.n_qubits, self._probs = (
             pc, amps, op.qubits, op.cbits, nq, None)
         self.select = 0
