@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import secrets
 import sys
 from pathlib import Path
@@ -66,8 +67,22 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads every negative number as a value, `-1e-3` included.
+
+    argparse takes an argument that starts with "-" for an option unless it
+    matches its negative-number pattern, which has no exponent, so
+    `--c -1e-3` failed while `--c=-1e-3` worked.  Subparsers are built with
+    this class too.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="vertexsim", description=__doc__)
+    p = _Parser(prog="vertexsim", description=__doc__)
     p.add_argument("--version", action="version", version=f"vertexsim {__version__}")
     sub = p.add_subparsers(required=True)
 

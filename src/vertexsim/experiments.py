@@ -205,8 +205,7 @@ def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None,
             hist.meaningful_fraction,
         )
     probs = np.zeros(2 ** (n + 1))
-    for key, count in hist.counts.items():
-        probs[int(key, 2)] = count
+    probs[[int(key, 2) for key in hist.counts]] = list(hist.counts.values())
     probs /= hist.meaningful_shots
     return dense_from_wire(np.sqrt(probs), n), hist
 

@@ -19,6 +19,13 @@ integer keys against integer thresholds instead of forming u.
 `buf=` for the mix's shifts, both uint64 arrays shaped like the result (`out`
 may be the input itself).  With them a caller that draws many times, like the
 shot engine's per-call workspace, allocates nothing per draw.
+
+The draws wrap mod 2^64 without an `np.errstate` block: numpy warns about
+integer overflow only in arithmetic on numpy scalars, never in a ufunc over
+an array (a 0-d array included), and every uint64 step here runs on arrays.
+The one scalar product, (i + 1) * GOLDEN, is taken in Python integers.  An
+`errstate` block costs as much as several ufunc calls on the shot engine's
+short rows, so the draws do without one.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 LEAP = np.uint64(0xD1B54A32D192ED03)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
+_S1, _S2, _S3 = np.uint64(30), np.uint64(27), np.uint64(31)
 _MASK = (1 << 64) - 1
 
 
@@ -39,12 +47,11 @@ def _mix_in_place(x: np.ndarray, buf: np.ndarray | None = None) -> np.ndarray:
     (fresh when None), holds the shifts."""
     if buf is None:
         buf = np.empty_like(x)
-    with np.errstate(over="ignore"):
-        x ^= np.right_shift(x, np.uint64(30), out=buf)
-        x *= _M1
-        x ^= np.right_shift(x, np.uint64(27), out=buf)
-        x *= _M2
-        x ^= np.right_shift(x, np.uint64(31), out=buf)
+    x ^= np.right_shift(x, _S1, out=buf)
+    x *= _M1
+    x ^= np.right_shift(x, _S2, out=buf)
+    x *= _M2
+    x ^= np.right_shift(x, _S3, out=buf)
     return x
 
 
@@ -63,9 +70,8 @@ def _u64(seed: int) -> np.uint64:
 def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Raw 64-bit values `start..start+count-1` of the top-level stream."""
     x = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        x *= GOLDEN
-        x += _u64(seed)
+    x *= GOLDEN
+    x += _u64(seed)
     return _mix_in_place(x)
 
 
@@ -81,14 +87,13 @@ def substream_seed(seed: int, k: int | np.ndarray, *, out: np.ndarray | None = N
     Given `out`, the seeds of the uint64 counters k are written there and
     `out` is returned; `buf` is the mix's shift buffer.
     """
-    with np.errstate(over="ignore"):
-        if out is None:
-            x = np.array(k, dtype=np.uint64)  # a copy: the steps below work in place
-            x += np.uint64(1)
-        else:
-            x = np.add(k, np.uint64(1), out=out)
-        x *= LEAP
-        x += _u64(seed)
+    if out is None:
+        x = np.array(k, dtype=np.uint64)  # a copy: the steps below work in place
+        x += np.uint64(1)
+    else:
+        x = np.add(k, np.uint64(1), out=out)
+    x *= LEAP
+    x += _u64(seed)
     _mix_in_place(x, buf)
     return x[()] if out is None else out
 
@@ -100,8 +105,7 @@ def substream_value(sub_seeds: np.ndarray, index: int, *, out: np.ndarray | None
     Given `out`, the values are written there and `out` is returned; `buf`
     is the mix's shift buffer.
     """
-    with np.errstate(over="ignore"):
-        step = np.uint64(index + 1) * GOLDEN
+    step = np.uint64((int(index) + 1) * int(GOLDEN) & _MASK)
     x = np.add(sub_seeds, step,
                out=np.empty(np.shape(sub_seeds), dtype=np.uint64) if out is None else out)
     _mix_in_place(x, buf)

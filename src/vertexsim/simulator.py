@@ -28,9 +28,11 @@ holds its outcome weights, `probs`.  A shot is dropped at its first failed
 post-selection (the first measurement that sets a select bit), so only live
 shots draw, and a measurement that writes data bits splits a branch by the
 outcomes its live shots realize.  `run_exact` walks the same nodes with a
-weight in place of shots and never builds their sampling tables.  Gates and
-marginals move the state's axes with the transposes that `gates.target_axes`
-caches per (targets, n).
+weight in place of shots and never builds their sampling tables.  A gate
+reads its target amplitudes as one contiguous block through the read-only
+index that `gates.gather_index` caches per (targets, n), and puts the result
+back through that index's inverse; a marginal transposes the state's axes
+in the order that `gates.target_axes` caches.
 
 `run_shots` samples CHUNK_SHOTS shots at a time, but every chunk starts on
 the same branch, the trunk: the measurements up to and including the first
@@ -194,10 +196,14 @@ class CircuitPlan:
                 f"bad register layout: {self.n_data_bits} data bits in "
                 f"{self.n_classical_bits} classical bits"
             )
-        checked = set()  # (id, width) of the matrices checked in this call
+        # checked in this call: target tuples, and matrices by (id, width)
+        checked_targets, checked = set(), set()
         for ins in self.instructions:
             if isinstance(ins, ApplyUnitary):
-                check_targets(ins.targets, self.n_qubits)
+                targets = tuple(ins.targets)
+                if targets not in checked_targets:
+                    check_targets(targets, self.n_qubits)
+                    checked_targets.add(targets)
                 key = (id(ins.matrix), len(ins.targets))
                 if key not in checked:
                     _check_unitary(ins.matrix, len(ins.targets))
@@ -334,9 +340,12 @@ class _Measurement:
 
     @cached_property
     def written(self) -> list[int]:
-        o = np.arange(1 << len(self.cbits), dtype=np.uint64)
-        return np.bitwise_or.reduce([(o >> np.uint64(j) & np.uint64(1)) << np.uint64(cb) for j, cb
-                                     in enumerate(self.cbits) if not self.select >> j & 1]).tolist()
+        # by doubling: once bit j is in, words[o + 2^j] = words[o] | bit j's word bit
+        words = [0]
+        for j, cb in enumerate(self.cbits):
+            bit = 0 if self.select >> j & 1 else 1 << cb
+            words += [w | bit for w in words]
+        return words
 
     @cached_property
     def limit(self) -> np.uint64 | None:
@@ -366,7 +375,7 @@ class _Measurement:
         """The outcome of each raw value, searchsorted(thresholds, x >> 11, side="right");
         `buf`, a uint64 array shaped like x (fresh when None), takes the keys' buckets."""
         idx = self.table[np.right_shift(x, self.shift, out=buf).view(np.int64)]
-        miss = np.flatnonzero(idx < 0)
+        miss = (idx < 0).nonzero()[0]
         idx[miss] = np.searchsorted(self.thresholds, x[miss] >> np.uint64(11), side="right")
         return idx
 
@@ -438,10 +447,10 @@ def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, sta
                     sel = np.bitwise_and(idx, node.select, out=work[spare, :n].view(np.intp))
                     keep = np.equal(sel, 0, out=mask[:n])
             if keep is not None:
-                live = np.flatnonzero(keep)
+                live = keep.nonzero()[0]
                 # mode="clip" writes straight into the row; the default
                 # "raise" would stage the result in a fresh array first
-                subs = np.take(subs, live, out=work[spare, :len(live)], mode="clip")
+                subs = subs.take(live, out=work[spare, :len(live)], mode="clip")
                 spare ^= 1
                 if node.written is not None:
                     idx = idx[live]
@@ -459,7 +468,7 @@ def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, sta
                             counts[word | bits] += c
                 break
             if node.written is not None:
-                tasks += [(subs[np.flatnonzero(idx == o)], word | node.written[o], event,
+                tasks += [(subs[(idx == o).nonzero()[0]], word | node.written[o], event,
                            node.collapsed(o)) for o in np.unique(idx).tolist()]
                 break
             if entry is not None:
@@ -494,8 +503,8 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
                                       work)
         counts.update(tally)
         survivors = survivors + live
-    width = plan.n_classical_bits
-    keyed = {format(v, f"0{width}b"): c for v, c in sorted(counts.items())}
+    spec = f"0{plan.n_classical_bits}b"
+    keyed = {format(v, spec): c for v, c in sorted(counts.items())}
     return ShotHistogram(
         counts=keyed,
         total_shots=shots,

@@ -244,17 +244,19 @@ def _arnoldi_top(matvec, dim: int, tol: float, max_iterations: int):
         m = min(k, s + max_iterations - used)
         for j in range(s, m):
             w = matvec(q[j])
-            norms = []
-            for _ in range(2):
-                c = q[:j + 1] @ w
-                w -= c @ q[:j + 1]
-                h[:j + 1, j] += c
-                norms.append(np.linalg.norm(w))
-            if norms[1] <= 0.5 * norms[0]:  # breakdown: span(Q) is invariant
+            c = q[:j + 1] @ w
+            w -= c @ q[:j + 1]
+            # np.linalg.norm(w), without its argument handling
+            norm0 = math.sqrt(w.dot(w))
+            c2 = q[:j + 1] @ w
+            w -= c2 @ q[:j + 1]
+            norm1 = math.sqrt(w.dot(w))
+            h[:j + 1, j] = c + c2  # the column starts at zero: the sum of adding each
+            if norm1 <= 0.5 * norm0:  # breakdown: span(Q) is invariant
                 m = j + 1
                 break
-            h[j + 1, j] = norms[1]
-            q[j + 1] = w / norms[1]
+            h[j + 1, j] = norm1
+            np.divide(w, norm1, out=q[j + 1])
         used += m - s
         theta, y = np.linalg.eig(h[:m, :m])
         order = np.argsort(-np.abs(theta))

@@ -43,6 +43,19 @@ def test_gen_model_passthrough(tmp_path):
     assert (second / "model.json").read_bytes() == (first / "model.json").read_bytes()
 
 
+@pytest.mark.parametrize("option, value", [("--c", "-1e-3"), ("--c", "-2E+1"), ("--beta", "-1e-3")])
+def test_negative_exponent_values_read_the_same_in_both_spellings(tmp_path, option, value):
+    # argparse's own negative-number pattern has no exponent: "--c -1e-3" used
+    # to exit 2 with "expected one argument"
+    spaced, joined = tmp_path / "spaced", tmp_path / "joined"
+    codes = [run_cli("gen-model", option, value, "--seed", "1", "--out", str(spaced)),
+             run_cli("gen-model", f"{option}={value}", "--seed", "1", "--out", str(joined))]
+    assert codes[0] == codes[1]
+    assert sorted(p.name for p in spaced.glob("*")) == sorted(p.name for p in joined.glob("*"))
+    for path in joined.glob("*"):
+        assert (spaced / path.name).read_bytes() == path.read_bytes()
+
+
 def test_gen_model_pure_random(tmp_path):
     run_cli("gen-model", "--c", "0", "--beta", "2", "--seed", "3", "--out", str(tmp_path))
     e = json.loads((tmp_path / "model.json").read_text())["energies"]
@@ -189,7 +202,8 @@ def test_huge_model_parameters_exit_2_without_warning(tmp_path, capsys, args):
 
 # every option at boundary values (zero, negative, huge, tiny, not-a-number,
 # non-numbers) or at values it accepts; n and shots stay small so a run is quick
-_EDGES = ["0", "-1", "1e308", "-1e308", "1e-300", "nan", "inf", "-inf", "x", ""]
+_EDGES = ["0", "-1", "1e308", "-1e308", "1e-300", "-1e-3", "-2E+1", "nan", "inf", "-inf", "x",
+          ""]
 _FUZZ_OPTIONS = {
     "--c": ["0.4", "2"],
     "--beta": ["2", "0.5"],
@@ -239,10 +253,12 @@ def test_any_option_values_end_in_a_documented_exit(data):
                     path.write_bytes(body if isinstance(body, bytes) else body.encode())
                 argv.append(f"{option}={path}")
             else:
-                value = st.sampled_from(_EDGES) | st.sampled_from(_FUZZ_OPTIONS[option])
-                argv.append(f"{option}={data.draw(value)}")
+                value = data.draw(st.sampled_from(_EDGES) | st.sampled_from(_FUZZ_OPTIONS[option]))
+                # "--c -1e-3" must read as "--c=-1e-3"
+                argv += [option, value] if data.draw(st.booleans()) else [f"{option}={value}"]
         for option, small in (("--seed", "1"), ("--n", "2"), ("--shots", "2000")):
-            if option in _FUZZ_COMMANDS[command] and not any(a.startswith(option + "=") for a in argv):
+            if option in _FUZZ_COMMANDS[command] and not any(
+                    a == option or a.startswith(option + "=") for a in argv):
                 argv.append(f"{option}={small}")
         out = Path(tmp) / "out"
         err = io.StringIO()

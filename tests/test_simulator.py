@@ -29,7 +29,7 @@ from vertexsim import (
 )
 from vertexsim import simulator
 from vertexsim.dilation import X_GATE
-from vertexsim.gates import apply_matrix
+from vertexsim.gates import apply_matrix, gather_index
 from vertexsim.rng import stream_u64, substream_seed, substream_value, to_unit
 from vertexsim.simulator import _collapse_outcome, _marginal_probs
 
@@ -492,7 +492,7 @@ def kron_operator(matrix, targets, n):
 
 
 @settings(max_examples=80)
-@given(n=hs.integers(1, 7), data=hs.data(), complex_gate=hs.booleans(),
+@given(n=hs.integers(1, 8), data=hs.data(), complex_gate=hs.booleans(),
        seed=hs.integers(0, 2 ** 32 - 1))
 def test_kernels_match_reference_kernels(n, data, complex_gate, seed):
     targets = tuple(data.draw(hs.lists(hs.integers(0, n - 1), min_size=1,
@@ -508,6 +508,18 @@ def test_kernels_match_reference_kernels(n, data, complex_gate, seed):
     assert np.allclose(out, kron_operator(gate, targets, n) @ amps, rtol=0, atol=1e-12)
     assert np.array_equal(_marginal_probs(amps, targets, n),
                           reference_marginal_probs(amps, targets, n))
+
+
+def test_cached_gather_index_is_read_only():
+    # every gate on these targets reads through the same arrays: a write to
+    # one would misplace the amplitudes of every later call
+    indices = gather_index((2, 0), 4)
+    assert gather_index((2, 0), 4) is indices
+    for index in indices:
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            index += 1
 
 
 # ---------------------------------------------------------------- golden histograms
