@@ -6,15 +6,10 @@ significant bit of the gate's own basis.  The kernel does not require the
 matrix to be unitary; unitarity checks belong to the caller.
 
 A state is viewed as the C-order tensor of shape (2,) * n, where qubit q is
-axis n-1-q.  `target_axes` gives, once per (targets, n), the axis orders
-that move the target axes (MSB target first) to the front or the back.
-`gather_index` turns the second into read-only indices, also cached per
-(targets, n): one fancy-indexing read of the flat state gives the same
-contiguous block that transposing and copying the tensor would, and one
-more puts the product back in basis order.  On the experiments' small
-states (hundreds of amplitudes, gates of 2 to 8 rows) the kernel's time is
-numpy's cost per call, so two index reads beat a transpose, a copy and its
-inverse.
+axis n-1-q.  `target_axes` gives, once per (targets, n), the transposes that
+gather the target axes (MSB target first) at the front or the back, and
+the kernels reuse them on every call.  The cache holds only these axis
+orders, so what a kernel keeps between calls does not grow with 2^n.
 """
 
 from __future__ import annotations
@@ -27,41 +22,27 @@ from .errors import ValidationError
 
 
 @functools.lru_cache(maxsize=1024)
-def target_axes(targets: tuple[int, ...], n_qubits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(front, back): axis orders of the (2,) * n state tensor that move the
-    target axes, MSB target first, to the front or to the back, the other
-    axes keeping their order."""
+def target_axes(targets: tuple[int, ...], n_qubits: int) -> tuple[tuple[int, ...], ...]:
+    """(front, back, undo_back): axis orders of the (2,) * n state tensor that
+    move the target axes, MSB target first, to the front or to the back, the
+    other axes keeping their order, and the inverse of `back`."""
     axes = tuple(n_qubits - 1 - q for q in reversed(targets))
     rest = tuple(a for a in range(n_qubits) if a not in axes)
-    return axes + rest, rest + axes
-
-
-@functools.lru_cache(maxsize=1024)
-def gather_index(targets: tuple[int, ...], n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """(gather, scatter): read-only basis indices, shared by every call.
-
-    `amps[gather]` is the (2^(n-k), 2^k) block of the state tensor
-    transposed to `back` order, each row holding the target amplitudes of one
-    basis state of the other qubits; `block.reshape(-1)[scatter]` puts such a
-    block back in basis order.
-    """
-    back = target_axes(targets, n_qubits)[1]
-    gather = np.arange(1 << n_qubits).reshape((2,) * n_qubits).transpose(back)
-    gather = gather.reshape(-1, 1 << len(targets))
-    scatter = np.argsort(gather, axis=None)
-    gather.flags.writeable = scatter.flags.writeable = False
-    return gather, scatter
+    back = rest + axes
+    return axes + rest, back, tuple(np.argsort(back).tolist())
 
 
 def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: list[int] | tuple[int, ...], n_qubits: int) -> np.ndarray:
-    """Return matrix applied to the flat state `amps` on the given target qubits.
+    """Return matrix applied to `amps` on the given target qubits.
 
-    The cached gather index reads the contiguous (2^(n-k), 2^k) block whose
-    rows are the target amplitudes, `@ matrix.T` acts on it, and the scatter
-    index restores the qubit order; cost O(2^n * 2^k).
+    One cached transpose makes the contiguous (2^(n-k), 2^k) block whose
+    rows are the target amplitudes, `@ matrix.T` acts on it, and the inverse
+    transpose restores the qubit order; cost O(2^n * 2^k).
     """
-    gather, scatter = gather_index(tuple(targets), n_qubits)
-    return (amps[gather] @ matrix.T).reshape(-1)[scatter]
+    _, back, undo_back = target_axes(tuple(targets), n_qubits)
+    cube = (2,) * n_qubits
+    tensor = amps.reshape(cube).transpose(back).reshape(-1, 1 << len(targets)) @ matrix.T
+    return np.ascontiguousarray(tensor.reshape(cube).transpose(undo_back)).reshape(-1)
 
 
 def check_targets(targets, n_qubits: int) -> None:

@@ -28,11 +28,9 @@ holds its outcome weights, `probs`.  A shot is dropped at its first failed
 post-selection (the first measurement that sets a select bit), so only live
 shots draw, and a measurement that writes data bits splits a branch by the
 outcomes its live shots realize.  `run_exact` walks the same nodes with a
-weight in place of shots and never builds their sampling tables.  A gate
-reads its target amplitudes as one contiguous block through the read-only
-index that `gates.gather_index` caches per (targets, n), and puts the result
-back through that index's inverse; a marginal transposes the state's axes
-in the order that `gates.target_axes` caches.
+weight in place of shots and never builds their sampling tables.  Gates and
+marginals move the state's axes with the transposes that `gates.target_axes`
+caches per (targets, n).
 
 `run_shots` samples CHUNK_SHOTS shots at a time, but every chunk starts on
 the same branch, the trunk: the measurements up to and including the first

@@ -43,14 +43,20 @@ def test_gen_model_passthrough(tmp_path):
     assert (second / "model.json").read_bytes() == (first / "model.json").read_bytes()
 
 
-@pytest.mark.parametrize("option, value", [("--c", "-1e-3"), ("--c", "-2E+1"), ("--beta", "-1e-3")])
-def test_negative_exponent_values_read_the_same_in_both_spellings(tmp_path, option, value):
+@pytest.mark.parametrize("option, value, code", [("--c", "-1e-3", 0), ("--c", "-2E+1", 0),
+                                                 ("--beta", "-1e-3", 2)])
+def test_negative_exponent_values_read_the_same_in_both_spellings(tmp_path, capsys, option,
+                                                                  value, code):
     # argparse's own negative-number pattern has no exponent: "--c -1e-3" used
-    # to exit 2 with "expected one argument"
+    # to exit 2 with "expected one argument".  A value the command rejects
+    # must meet the same check in both spellings, so the error lines match.
     spaced, joined = tmp_path / "spaced", tmp_path / "joined"
-    codes = [run_cli("gen-model", option, value, "--seed", "1", "--out", str(spaced)),
-             run_cli("gen-model", f"{option}={value}", "--seed", "1", "--out", str(joined))]
-    assert codes[0] == codes[1]
+    ends = []
+    for argv, out in (([option, value], spaced), ([f"{option}={value}"], joined)):
+        rc = run_cli("gen-model", *argv, "--seed", "1", "--out", str(out))
+        ends.append((rc, [line for line in capsys.readouterr().err.splitlines() if "error:" in line]))
+    assert ends[0] == ends[1] == (code, ends[1][1])
+    assert (ends[1][1] == []) == (code == 0)
     assert sorted(p.name for p in spaced.glob("*")) == sorted(p.name for p in joined.glob("*"))
     for path in joined.glob("*"):
         assert (spaced / path.name).read_bytes() == path.read_bytes()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,7 @@ from vertexsim import (
 )
 from vertexsim import simulator
 from vertexsim.dilation import X_GATE
-from vertexsim.gates import apply_matrix, gather_index
+from vertexsim.gates import apply_matrix
 from vertexsim.rng import stream_u64, substream_seed, substream_value, to_unit
 from vertexsim.simulator import _collapse_outcome, _marginal_probs
 
@@ -510,16 +511,21 @@ def test_kernels_match_reference_kernels(n, data, complex_gate, seed):
                           reference_marginal_probs(amps, targets, n))
 
 
-def test_cached_gather_index_is_read_only():
-    # every gate on these targets reads through the same arrays: a write to
-    # one would misplace the amplitudes of every later call
-    indices = gather_index((2, 0), 4)
-    assert gather_index((2, 0), 4) is indices
-    for index in indices:
-        with pytest.raises(ValueError, match="read-only"):
-            index[0] = 1
-        with pytest.raises(ValueError, match="read-only"):
-            index += 1
+def test_gate_kernel_keeps_no_state_sized_memory():
+    # a transfer plan on N columns has 2N target tuples: a cache of 2^n
+    # entries for each would hold gigabytes at the CLI's widest states
+    n = 17
+    amps = np.ones(1 << n, dtype=np.complex128)
+    gate = np.eye(4, dtype=np.complex128)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for targets in ((5, 11), (11, 5), (0, n - 1)):
+            assert np.array_equal(apply_matrix(amps, gate, targets, n), amps)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert kept < 1 << 14  # bytes, against 2 MiB of amplitudes
 
 
 # ---------------------------------------------------------------- golden histograms
