@@ -13,11 +13,17 @@ basis and translate internally.
 Classical register of a block plan: width n*m + n + 1, the m*n post-selection
 outcomes fill the high bits in program order, the final data measurement the
 low n+1 bits; a record is meaningful iff its value is below 2^(n+1).
+
+The experiment functions re-derive R and its factors on every call but build
+each transfer plan once per distinct (factors, n, m_power): repeated calls on
+one model reuse the validated plan.  `build_t_plan` itself always returns a
+fresh plan.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from numbers import Real
 
@@ -83,6 +89,32 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
         instructions=ins,
         n_data_bits=n + 1,
     )
+
+
+_PLAN_MEMO_SIZE = 8
+# `_t_plan`'s plans by content key, least recently used first; never handed out
+_plans: dict[tuple, CircuitPlan] = {}
+_plans_lock = threading.Lock()
+
+
+def _t_plan(factors: SVDFactors, n: int, m_power: int) -> CircuitPlan:
+    """`build_t_plan(factors, n, m_power)`, built once per distinct content.
+
+    The key is the bytes of the factors, so a fresh `svd_scaled` of the same
+    R finds the plan again; the memo drops its least recently used plan
+    beyond _PLAN_MEMO_SIZE.  The plan is shared by later calls, so it goes
+    only to the runners, which do not change it.  A lock makes each lookup
+    and update one step for callers on several threads.
+    """
+    key = (factors.u.tobytes(), factors.v.tobytes(), factors.d.tobytes(), n, m_power)
+    with _plans_lock:
+        plan = _plans.pop(key, None)
+        if plan is None:
+            plan = build_t_plan(factors, n, m_power)
+            if len(_plans) >= _PLAN_MEMO_SIZE:
+                del _plans[next(iter(_plans))]
+        _plans[key] = plan
+    return plan
 
 
 def build_d_test_plan(d: np.ndarray) -> CircuitPlan:
@@ -235,14 +267,14 @@ def simulated_t_action(model: VertexModel, n: int, m_power: int, input_amplitude
         require_positive_int("shots", shots)
     factors = svd_scaled(r_matrix(model))
     if mode == "refeed":
-        plan = build_t_plan(factors, n, 1)
+        plan = _t_plan(factors, n, 1)
         fractions = []
         for step in range(m_power):
             vec, hist = _block_action(plan, vec, n, shots, _step_seed(seed, step), meaningful_floor)
             fractions.append(hist.meaningful_fraction)
         return vec, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=shots * m_power,
                                       meaningful_fractions=fractions, final_histogram=hist)
-    plan = build_t_plan(factors, n, m_power)
+    plan = _t_plan(factors, n, m_power)
     if mode == "exact":
         out, keep = _block_action(plan, vec, n, None, seed, meaningful_floor)
         return out, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=0,
@@ -298,7 +330,7 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
     require_positive_int("max_steps", max_steps)
     if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol):
         raise ValidationError(f"tol must be a finite real number, got {tol!r}")
-    plan = build_t_plan(svd_scaled(r_matrix(model)), n, 1)
+    plan = _t_plan(svd_scaled(r_matrix(model)), n, 1)
     if start is None:
         vec = np.zeros(2 ** (n + 1))
         vec[0] = 1.0
@@ -332,8 +364,9 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     with a NaN estimate.  The shot backend follows the published protocol
     (fixed iteration count, step k seeded by substream k of `seed`, the
     action run by substream 2^20); the exact backend iterates psi0 to
-    numerical convergence instead.  R is computed, factorized and built
-    into the one-block plan once per call: the iteration and the action run
+    numerical convergence instead.  R is computed and factorized once per
+    call; the one-block plan of those factors is built once and reused by
+    later calls with the same factors.  The iteration and the action run
     that plan, and the oracle uses the same R.
 
     What the exact backend promises: the estimate equals
@@ -348,7 +381,7 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     require_positive_int("psi0_iterations", psi0_iterations)
     shots = _backend_shots(backend, shots)
     r = r_matrix(model)
-    plan = build_t_plan(svd_scaled(r), n, 1)
+    plan = _t_plan(svd_scaled(r), n, 1)
     # The circuits start from the unit input normalized once more, which can
     # move its last bits; the pinned exact-backend numbers depend on that.
     start = _validate_positive_input(vec, n)
