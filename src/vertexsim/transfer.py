@@ -283,7 +283,8 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     """Top of the spectrum: Lambda_0, |Lambda_1|, their ratio and Psi_0^R.
 
     method="power" (default) is restarted Arnoldi on matvecs alone: it
-    applies T as row products of `t.source` and never reads `t.entries`.
+    applies T, scaled by a power of two, as row products of `t.source` and
+    never reads `t.entries`.
     Lambda_0, Psi_0^R and |Lambda_1| are the two leading Ritz pairs of one
     Krylov space, and `max_iterations` bounds the number of matvecs.
     method="dense" is the LAPACK cross-check backend.  The power method
@@ -299,14 +300,24 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     if method != "power":
         raise ValidationError(f"unknown spectral method {method!r}")
 
-    matvec = partial(_row_sweep, t._blocks, reverse=False)
+    # Arnoldi runs on T / 2^(e n), each gate divided by 2^e, e even, so that its
+    # largest entry lies in [1/4, 1): at beta 300 T's entries are near 1e-296
+    # and a Krylov vector's squared norm underflows.  A block of p gates,
+    # 2^(p+1) square, is divided by 2^(e p).  A power of two scales every
+    # product exactly; an even one also keeps LAPACK's eig, which takes square
+    # roots, exact (an odd one moved the last bits of about half of random
+    # 6x6 matrices).  A gate whose largest entry is in [1/4, 1) runs unscaled.
+    e = 2 * ((math.frexp(float(t.source.entries.max()))[1] + 1) // 2)
+    blocks = t._blocks if e == 0 else tuple(
+        np.ldexp(b, -e * (len(b).bit_length() - 2)) for b in t._blocks)
+    matvec = partial(_row_sweep, blocks, reverse=False)
     theta, psi0, resid, used = _arnoldi_top(matvec, t.dim, tol, max_iterations)
     lam0 = float(theta[0].real)
     if theta[0].imag != 0 or lam0 <= 0:
         raise NumericalError(f"dominant eigenvalue must be real and positive, got {theta[0]}")
     lam1_abs = min(float(abs(theta[1])), lam0)  # guard fp overshoot; Perron gives strict inequality
-    return _summary(matvec, lam0, lam1_abs, psi0, tol, residual_lambda1=float(resid[1]),
-                    iterations=used, method="power")
+    return _summary(matvec, lam0, lam1_abs, psi0, tol, exponent=e * t.n,
+                    residual_lambda1=float(resid[1]), iterations=used, method="power")
 
 
 def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
@@ -318,13 +329,16 @@ def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
 
 
 def _summary(matvec, lam0: float, lam1_abs: float, psi0: np.ndarray, tol: float,
-             **fields) -> SpectralSummary:
+             exponent: int = 0, **fields) -> SpectralSummary:
     """The summary of both methods: psi0 scaled to unit norm and a positive sum,
-    the ratio, and the true residual checked by `_true_residual`."""
+    the ratio, and the true residual checked by `_true_residual`.  `matvec`
+    applies T / 2^exponent, whose eigenvalues lam0 and lam1_abs are; the
+    summary reports T's."""
     psi0 /= np.linalg.norm(psi0)
     if psi0.sum() < 0:
         psi0 = -psi0
-    return SpectralSummary(lambda0=lam0, lambda1_abs=lam1_abs, ratio=lam1_abs / lam0,
+    return SpectralSummary(lambda0=math.ldexp(lam0, exponent),
+                           lambda1_abs=math.ldexp(lam1_abs, exponent), ratio=lam1_abs / lam0,
                            psi0_right=psi0, residual=_true_residual(matvec, lam0, psi0, tol),
                            **fields)
 

@@ -366,11 +366,18 @@ def test_spectral_nonconvergence_reports_residual():
 
 
 def test_one_dimensional_invariant_space_stops_at_once():
-    # at beta 300 T's entries are near 1e-296 and T q_0 rounds into span(q_0):
-    # no second Ritz pair can follow, so the budget is not spent on restarts
-    t = assemble_transfer(r_matrix(generate_model(0.4, 300.0, 1)), 4)
+    # T q_0 lies in span(q_0): no second Ritz pair can follow, so the budget
+    # is not spent on restarts
     with pytest.raises(ConvergenceError, match="in 1 matvecs"):
-        spectral_summary(t)
+        transfer._arnoldi_top(lambda x: 3.0 * x, 32, 1e-10, 100_000)
+
+
+def test_power_summary_survives_entries_near_underflow():
+    # at beta 300 T's entries are near 1e-296; unscaled, a Krylov vector's
+    # squared norm underflowed and the summary stopped after 1 matvec
+    t = assemble_transfer(r_matrix(generate_model(0.4, 300.0, 1)), 4)
+    power, dense = spectral_summary(t), spectral_summary(t, method="dense")
+    assert abs(power.lambda0 - dense.lambda0) <= 1e-12 * dense.lambda0
 
 
 @pytest.mark.parametrize("seed", [2, 9, 10])
