@@ -68,17 +68,18 @@ def main(argv: list[str] | None = None) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reads every negative number as a value, `-1e-3` included.
+    """argparse that reads every negative number as a value, `-1e-3` and `-inf` included.
 
     argparse takes an argument that starts with "-" for an option unless it
-    matches its negative-number pattern, which has no exponent, so
-    `--c -1e-3` failed while `--c=-1e-3` worked.  Subparsers are built with
-    this class too.
+    matches its negative-number pattern, which has no exponent and no
+    infinity, so `--c -1e-3` and `--c -inf` failed while `--c=-1e-3` worked.
+    Subparsers are built with this class too.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+        self._negative_number_matcher = re.compile(
+            r"^-((\d+\.?\d*|\.\d+)([eE][-+]?\d+)?|inf(inity)?|nan)$", re.IGNORECASE)
 
 
 def _build_parser() -> argparse.ArgumentParser:

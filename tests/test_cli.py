@@ -44,12 +44,13 @@ def test_gen_model_passthrough(tmp_path):
 
 
 @pytest.mark.parametrize("option, value, code", [("--c", "-1e-3", 0), ("--c", "-2E+1", 0),
-                                                 ("--beta", "-1e-3", 2)])
+                                                 ("--beta", "-1e-3", 2), ("--c", "-inf", 2)])
 def test_negative_exponent_values_read_the_same_in_both_spellings(tmp_path, capsys, option,
                                                                   value, code):
-    # argparse's own negative-number pattern has no exponent: "--c -1e-3" used
-    # to exit 2 with "expected one argument".  A value the command rejects
-    # must meet the same check in both spellings, so the error lines match.
+    # argparse's own negative-number pattern has no exponent and no infinity:
+    # "--c -1e-3" and "--c -inf" used to exit 2 with "expected one argument".
+    # A value the command rejects must meet the same check in both spellings,
+    # so the error lines match.
     spaced, joined = tmp_path / "spaced", tmp_path / "joined"
     ends = []
     for argv, out in (([option, value], spaced), ([f"{option}={value}"], joined)):
@@ -276,6 +277,8 @@ def test_any_option_values_end_in_a_documented_exit(data):
             except SystemExit as exc:  # argparse rejects the command line
                 code = exc.code
         assert code in (0, 2, 3, 4), argv
+        # every drawn option carries a value, so argparse must never miss one
+        assert "expected one argument" not in err.getvalue(), argv
         assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
         assert "Traceback" not in err.getvalue()
         assert sum("error:" in line for line in err.getvalue().splitlines()) <= 1
