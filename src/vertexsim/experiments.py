@@ -22,8 +22,8 @@ fresh plan.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from numbers import Real
 
@@ -91,30 +91,22 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     )
 
 
-_PLAN_MEMO_SIZE = 8
-# `_t_plan`'s plans by content key, least recently used first; never handed out
-_plans: dict[tuple, CircuitPlan] = {}
-_plans_lock = threading.Lock()
-
-
 def _t_plan(factors: SVDFactors, n: int, m_power: int) -> CircuitPlan:
     """`build_t_plan(factors, n, m_power)`, built once per distinct content.
 
     The key is the bytes of the factors, so a fresh `svd_scaled` of the same
-    R finds the plan again; the memo drops its least recently used plan
-    beyond _PLAN_MEMO_SIZE.  The plan is shared by later calls, so it goes
-    only to the runners, which do not change it.  A lock makes each lookup
-    and update one step for callers on several threads.
+    R finds the plan again.  The plan is shared by later calls, so it goes
+    only to the runners, which do not change it.
     """
-    key = (factors.u.tobytes(), factors.v.tobytes(), factors.d.tobytes(), n, m_power)
-    with _plans_lock:
-        plan = _plans.pop(key, None)
-        if plan is None:
-            plan = build_t_plan(factors, n, m_power)
-            if len(_plans) >= _PLAN_MEMO_SIZE:
-                del _plans[next(iter(_plans))]
-        _plans[key] = plan
-    return plan
+    return _plan_of(factors.u.tobytes(), factors.v.tobytes(), factors.d.tobytes(), n, m_power)
+
+
+@functools.lru_cache(maxsize=8)
+def _plan_of(u: bytes, v: bytes, d: bytes, n: int, m_power: int) -> CircuitPlan:
+    # read-only views of the key's bytes; the plan does not read d0_raw
+    gate = SVDFactors(u=np.frombuffer(u).reshape(4, 4), v=np.frombuffer(v).reshape(4, 4),
+                      d=np.frombuffer(d), d0_raw=1.0)
+    return build_t_plan(gate, n, m_power)
 
 
 def build_d_test_plan(d: np.ndarray) -> CircuitPlan:

@@ -21,6 +21,7 @@ brute-force enumerator below implements exactly that constraint.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 
@@ -321,6 +322,9 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
 
 
 def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
+    with np.errstate(over="ignore"):  # an overflow fails the check below
+        if not np.isfinite(t.entries).all():
+            raise NumericalError("T has entries outside the double range")
     ev, vec = np.linalg.eig(t.entries)
     order = np.argsort(-np.abs(ev))
     ev, vec = ev[order], vec[:, order]
@@ -333,7 +337,12 @@ def _summary(matvec, lam0: float, lam1_abs: float, psi0: np.ndarray, tol: float,
     """The summary of both methods: psi0 scaled to unit norm and a positive sum,
     the ratio, and the true residual checked by `_true_residual`.  `matvec`
     applies T / 2^exponent, whose eigenvalues lam0 and lam1_abs are; the
-    summary reports T's."""
+    summary reports T's, and NumericalError if Lambda_0 = lam0 * 2^exponent
+    is not a normal double."""
+    if not (lam0 > 0 and sys.float_info.min_exp <= math.frexp(lam0)[1] + exponent
+            <= sys.float_info.max_exp):
+        raise NumericalError(f"Lambda_0 = {lam0!r} * 2^{exponent} lies outside the double range; "
+                             "the ratio and psi0 do not depend on this scale")
     psi0 /= np.linalg.norm(psi0)
     if psi0.sum() < 0:
         psi0 = -psi0

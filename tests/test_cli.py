@@ -207,6 +207,21 @@ def test_huge_model_parameters_exit_2_without_warning(tmp_path, capsys, args):
     assert not (tmp_path / "out").exists()
 
 
+# at beta 300 Lambda_0 lies below the double range from N = 12 on (N = 9 for
+# the dense method, whose T underflows); at c = -57.5 the gate's entries are
+# near 1e100, and Lambda_0 lies above it at N = 4
+@pytest.mark.parametrize("args", [("--n=12", "--beta=300"), ("--n=9", "--beta=300", "--method=dense"),
+                                  ("--n=4", "--c=-57.5", "--beta=1"),
+                                  ("--n=4", "--c=-57.5", "--beta=1", "--method=dense")])
+def test_lambda0_outside_the_double_range_exits_4(tmp_path, capsys, args):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run_cli("spectrum", *args, "--seed", "1", "--out", str(tmp_path / "out")) == 4
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "double range" in line
+    assert not (tmp_path / "out").exists()
+
+
 # every option at boundary values (zero, negative, huge, tiny, not-a-number,
 # non-numbers) or at values it accepts; n and shots stay small so a run is quick
 _EDGES = ["0", "-1", "1e308", "-1e308", "1e-300", "-1e-3", "-2E+1", "nan", "inf", "-inf", "x",

