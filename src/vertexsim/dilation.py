@@ -18,6 +18,7 @@ identical kept states and acceptance probabilities.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -48,17 +49,29 @@ def svd_scaled(r: RMatrix, tol: float = 1e-12) -> SVDFactors:
     and flips the matching row of v, so the factors are deterministic.  Both
     self-checks, reconstruction and orthogonality, must hold to `tol`, a
     positive finite real number.
+
+    Results are memoized on the bytes of R and `tol` (the last few distinct
+    pairs), so an equal gate returns the same factors object, whose arrays are
+    read-only.  A factorization that fails its checks is not memoized.
     """
     require_positive_real("tol", tol)
-    u, s, v = np.linalg.svd(r.entries)
+    return _factorize(r.entries.tobytes(), tol)
+
+
+@functools.lru_cache(maxsize=8)
+def _factorize(entries: bytes, tol: float) -> SVDFactors:
+    r = np.frombuffer(entries).reshape(4, 4)
+    u, s, v = np.linalg.svd(r)
     flip = np.sign(u[np.argmax(np.abs(u) > 1e-14, axis=0), np.arange(4)])
     u, v = u * flip, v * flip[:, None]
     if s[0] <= 0:
         raise NumericalError("Boltzmann gate has zero top singular value")
     d = s / s[0]
+    for a in (u, v, d):  # every caller of an equal gate shares these arrays
+        a.flags.writeable = False
     factors = SVDFactors(u=u, v=v, d=d, d0_raw=float(s[0]))
-    scale = np.linalg.norm(r.entries)
-    resid = np.linalg.norm(factors.reconstruct() - r.entries) / scale
+    scale = np.linalg.norm(r)
+    resid = np.linalg.norm(factors.reconstruct() - r) / scale
     ortho = max(
         np.max(np.abs(u.T @ u - np.eye(4))),
         np.max(np.abs(v @ v.T - np.eye(4))),

@@ -14,10 +14,11 @@ Classical register of a block plan: width n*m + n + 1, the m*n post-selection
 outcomes fill the high bits in program order, the final data measurement the
 low n+1 bits; a record is meaningful iff its value is below 2^(n+1).
 
-The experiment functions re-derive R and its factors on every call but build
-each transfer plan once per distinct (factors, n, m_power): repeated calls on
-one model reuse the validated plan.  `build_t_plan` itself always returns a
-fresh plan.
+The experiment functions re-derive R on every call; `svd_scaled` factorizes
+each distinct R once, and each transfer plan is built once per distinct
+(factors, n, m_power), so repeated calls on one model reuse the factors and
+the validated plan.  `build_t_plan` itself always returns a fresh plan, and
+refuses more than MAX_POST_SELECTIONS post-selections.
 """
 
 from __future__ import annotations
@@ -48,6 +49,12 @@ from .transfer import DENSE_CAP_QUBITS, assemble_transfer, spectral_summary
 
 DEFAULT_MEANINGFUL_FLOOR = 1000
 
+# Most post-selections, n * m_power, that one transfer circuit may hold.  A
+# plan keeps four instructions per post-selection, 0.7-0.9 KB in all, so the
+# budget bounds a plan near 60 MB before any of it is built; criterion 9's
+# plans (n <= 50, one block) stay far inside it.
+MAX_POST_SELECTIONS = 1 << 16
+
 MODES = ("deep", "refeed", "exact")
 
 
@@ -67,10 +74,24 @@ def wire_from_dense(dense_vec: np.ndarray, n: int) -> np.ndarray:
     return np.asarray(dense_vec)[wire_to_dense_map(n)]
 
 
-def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
-    """Post-selected circuit applying m_power transfer blocks to n+1 data qubits."""
+def check_plan_size(n: int, m_power: int) -> None:
+    """Reject n * m_power post-selections over MAX_POST_SELECTIONS.
+
+    Runs before a plan or a refeed loop is built, so a huge n or m_power is a
+    ValidationError before the first of its 4 * n * m_power instructions.
+    """
     require_positive_int("n", n)
     require_positive_int("m_power", m_power)
+    if n * m_power > MAX_POST_SELECTIONS:
+        raise ValidationError(
+            f"n={n} with m_power={m_power} needs {n * m_power} post-selections, "
+            f"over the budget of {MAX_POST_SELECTIONS}"
+        )
+
+
+def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
+    """Post-selected circuit applying m_power transfer blocks to n+1 data qubits."""
+    check_plan_size(n, m_power)
     ancilla = n + 1
     width = n * m_power + n + 1
     dil = dilate(factors.d)
@@ -253,7 +274,7 @@ def simulated_t_action(model: VertexModel, n: int, m_power: int, input_amplitude
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
-    require_positive_int("m_power", m_power)
+    check_plan_size(n, m_power)
     vec = _validate_positive_input(input_amplitudes, n)
     if mode != "exact":
         require_positive_int("shots", shots)
@@ -356,10 +377,10 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     with a NaN estimate.  The shot backend follows the published protocol
     (fixed iteration count, step k seeded by substream k of `seed`, the
     action run by substream 2^20); the exact backend iterates psi0 to
-    numerical convergence instead.  R is computed and factorized once per
-    call; the one-block plan of those factors is built once and reused by
-    later calls with the same factors.  The iteration and the action run
-    that plan, and the oracle uses the same R.
+    numerical convergence instead.  R is computed once per call; its
+    factors and their one-block plan are computed once and reused by later
+    calls on an equal gate.  The iteration and the action run that plan,
+    and the oracle uses the same R.
 
     What the exact backend promises: the estimate equals
     tan(theta(T psi, psi0)) / tan(theta(psi, psi0)).  It is <= lambda_1

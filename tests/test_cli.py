@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import tempfile
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -140,6 +141,21 @@ def test_oversized_width_and_bad_floor_exit_2(tmp_path, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("args", [("export-circuit", "--n=100000000"),
+                                  ("simulate", "--n=2", "--m=100000000"),
+                                  ("simulate", "--n=2", "--m=100000000", "--mode=refeed"),
+                                  ("simulate", "--n=2", "--m=100000000", "--mode=exact")])
+def test_plan_over_the_post_selection_budget_exits_2_at_once(tmp_path, capsys, args):
+    # without the budget these build about 4*n*m instructions (tens of GB)
+    # before any error, and simulate's refeed loop runs first
+    start = time.perf_counter()
+    assert run_cli(*args, "--seed", "1", "--out", str(tmp_path / "out")) == 2
+    assert time.perf_counter() - start < 1.0
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error:") and "post-selections" in line
+    assert not (tmp_path / "out").exists()
+
+
 def test_repeated_input_index_exits_2(tmp_path, capsys):
     path = tmp_path / "input.csv"
     path.write_text("index,value\n0,0.5\n0,3\n")
@@ -223,15 +239,16 @@ def test_lambda0_outside_the_double_range_exits_4(tmp_path, capsys, args):
 
 
 # every option at boundary values (zero, negative, huge, tiny, not-a-number,
-# non-numbers) or at values it accepts; n and shots stay small so a run is quick
+# non-numbers) or at values it accepts; n and shots stay small so a run is quick,
+# except for an n and an m far over every cap, which must be refused at once
 _EDGES = ["0", "-1", "1e308", "-1e308", "1e-300", "-1e-3", "-2E+1", "nan", "inf", "-inf", "x",
           ""]
 _FUZZ_OPTIONS = {
     "--c": ["0.4", "2"],
     "--beta": ["2", "0.5"],
     "--seed": ["1", "18446744073709551617"],
-    "--n": ["1", "2", "3"],
-    "--m": ["1", "2"],
+    "--n": ["1", "2", "3", "100000000"],
+    "--m": ["1", "2", "100000000"],
     "--shots": ["1", "2000"],
     "--meaningful-floor": ["1", "2000"],
     "--inputs": ["1", "2"],

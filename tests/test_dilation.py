@@ -16,6 +16,7 @@ from vertexsim import (
     svd_scaled,
     terashima_decomposition,
 )
+from vertexsim import dilation
 from vertexsim.dilation import X_GATE, controlled_reflection
 
 from conftest import FIXTURE_SINGULAR, positive_state
@@ -72,6 +73,7 @@ def test_svd_sign_gauge_is_deterministic():
         for k in range(4):
             np.testing.assert_allclose(np.outer(f.u[:, k], f.v[k]), np.outer(u[:, k], v[k]),
                                        atol=1e-14)
+        dilation._factorize.cache_clear()  # else g is f itself
         g = svd_scaled(R)
         assert np.array_equal(f.u, g.u) and np.array_equal(f.v, g.v)
 
@@ -208,9 +210,47 @@ def test_terashima_requires_scaled_input():
 def test_svd_scaled_raises_on_malformed_gate():
     with pytest.raises(ValidationError):
         RMatrix(entries=np.full((4, 4), np.nan))
-    # a tolerance below any rounding error makes the self-checks fire
-    with pytest.raises(NumericalError):
-        svd_scaled(RMatrix(entries=np.ones((4, 4))), tol=1e-300)
+    # a tolerance below any rounding error makes the self-checks fire, on
+    # every call: a failed factorization is not memoized
+    dilation._factorize.cache_clear()
+    for _ in range(3):
+        with pytest.raises(NumericalError):
+            svd_scaled(RMatrix(entries=np.ones((4, 4))), tol=1e-300)
+    assert dilation._factorize.cache_info().currsize == 0
+
+
+def test_equal_gates_share_one_read_only_factorization():
+    f = svd_scaled(r_matrix(generate_model(0.4, 2.0, 7)))
+    # an equal model, not the same object: the memo keys on R's content
+    assert svd_scaled(r_matrix(generate_model(0.4, 2.0, 7))) is f
+    for a in (f.u, f.v, f.d):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+
+
+def test_other_gates_and_tolerances_get_their_own_factors():
+    r, other = (r_matrix(generate_model(0.4, 2.0, seed)) for seed in (7, 8))
+    calls = [(r, 1e-12), (other, 1e-12), (r, 1e-10)]
+    memo = [svd_scaled(gate, tol) for gate, tol in calls]
+    assert len({id(f) for f in memo}) == 3
+    dilation._factorize.cache_clear()
+    for f, (gate, tol) in zip(memo, calls):
+        fresh = svd_scaled(gate, tol)
+        assert fresh is not f and fresh.d0_raw == f.d0_raw
+        for name in ("u", "v", "d"):
+            assert getattr(fresh, name).tobytes() == getattr(f, name).tobytes()
+
+
+def test_factor_memo_keeps_at_most_eight_gates():
+    dilation._factorize.cache_clear()
+    gates = [r_matrix(generate_model(0.4, 2.0, seed)) for seed in range(12)]
+    for gate in gates:
+        svd_scaled(gate)
+    assert dilation._factorize.cache_info().currsize == 8
+    misses = dilation._factorize.cache_info().misses
+    svd_scaled(gates[-1])  # still held
+    svd_scaled(gates[0])  # the least recently used, dropped
+    assert dilation._factorize.cache_info().misses == misses + 1
 
 
 @pytest.mark.parametrize("tol", [math.nan, True, "a", None, 0.0, -1e-12, math.inf])
