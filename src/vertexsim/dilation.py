@@ -28,7 +28,7 @@ from .errors import NumericalError, ValidationError, require_positive_real
 from .model import RMatrix
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # by identity: `svd_scaled` shares one per distinct gate
 class SVDFactors:
     """Scaled SVD of a Boltzmann gate: source = u @ diag(d0_raw * d) @ v."""
 

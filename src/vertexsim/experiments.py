@@ -31,7 +31,8 @@ from numbers import Real
 import numpy as np
 
 from .dilation import SVDFactors, X_GATE, controlled_reflection, dilate, svd_scaled, terashima_decomposition
-from .errors import ConvergenceError, InsufficientStatisticsError, ValidationError, require_positive_int
+from .errors import (ConvergenceError, DimensionError, InsufficientStatisticsError, ValidationError,
+                     require_positive_int)
 from .model import VertexModel, r_matrix
 from .rng import substream_seed
 from .simulator import (
@@ -45,7 +46,7 @@ from .simulator import (
     run_exact,
     run_shots,
 )
-from .transfer import DENSE_CAP_QUBITS, assemble_transfer, spectral_summary
+from .transfer import assemble_transfer, spectral_summary
 
 DEFAULT_MEANINGFUL_FLOOR = 1000
 
@@ -112,22 +113,12 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     )
 
 
-def _t_plan(factors: SVDFactors, n: int, m_power: int) -> CircuitPlan:
-    """`build_t_plan(factors, n, m_power)`, built once per distinct content.
-
-    The key is the bytes of the factors, so a fresh `svd_scaled` of the same
-    R finds the plan again.  The plan is shared by later calls, so it goes
-    only to the runners, which do not change it.
-    """
-    return _plan_of(factors.u.tobytes(), factors.v.tobytes(), factors.d.tobytes(), n, m_power)
-
-
 @functools.lru_cache(maxsize=8)
-def _plan_of(u: bytes, v: bytes, d: bytes, n: int, m_power: int) -> CircuitPlan:
-    # read-only views of the key's bytes; the plan does not read d0_raw
-    gate = SVDFactors(u=np.frombuffer(u).reshape(4, 4), v=np.frombuffer(v).reshape(4, 4),
-                      d=np.frombuffer(d), d0_raw=1.0)
-    return build_t_plan(gate, n, m_power)
+def _t_plan(factors: SVDFactors, n: int, m_power: int) -> CircuitPlan:
+    """`build_t_plan(factors, n, m_power)`, memoized on the factors object, which
+    `svd_scaled` shares per distinct R.  The plan is shared by later calls, so
+    it goes only to the runners, which do not change it."""
+    return build_t_plan(factors, n, m_power)
 
 
 def build_d_test_plan(d: np.ndarray) -> CircuitPlan:
@@ -387,8 +378,8 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     when T is normal.  For any T it is <= ||(I-P) T (I-P)||_2 <psi0,psi> /
     <psi0,T psi> with P = psi0 psi0^T, which is lambda_1 for normal T; on
     non-normal T the estimate can exceed lambda_1.  `oracle_lambda1` is the
-    ratio of `spectral_summary` (the default Arnoldi method), None above the
-    dense cap.
+    ratio of `spectral_summary` (the default Arnoldi method) for n <= 18,
+    None where the operator's sweep cap rejects n (the circuits run to 22).
     """
     vec = _validate_positive_input(input_amplitudes, n)
     require_positive_int("psi0_iterations", psi0_iterations)
@@ -405,9 +396,10 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     f1 = float(psi0.vector @ action)
     shots_used = psi0.shots_used + (shots or 0)
 
-    oracle = None
-    if n + 1 <= DENSE_CAP_QUBITS:
+    try:
         oracle = spectral_summary(assemble_transfer(r, n)).ratio
+    except DimensionError:  # wider than the matrix-free oracle's cap
+        oracle = None
 
     degenerate = 0.0 in (f0, f1) or f0 ** -2 - 1.0 <= 1e-12 or f1 ** -2 - 1.0 < 0.0
     return EstimatorReport(

@@ -41,12 +41,17 @@ from .errors import (
 from .gates import apply_matrix  # noqa: F401
 from .model import RMatrix, VertexModel
 from .rng import uniforms
+from .simulator import MAX_STATE_AMPLITUDES
 
-DENSE_CAP_QUBITS = 13  # N + 1 <= 13: dense storage grows as 4^(N+1)
+DENSE_CAP_QUBITS = 13  # N + 1 <= 13 for `entries`: dense storage grows as 4^(N+1)
 ENUMERATION_BUDGET = 1 << 26
 _ASSEMBLY_BLOCK = 256  # identity columns per sweep in `entries`; bounds the temporaries
 FUSED_GATES = 3  # gates per block of the row sweep: 16 x 16 blocks
 KRYLOV_DIM = 20  # Arnoldi basis vectors per restart cycle, capped at dim
+# N + 1 <= 19 for every operator.  The Arnoldi peak, the basis (KRYLOV_DIM + 1), the restart's
+# product (KRYLOV_DIM // 2) and 3 more, 34 vectors of 2^(N+1) doubles, must fit the 256 MiB
+# of MAX_STATE_AMPLITUDES complex amplitudes, two doubles each.
+SWEEP_CAP_QUBITS = (2 * MAX_STATE_AMPLITUDES // (KRYLOV_DIM + KRYLOV_DIM // 2 + 4)).bit_length() - 1
 
 
 @dataclass(frozen=True)
@@ -70,12 +75,12 @@ class LatticeShape:
 class TransferOperator:
     """Row-transfer operator of one lattice row of N vertices, held as its gate R.
 
-    The constructor rejects n unless it is a positive integer with
-    n + 1 <= DENSE_CAP_QUBITS.  Products with T and T^T are row sweeps
-    (`_row_sweep`) of `_blocks`, the gates of `source` fused FUSED_GATES at a
-    time, built on first use and cached; `apply_transfer` is the public T
-    product.  `entries`, the dense matrix, is swept from the identity on first
-    read and cached read-only for `method="dense"` and the CLI's dense listing.
+    n is a positive integer with n + 1 <= SWEEP_CAP_QUBITS.  Products with T
+    and T^T are row sweeps (`_row_sweep`) of `_blocks`, the gates of `source`
+    fused FUSED_GATES at a time, built on first use and cached;
+    `apply_transfer` is the public T product.  `entries`, the dense matrix
+    for `method="dense"` and the CLI's dense listing, is swept from the
+    identity on first read and cached read-only, for n + 1 <= DENSE_CAP_QUBITS.
     """
 
     n: int
@@ -83,11 +88,7 @@ class TransferOperator:
 
     def __post_init__(self):
         require_positive_int("n (columns)", self.n)
-        if self.n + 1 > DENSE_CAP_QUBITS:
-            raise DimensionError(
-                f"dense assembly capped at n+1 <= {DENSE_CAP_QUBITS} qubits "
-                f"(dim {2 ** DENSE_CAP_QUBITS}); got n={self.n}"
-            )
+        _check_cap(self.n, SWEEP_CAP_QUBITS, "matrix-free sweeps")
 
     @property
     def dim(self) -> int:
@@ -95,6 +96,7 @@ class TransferOperator:
 
     @cached_property
     def entries(self) -> np.ndarray:
+        _check_cap(self.n, DENSE_CAP_QUBITS, "dense assembly")
         out = np.empty((self.dim, self.dim))
         for s in range(0, self.dim, _ASSEMBLY_BLOCK):
             b = min(_ASSEMBLY_BLOCK, self.dim - s)
@@ -105,6 +107,11 @@ class TransferOperator:
     @cached_property
     def _blocks(self) -> tuple[np.ndarray, ...]:
         return _fused_blocks(self.source, self.n)
+
+
+def _check_cap(n: int, qubits: int, what: str) -> None:
+    if n + 1 > qubits:
+        raise DimensionError(f"{what} capped at n+1 <= {qubits} qubits; got n={n}")
 
 
 @dataclass(frozen=True)
@@ -269,7 +276,7 @@ def _arnoldi_top(matvec, dim: int, tol: float, max_iterations: int):
         best = min(best, worst)
         if m < k:  # invariant, or out of matvecs
             break
-        s = k // 2 + np.count_nonzero(theta[:k // 2].imag) % 2
+        s = k // 2 + int(np.count_nonzero(theta[:k // 2].imag)) % 2  # int: the count goes to JSON
         keep, _ = np.linalg.qr(np.where(theta[:s].imag < 0, y[:, :s].imag, y[:, :s].real))
         q[:s] = keep.T @ q[:m]
         q[s] = q[m]
@@ -285,11 +292,11 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
 
     method="power" (default) is restarted Arnoldi on matvecs alone: it
     applies T, scaled by a power of two, as row products of `t.source` and
-    never reads `t.entries`.
+    never reads `t.entries`, so it runs at every width the operator accepts.
     Lambda_0, Psi_0^R and |Lambda_1| are the two leading Ritz pairs of one
     Krylov space, and `max_iterations` bounds the number of matvecs.
-    method="dense" is the LAPACK cross-check backend.  The power method
-    accepts both Ritz pairs at residuals below `tol * Lambda_0`; then both
+    method="dense" is the LAPACK cross-check backend on `t.entries`.  The power
+    method accepts both Ritz pairs at residuals below `tol * Lambda_0`; then both
     methods check the true residual of (Lambda_0, Psi_0^R), one more product
     with T, against max(tol, 1e-9).  ConvergenceError carries the best
     residual reached.

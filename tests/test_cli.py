@@ -90,9 +90,22 @@ def test_spectrum_dense_method(tmp_path):
     assert json.loads((tmp_path / "spectrum.json").read_text())["residual_lambda1"] == 0.0
 
 
-def test_spectrum_cap_is_a_validation_error(tmp_path):
-    assert run_cli("spectrum", "--c", "0.4", "--beta", "2", "--seed", "4", "--n", "40",
-                   "--out", str(tmp_path)) == 2
+def test_spectrum_cap_is_a_validation_error(tmp_path, capsys):
+    # the matrix-free oracle stops at n = 18, the dense matrix at n = 12
+    for args, cap in ((("--n", "40"), "19"), (("--n", "19"), "19"),
+                      (("--n", "13", "--method", "dense"), "13")):
+        assert run_cli("spectrum", "--c", "0.4", "--beta", "2", "--seed", "4", *args,
+                       "--out", str(tmp_path / "out")) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error:") and f"<= {cap} qubits" in line
+    assert not (tmp_path / "out").exists()
+
+
+def test_spectrum_runs_above_the_dense_cap(tmp_path):
+    assert run_cli("spectrum", "--c", "0.4", "--beta", "2", "--seed", "7", "--n", "13",
+                   "--out", str(tmp_path)) == 0
+    meta = json.loads((tmp_path / "spectrum.json").read_text())
+    assert len(meta["psi0_right"]) == 2 ** 14 and 0.05 < meta["ratio"] < 0.06
 
 
 def test_spectrum_bad_tolerance_is_a_validation_error(tmp_path):

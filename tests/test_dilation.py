@@ -228,6 +228,13 @@ def test_equal_gates_share_one_read_only_factorization():
             a[0] = 0.0
 
 
+def test_factors_compare_and_hash_by_identity():
+    # field-wise equality raised ValueError on the array fields, and hash TypeError
+    f, g = (svd_scaled(r_matrix(generate_model(0.4, 2.0, seed))) for seed in (1, 2))
+    assert f == f and f != g
+    assert len({f, g, f}) == 2
+
+
 def test_other_gates_and_tolerances_get_their_own_factors():
     r, other = (r_matrix(generate_model(0.4, 2.0, seed)) for seed in (7, 8))
     calls = [(r, 1e-12), (other, 1e-12), (r, 1e-10)]

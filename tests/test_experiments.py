@@ -31,7 +31,7 @@ from vertexsim import (
     wire_from_dense,
     wire_to_dense_map,
 )
-from vertexsim import experiments
+from vertexsim import experiments, transfer
 from vertexsim.experiments import MODES, _embed_input
 from vertexsim.model import VertexModel, energy_index
 from vertexsim.rng import uniforms
@@ -426,9 +426,21 @@ def test_estimator_shot_backend_reports():
     assert not rep.degenerate
 
 
-def test_estimator_has_no_oracle_above_the_dense_cap():
-    rep = estimate_lambda1(generate_model(0.4, 2.0, 23), 13, np.ones(2 ** 14), shots=20_000,
-                           seed=1, psi0_iterations=1, meaningful_floor=10)
+def test_estimator_has_an_oracle_above_the_dense_cap():
+    # n + 1 = 14 qubits is past the dense matrix's cap; the matrix-free oracle runs
+    model = generate_model(0.4, 2.0, 23)
+    rep = estimate_lambda1(model, 13, np.ones(2 ** 14), shots=20_000, seed=1,
+                           psi0_iterations=1, meaningful_floor=10)
+    assert rep.oracle_lambda1 == spectral_summary(assemble_transfer(r_matrix(model), 13)).ratio
+    assert not rep.degenerate
+
+
+def test_estimator_has_no_oracle_above_the_sweep_cap(monkeypatch):
+    # the circuits run wider than the oracle's memory cap (n = 19 to 22); a
+    # lowered cap stands in for those widths
+    monkeypatch.setattr(transfer, "SWEEP_CAP_QUBITS", 3)
+    rep = estimate_lambda1(generate_model(0.4, 2.0, 23), 3, np.ones(16), shots=20_000, seed=1,
+                           psi0_iterations=1, meaningful_floor=10)
     assert rep.oracle_lambda1 is None
     assert not rep.degenerate
 
@@ -445,7 +457,7 @@ def test_estimator_factorizes_and_builds_once(monkeypatch, backend):
 
     for name in ("r_matrix", "svd_scaled", "build_t_plan"):
         monkeypatch.setattr(experiments, name, counted(getattr(experiments, name)))
-    experiments._plan_of.cache_clear()  # else an earlier test's plan is reused
+    experiments._t_plan.cache_clear()  # else an earlier test's plan is reused
     estimate_lambda1(generate_model(0.4, 2.0, 19), 2, positive_state(8, 77), shots=2_000,
                      backend=backend, meaningful_floor=10)
     assert calls == {"r_matrix": 1, "svd_scaled": 1, "build_t_plan": 1}
@@ -465,17 +477,18 @@ def _counted(monkeypatch, *names):
                                    meaningful_floor=10).estimate,
 ], ids=["action", "estimate"])
 def test_repeat_calls_reuse_the_plan(monkeypatch, run):
-    experiments._plan_of.cache_clear()
+    experiments._t_plan.cache_clear()
     first = run(generate_model(0.4, 2.0, 19))
     counts = _counted(monkeypatch, "r_matrix", "svd_scaled", "build_t_plan")
-    # an equal model, not the same object: the memo keys on the factors' content
+    # an equal model, not the same object: svd_scaled returns the same factors
+    # object for an equal gate, and the plan memo keys on that object
     again = run(generate_model(0.4, 2.0, 19))
     assert counts() == {"r_matrix": 1, "svd_scaled": 1, "build_t_plan": 0}
     assert np.array_equal(first, again, equal_nan=True)
 
 
 def test_each_plan_key_gets_its_own_plan():
-    experiments._plan_of.cache_clear()
+    experiments._t_plan.cache_clear()
     base, other = (svd_scaled(r_matrix(generate_model(0.4, 2.0, s))) for s in (5, 6))
     keys = [(base, 2, 1), (other, 2, 1), (base, 3, 1), (base, 2, 2)]
     plans = [experiments._t_plan(*key) for key in keys]
@@ -486,11 +499,11 @@ def test_each_plan_key_gets_its_own_plan():
 
 
 def test_plan_memo_stays_bounded():
-    experiments._plan_of.cache_clear()
+    experiments._t_plan.cache_clear()
     factors = svd_scaled(r_matrix(generate_model(0.4, 2.0, 5)))
     for m in range(1, 20):
         experiments._t_plan(factors, 1, m)
-    assert experiments._plan_of.cache_info().currsize == 8
+    assert experiments._t_plan.cache_info().currsize == 8
 
 
 def test_public_plan_builder_returns_a_fresh_plan():

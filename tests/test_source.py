@@ -65,3 +65,27 @@ def test_only_cli_and_model_write_file_formats():
     imports = {p.stem: imported_modules(p.read_text()) for p in SRC.glob("*.py")}
     assert sorted(m for m, names in imports.items() if "json" in names) == ["cli", "model"]
     assert sorted(m for m, names in imports.items() if names & {"io", "csv"}) == []
+
+
+def names_read(source: str) -> set[str]:
+    """Every name a module reads, imports or reaches as an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {a.name for a in node.names}
+    return names
+
+
+def test_names_read_finds_imports_and_attributes():
+    assert names_read("from .t import A\nimport b\nc.D\ne") == {"A", "b", "c", "D", "e"}
+
+
+def test_dense_cap_stays_in_the_transfer_module():
+    # only `TransferOperator.entries` builds the 4^(N+1) matrix; a second reader
+    # of its cap would split the one matvec interface by size again
+    readers = [p.stem for p in SRC.glob("*.py") if "DENSE_CAP_QUBITS" in names_read(p.read_text())]
+    assert sorted(readers) == ["__init__", "transfer"]

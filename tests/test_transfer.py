@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -26,8 +27,10 @@ from vertexsim import (
     spectral_summary,
 )
 from vertexsim import transfer
+from vertexsim.simulator import MAX_STATE_AMPLITUDES
 from vertexsim.transfer import (
     DENSE_CAP_QUBITS,
+    SWEEP_CAP_QUBITS,
     _row_sweep,
     _true_residual,
 )
@@ -82,9 +85,30 @@ def test_matrix_elements_match_direct_chain():
 
 
 def test_dense_cap_error_names_cap():
-    m = generate_model(0.4, 2.0, 1)
-    with pytest.raises(DimensionError, match=str(DENSE_CAP_QUBITS)):
-        assemble_transfer(r_matrix(m), DENSE_CAP_QUBITS)
+    # the cap guards the dense matrix alone: at n + 1 = 14 qubits the operator
+    # exists and its matrix-free spectrum runs
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 1)), DENSE_CAP_QUBITS)
+    for read in (lambda: t.entries, lambda: spectral_summary(t, method="dense")):
+        with pytest.raises(DimensionError, match=str(DENSE_CAP_QUBITS)):
+            read()
+    s = spectral_summary(t)
+    assert 0 < s.ratio < 1 and s.residual < 1e-10
+
+
+def test_sweep_cap_bounds_the_oracle_memory():
+    # one summary's tracemalloc peak per basis index, scaled to the widest
+    # accepted row, fits the 256 MiB budget, and one qubit more would not
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 14)
+    tracemalloc.start()
+    try:
+        iterations = spectral_summary(t).iterations
+        per_index = tracemalloc.get_traced_memory()[1] / t.dim
+    finally:
+        tracemalloc.stop()
+    # a thick restart ran, and its count stays a plain int for the CLI's JSON
+    assert type(iterations) is int and iterations > transfer.KRYLOV_DIM
+    budget = MAX_STATE_AMPLITUDES * np.dtype(np.complex128).itemsize
+    assert per_index * 2 ** SWEEP_CAP_QUBITS <= budget < per_index * 2 ** (SWEEP_CAP_QUBITS + 1)
 
 
 def test_assemble_transfer_rejects_non_integer_width():
@@ -210,7 +234,7 @@ def test_row_product_rejects_bad_shapes():
         with pytest.raises(ValidationError):
             apply_transfer(t, x)
     # the operator checks its own width, however it is built
-    for n in (0, True, 1.0, 2.5, DENSE_CAP_QUBITS):
+    for n in (0, True, 1.0, 2.5, SWEEP_CAP_QUBITS):
         for build in (lambda n: TransferOperator(n=n, source=ones_r()),
                       lambda n: assemble_transfer(ones_r(), n)):
             with pytest.raises(ValidationError):
