@@ -220,19 +220,15 @@ def cmd_gen_model(args) -> int:
 def cmd_spectrum(args) -> int:
     seed = _resolve_seed(args)
     model = _load_model(args, seed)
-    t = assemble_transfer(r_matrix(model), args.n)
-    summary = spectral_summary(t, tol=args.tol, method=args.method)
+    summary = spectral_summary(assemble_transfer(r_matrix(model), args.n), tol=args.tol,
+                               method=args.method)
     out = _outdir(args)
     if _wants(args, "json"):
         meta = {key: getattr(summary, key) for key in _SPECTRUM_KEYS}
         meta.update(psi0_right=summary.psi0_right.tolist(), seed=seed, n=args.n)
         _write(out / "spectrum.json", json.dumps(meta, indent=2))
     if _wants(args, "csv"):
-        if args.method == "dense":
-            mags = np.sort(np.abs(np.linalg.eigvals(t.entries)))[::-1]
-        else:
-            mags = np.array([summary.lambda0, summary.lambda1_abs])
-        _write(out / "spectrum.csv", _csv("index,value", enumerate(mags.tolist())))
+        _write(out / "spectrum.csv", _csv("index,value", enumerate(summary.magnitudes.tolist())))
         _write(out / "psi0.csv", _csv("index,value", enumerate(summary.psi0_right.tolist())))
     return 0
 

@@ -67,8 +67,8 @@ from .rng import substream_seed, substream_value
 UNITARITY_TOL = 1e-10
 
 # The largest state vector the package allocates: 2^24 complex128 amplitudes
-# x 16 bytes = 256 MiB.  It also caps the amplitudes summed over every branch
-# `run_exact` expands.
+# x 16 bytes = 256 MiB, and either runner holds about 5 at its peak.  It also
+# caps the amplitudes summed over every branch `run_exact` expands.
 MAX_STATE_AMPLITUDES = 1 << 24
 
 # Shots sampled per pass of `_simulate_chunk`; results do not depend on it.
@@ -304,12 +304,14 @@ class _Measurement:
 
     Built from the state entering instruction `pc`, it applies the gates up
     to the next measurement and keeps its index `pc` (the plan's length when
-    none is left) and the state before it, `amps`.  `select` masks the
-    outcome bits read into select bits and `probs` holds the outcome weights.
-    For sampling, `written[o]` is outcome o's data word (None: no data bit);
-    a shot lives when its raw value x < `limit` (None: always), or `outcomes`
-    reads x through `table`.  All but `select` and `shift` are computed on
-    first use, so `run_exact` never builds a table or a readout's weights.
+    none is left) and the state before it, `amps` (None once `run_shots` has
+    built the successor of a trunk node that writes no data bit).  `select`
+    masks the outcome bits read into select bits and `probs` holds the
+    outcome weights.  For sampling, `written[o]` is outcome o's data word
+    (None: no data bit); a shot lives when its raw value x < `limit` (None:
+    always), or `outcomes` reads x through `table`.  All but `select` and
+    `shift` are computed on first use, so `run_exact` never builds a table
+    or a readout's weights.
     """
 
     def __init__(self, plan: CircuitPlan, amps: np.ndarray, pc: int):
@@ -431,6 +433,7 @@ def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, sta
             else:
                 if event == len(trunk):
                     trunk.append(_Measurement(plan, *trunk[-1].collapsed(0)))
+                    trunk[-2].amps = None  # writes no data bit: later chunks read only its limit
                 node = trunk[event]
             n, keep = len(subs), None
             if node.written is None:
@@ -488,7 +491,7 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
         raise ValidationError(
             "classical register too wide to sample: the data section is limited to 64 bits"
         )
-    amps0 = input_state.amplitudes.astype(np.complex128)
+    amps0 = np.asarray(input_state.amplitudes, dtype=np.complex128)
     # the trunk lives for this call: every chunk reads the measurements it holds
     trunk = [_Measurement(plan, amps0, 0)] if any(
         isinstance(op, MeasureAll) for op in plan.instructions) else []

@@ -79,7 +79,7 @@ class TransferOperator:
     and T^T are row sweeps (`_row_sweep`) of `_blocks`, the gates of `source`
     fused FUSED_GATES at a time, built on first use and cached;
     `apply_transfer` is the public T product.  `entries`, the dense matrix
-    for `method="dense"` and the CLI's dense listing, is swept from the
+    that only `spectral_summary(method="dense")` reads, is swept from the
     identity on first read and cached read-only, for n + 1 <= DENSE_CAP_QUBITS.
     """
 
@@ -118,6 +118,8 @@ def _check_cap(n: int, qubits: int, what: str) -> None:
 class SpectralSummary:
     """Lambda_0, |Lambda_1|, their ratio and Psi_0^R, as `spectral_summary` finds them.
 
+    `magnitudes` lists the |eigenvalues| found, largest first (dense: all
+    dim, power: the two leading), from (lambda0, lambda1_abs) bit for bit.
     `residual` is the true residual ||T Psi_0^R - Lambda_0 Psi_0^R|| /
     Lambda_0 for both methods.  `residual_lambda1` is the Ritz residual,
     relative to Lambda_0, of the pair behind |Lambda_1| (0.0 for the dense
@@ -132,6 +134,7 @@ class SpectralSummary:
     lambda1_abs: float
     ratio: float
     psi0_right: np.ndarray
+    magnitudes: np.ndarray
     residual: float
     residual_lambda1: float = 0.0
     iterations: int = 0
@@ -295,16 +298,23 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
     never reads `t.entries`, so it runs at every width the operator accepts.
     Lambda_0, Psi_0^R and |Lambda_1| are the two leading Ritz pairs of one
     Krylov space, and `max_iterations` bounds the number of matvecs.
-    method="dense" is the LAPACK cross-check backend on `t.entries`.  The power
-    method accepts both Ritz pairs at residuals below `tol * Lambda_0`; then both
-    methods check the true residual of (Lambda_0, Psi_0^R), one more product
-    with T, against max(tol, 1e-9).  ConvergenceError carries the best
-    residual reached.
+    method="dense" is the LAPACK cross-check backend: one `eig` of `t.entries`
+    gives every eigenvalue.  The power method accepts both Ritz pairs at
+    residuals below `tol * Lambda_0`; then `_summary` runs the same checks
+    for both methods, the true residual of (Lambda_0, Psi_0^R), one more
+    product with T, against max(tol, 1e-9) among them.  ConvergenceError
+    carries the best residual reached.
     """
     require_positive_real("tol", tol)
     require_positive_int("max_iterations", max_iterations)
     if method == "dense":
-        return _dense_summary(t, tol)
+        with np.errstate(over="ignore"):  # an overflow fails the check below
+            if not np.isfinite(t.entries).all():
+                raise NumericalError("T has entries outside the double range")
+        ev, vec = np.linalg.eig(t.entries)
+        order = np.argsort(-np.abs(ev))
+        return _summary(lambda x: t.entries @ x, ev[order], np.real(vec[:, order[0]]), tol,
+                        method="dense")
     if method != "power":
         raise ValidationError(f"unknown spectral method {method!r}")
 
@@ -320,43 +330,34 @@ def spectral_summary(t: TransferOperator, tol: float = 1e-10, max_iterations: in
         np.ldexp(b, -e * (len(b).bit_length() - 2)) for b in t._blocks)
     matvec = partial(_row_sweep, blocks, reverse=False)
     theta, psi0, resid, used = _arnoldi_top(matvec, t.dim, tol, max_iterations)
-    lam0 = float(theta[0].real)
-    if theta[0].imag != 0 or lam0 <= 0:
-        raise NumericalError(f"dominant eigenvalue must be real and positive, got {theta[0]}")
-    lam1_abs = min(float(abs(theta[1])), lam0)  # guard fp overshoot; Perron gives strict inequality
-    return _summary(matvec, lam0, lam1_abs, psi0, tol, exponent=e * t.n,
+    return _summary(matvec, theta, psi0, tol, exponent=e * t.n,
                     residual_lambda1=float(resid[1]), iterations=used, method="power")
 
 
-def _dense_summary(t: TransferOperator, tol: float) -> SpectralSummary:
-    with np.errstate(over="ignore"):  # an overflow fails the check below
-        if not np.isfinite(t.entries).all():
-            raise NumericalError("T has entries outside the double range")
-    ev, vec = np.linalg.eig(t.entries)
-    order = np.argsort(-np.abs(ev))
-    ev, vec = ev[order], vec[:, order]
-    return _summary(lambda x: t.entries @ x, float(np.real(ev[0])), float(np.abs(ev[1])),
-                    np.real(vec[:, 0]), tol, method="dense")
-
-
-def _summary(matvec, lam0: float, lam1_abs: float, psi0: np.ndarray, tol: float,
-             exponent: int = 0, **fields) -> SpectralSummary:
-    """The summary of both methods: psi0 scaled to unit norm and a positive sum,
-    the ratio, and the true residual checked by `_true_residual`.  `matvec`
-    applies T / 2^exponent, whose eigenvalues lam0 and lam1_abs are; the
-    summary reports T's, and NumericalError if Lambda_0 = lam0 * 2^exponent
-    is not a normal double."""
+def _summary(matvec, theta: np.ndarray, psi0: np.ndarray, tol: float, exponent: int = 0,
+             **fields) -> SpectralSummary:
+    """T's summary from `theta`, both methods' eigenvalues of T / 2^exponent (which
+    `matvec` applies) by decreasing magnitude, and psi0, the real eigenvector of
+    theta[0], scaled here to unit norm and a positive sum.  NumericalError if
+    theta[0] is complex or negative, or Lambda_0 = theta[0] * 2^exponent is not
+    a normal double; `_true_residual` checks (Lambda_0, psi0)."""
+    lam0 = float(theta[0].real)
+    if theta[0].imag != 0 or lam0 < 0:  # 0 fails the range check below
+        raise NumericalError(f"dominant eigenvalue must be real and positive, got {theta[0]}")
     if not (lam0 > 0 and sys.float_info.min_exp <= math.frexp(lam0)[1] + exponent
             <= sys.float_info.max_exp):
         raise NumericalError(f"Lambda_0 = {lam0!r} * 2^{exponent} lies outside the double range; "
                              "the ratio and psi0 do not depend on this scale")
+    lam1_abs = min(float(abs(theta[1])), lam0)  # guard fp overshoot; Perron gives strict inequality
+    magnitudes = np.ldexp(np.abs(theta), exponent)
+    # scalar abs() and the array's np.abs may differ in the last bit: list the summary's own
+    magnitudes[:2] = math.ldexp(lam0, exponent), math.ldexp(lam1_abs, exponent)
     psi0 /= np.linalg.norm(psi0)
     if psi0.sum() < 0:
         psi0 = -psi0
-    return SpectralSummary(lambda0=math.ldexp(lam0, exponent),
-                           lambda1_abs=math.ldexp(lam1_abs, exponent), ratio=lam1_abs / lam0,
-                           psi0_right=psi0, residual=_true_residual(matvec, lam0, psi0, tol),
-                           **fields)
+    return SpectralSummary(lambda0=magnitudes[0].item(), lambda1_abs=magnitudes[1].item(),
+                           ratio=lam1_abs / lam0, psi0_right=psi0, magnitudes=magnitudes,
+                           residual=_true_residual(matvec, lam0, psi0, tol), **fields)
 
 
 def _true_residual(matvec, lam0: float, psi0: np.ndarray, tol: float) -> float:

@@ -6,6 +6,7 @@ import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -88,6 +89,20 @@ def test_spectrum_dense_method(tmp_path):
     rows = (tmp_path / "spectrum.csv").read_text().strip().splitlines()
     assert len(rows) == 1 + 8  # header plus every eigenvalue magnitude
     assert json.loads((tmp_path / "spectrum.json").read_text())["residual_lambda1"] == 0.0
+
+
+def test_dense_spectrum_runs_one_eigensolver(tmp_path):
+    # spectrum.csv lists the summary's magnitudes: LAPACK solves T once, not
+    # once for the summary and again for the listing
+    with mock.patch.object(np.linalg, "eig", wraps=np.linalg.eig) as eig, \
+            mock.patch.object(np.linalg, "eigvals", wraps=np.linalg.eigvals) as eigvals:
+        assert run_cli("spectrum", "--c", "0.4", "--beta", "2", "--seed", "4", "--n", "5",
+                       "--method", "dense", "--out", str(tmp_path)) == 0
+    assert (eig.call_count, eigvals.call_count) == (1, 0)
+    meta = json.loads((tmp_path / "spectrum.json").read_text())
+    rows = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert len(rows) == 1 + 2 ** 6
+    assert rows[1:3] == [f"0,{meta['lambda0']!r}", f"1,{meta['lambda1_abs']!r}"]
 
 
 def test_spectrum_cap_is_a_validation_error(tmp_path, capsys):

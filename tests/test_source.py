@@ -89,3 +89,11 @@ def test_dense_cap_stays_in_the_transfer_module():
     # of its cap would split the one matvec interface by size again
     readers = [p.stem for p in SRC.glob("*.py") if "DENSE_CAP_QUBITS" in names_read(p.read_text())]
     assert sorted(readers) == ["__init__", "transfer"]
+
+
+def test_eigensolvers_stay_in_the_transfer_module():
+    # `spectral_summary` solves each spectrum once and `_summary` checks it; a
+    # second `eig` or `eigvals` elsewhere would solve it again, unchecked
+    readers = [p.stem for p in SRC.glob("*.py")
+               if names_read(p.read_text()) & {"eig", "eigvals"}]
+    assert readers == ["transfer"]

@@ -12,6 +12,7 @@ from vertexsim import (
     DimensionError,
     EnumerationBudgetError,
     LatticeShape,
+    NumericalError,
     RMatrix,
     TransferOperator,
     ValidationError,
@@ -394,6 +395,43 @@ def test_one_dimensional_invariant_space_stops_at_once():
     # is not spent on restarts
     with pytest.raises(ConvergenceError, match="in 1 matvecs"):
         transfer._arnoldi_top(lambda x: 3.0 * x, 32, 1e-10, 100_000)
+
+
+@pytest.mark.parametrize("lead", [lambda z: z + 1e-3j, lambda z: -z], ids=["complex", "negative"])
+def test_dense_method_checks_the_dominant_eigenvalue(monkeypatch, lead):
+    # both methods hand their eigenvalues to one check: a complex or negative
+    # Lambda_0 from LAPACK is an error, not a real part reported as Lambda_0
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 3)
+    solve = np.linalg.eig
+
+    def eig(a):
+        ev, vec = solve(a)
+        top = np.argmax(np.abs(ev))
+        ev = ev.astype(complex)
+        ev[top] = lead(ev[top])
+        return ev, vec
+
+    monkeypatch.setattr(np.linalg, "eig", eig)
+    with pytest.raises(NumericalError, match="real and positive"):
+        spectral_summary(t, method="dense")
+
+
+@pytest.mark.parametrize("method", ["power", "dense"])
+@pytest.mark.parametrize("seed, beta", [(7, 2.0), (3, 0.5), (1, 300.0)])
+def test_magnitudes_start_with_the_summary(method, seed, beta):
+    # bit for bit: at seed 7 scalar abs() and np.abs give |Lambda_1| apart in
+    # the last bit, and at beta 300 the power method scales T by 2^-e n
+    t = assemble_transfer(r_matrix(generate_model(0.4, beta, seed)), 4)
+    s = spectral_summary(t, method=method)
+    assert s.magnitudes[:2].tolist() == [s.lambda0, s.lambda1_abs]
+    assert len(s.magnitudes) == (t.dim if method == "dense" else 2)
+
+
+def test_dense_magnitudes_list_every_eigenvalue():
+    t = assemble_transfer(r_matrix(generate_model(0.4, 2.0, 7)), 6)
+    want = np.sort(np.abs(np.linalg.eigvals(t.entries)))[::-1]
+    np.testing.assert_allclose(spectral_summary(t, method="dense").magnitudes, want,
+                               rtol=1e-13, atol=0)
 
 
 def test_power_summary_survives_entries_near_underflow():
