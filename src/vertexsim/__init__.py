@@ -47,7 +47,6 @@ from .simulator import (
     ApplyUnitary,
     CircuitPlan,
     MeasureAll,
-    QuantumState,
     ShotHistogram,
     init_state,
     run_exact,

@@ -93,6 +93,7 @@ def parse_circuit_text(text: str) -> CircuitPlan:
             m = np.array(rows)
             if np.all(m.imag == 0.0):
                 m = m.real.copy()
+            m.flags.writeable = False
             matrices[mid] = m
             i += 1 + dim
         else:

@@ -154,3 +154,4 @@ def controlled_reflection(a: float) -> np.ndarray:
 
 
 X_GATE = np.array([[0.0, 1.0], [1.0, 0.0]])
+X_GATE.flags.writeable = False  # shared by every plan that flips a qubit

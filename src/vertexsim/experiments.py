@@ -40,9 +40,7 @@ from .simulator import (
     ApplyUnitary,
     CircuitPlan,
     MeasureAll,
-    QuantumState,
     ShotHistogram,
-    init_state,
     run_exact,
     run_shots,
 )
@@ -96,6 +94,7 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     ancilla = n + 1
     width = n * m_power + n + 1
     dil = dilate(factors.d)
+    dil.flags.writeable = False  # a plan's gates are read-only, as the factors are
     ins: list = []
     for block in range(m_power):
         for j in range(n):
@@ -116,8 +115,8 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
 @functools.lru_cache(maxsize=8)
 def _t_plan(factors: SVDFactors, n: int, m_power: int) -> CircuitPlan:
     """`build_t_plan(factors, n, m_power)`, memoized on the factors object, which
-    `svd_scaled` shares per distinct R.  The plan is shared by later calls, so
-    it goes only to the runners, which do not change it."""
+    `svd_scaled` shares per distinct R.  The plan is shared by later calls;
+    it is frozen and its gate arrays are read-only, so none can change it."""
     return build_t_plan(factors, n, m_power)
 
 
@@ -129,6 +128,7 @@ def build_d_test_plan(d: np.ndarray) -> CircuitPlan:
     are those with value < 4, and `run_exact` keeps the ancilla-0 branch.
     """
     gate = dilate(d)
+    gate.flags.writeable = False
     return CircuitPlan(
         n_qubits=3,
         n_classical_bits=3,
@@ -148,7 +148,9 @@ def build_terashima_plan(d: np.ndarray) -> CircuitPlan:
     for idx, step in enumerate(steps):
         for t in step.x_targets:
             ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,)))
-        ins.append(ApplyUnitary(matrix=controlled_reflection(step.a), targets=(0, 1, 2)))
+        reflection = controlled_reflection(step.a)
+        reflection.flags.writeable = False
+        ins.append(ApplyUnitary(matrix=reflection, targets=(0, 1, 2)))
         ins.append(MeasureAll(qubits=(2,), cbits=(width - 1 - idx,)))
         for t in step.x_targets:
             ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,)))
@@ -208,11 +210,11 @@ def _backend_shots(backend: str, shots: int) -> int | None:
     return shots
 
 
-def _embed_input(dense_vec: np.ndarray, n: int) -> QuantumState:
-    """Dense-basis data vector -> wire-basis full state with ancilla |0>."""
+def _embed_input(dense_vec: np.ndarray, n: int) -> np.ndarray:
+    """Dense-basis data vector -> wire-basis unit amplitudes with ancilla |0>."""
     full = np.zeros(2 ** (n + 2), dtype=np.complex128)
     full[: 2 ** (n + 1)] = wire_from_dense(dense_vec, n)
-    return init_state(n + 2, full)
+    return full / np.linalg.norm(full)
 
 
 def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None, seed: int,
@@ -230,7 +232,7 @@ def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None,
     state = _embed_input(vec, n)
     if shots is None:
         out, keep = run_exact(plan, state)
-        data = np.clip(np.real(out.amplitudes[: 2 ** (n + 1)]), 0.0, None)
+        data = np.clip(np.real(out[: 2 ** (n + 1)]), 0.0, None)
         data /= np.linalg.norm(data)
         return dense_from_wire(data, n), keep
     hist = run_shots(plan, state, shots, seed)

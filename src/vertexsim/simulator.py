@@ -10,6 +10,10 @@ Conventions
   into one is a post-selection (outcome 0 kept), so "meaningful" records
   are exactly those with value < 2^n_data_bits.  `run_shots` and
   `run_exact`, its infinite-shot limit, both read this one rule.
+* A data bit written by several measurements holds the OR of their
+  outcomes: X, measure q0 into c0, X, measure q0 into c0 again reads "1".
+  OpenQASM and Qiskit overwrite the bit instead, so an exported circuit that
+  writes a data bit twice may run differently in those tools.
 * Shot k draws its randomness from the counter-based substream (seed, k):
   one value per measurement instruction, in program order.  Results are
   therefore independent of chunking or execution order.
@@ -54,7 +58,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -75,32 +79,28 @@ MAX_STATE_AMPLITUDES = 1 << 24
 CHUNK_SHOTS = 1 << 16
 
 
-@dataclass
-class QuantumState:
-    """Unit-norm complex amplitudes over n qubits: the input of `run_exact` and
-    `run_shots`, and the kept state of `run_exact` (None when several branches
-    survive).  Build one with `init_state`; only a `CircuitPlan` acts on it.
-    """
-
-    n_qubits: int
-    amplitudes: np.ndarray
-
-
-def init_state(n: int, amplitudes: np.ndarray) -> QuantumState:
-    """Validate and normalize an amplitude vector into a QuantumState."""
-    if n < 1:
-        raise ValidationError(f"need at least one qubit, got {n}")
+def _unit_amplitudes(n: int, amplitudes: np.ndarray) -> tuple[np.ndarray, float]:
+    """The input rule of `init_state` and both runners: 2^n entries, all finite,
+    norm within 1e-9 of 1.  Returns the flat complex128 amplitudes, never
+    rescaled, and their norm."""
     amps = np.asarray(amplitudes, dtype=np.complex128).ravel()
     if amps.shape != (2 ** n,):
         raise DimensionError(f"state over {n} qubits needs 2^{n} amplitudes, got {amps.shape}")
     if not np.all(np.isfinite(amps)):
         raise ValidationError("input amplitudes must be finite")
     nrm = float(np.linalg.norm(amps))
-    if nrm == 0.0:
-        raise ValidationError("cannot initialize from the zero vector")
     if abs(nrm - 1.0) > 1e-9:
         raise ValidationError(f"input amplitudes must be normalized to 1e-9, got norm {nrm!r}")
-    return QuantumState(n, amps / nrm)
+    return amps, nrm
+
+
+def init_state(n: int, amplitudes: np.ndarray) -> np.ndarray:
+    """Check an amplitude vector over n qubits by the runners' input rule and
+    return it normalized: flat complex128, the input divided by its norm."""
+    if n < 1:
+        raise ValidationError(f"need at least one qubit, got {n}")
+    amps, nrm = _unit_amplitudes(n, amplitudes)
+    return amps / nrm
 
 
 def _check_unitary(matrix: np.ndarray, k: int) -> None:
@@ -167,23 +167,26 @@ class MeasureAll:
     cbits: tuple[int, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class CircuitPlan:
     """Straight-line program over n_qubits with a classical register.
 
     n_data_bits marks how many LOW classical bits hold data measurements;
     everything above them is a select bit, which must read 0 for a record
-    to count as meaningful.  None (the default) makes every bit data.
+    to count as meaningful.  None (the default) makes every bit data.  A data
+    bit written by several measurements holds the OR of their outcomes.  A
+    plan is validated when built and frozen after, `instructions` as a tuple.
     """
 
     n_qubits: int
     n_classical_bits: int
-    instructions: list[ApplyUnitary | MeasureAll] = field(default_factory=list)
+    instructions: tuple[ApplyUnitary | MeasureAll, ...] = ()
     n_data_bits: int | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "instructions", tuple(self.instructions))
         if self.n_data_bits is None:
-            self.n_data_bits = self.n_classical_bits
+            object.__setattr__(self, "n_data_bits", self.n_classical_bits)
         self.validate()
 
     def validate(self) -> None:
@@ -226,15 +229,6 @@ class CircuitPlan:
         return sum(isinstance(i, MeasureAll) and max(i.cbits) >= self.n_data_bits
                    for i in self.instructions)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, CircuitPlan)
-            and self.n_qubits == other.n_qubits
-            and self.n_classical_bits == other.n_classical_bits
-            and self.n_data_bits == other.n_data_bits
-            and self.instructions == other.instructions
-        )
-
 
 @dataclass(frozen=True)
 class ShotHistogram:
@@ -256,26 +250,23 @@ class ShotHistogram:
         return self.meaningful_shots / self.total_shots if self.total_shots else 0.0
 
 
-def _check_input(plan: CircuitPlan, input_state: QuantumState) -> None:
-    if input_state.n_qubits != plan.n_qubits:
-        raise DimensionError(f"input has {input_state.n_qubits} qubits, plan needs {plan.n_qubits}")
+def run_exact(plan: CircuitPlan, amplitudes: np.ndarray) -> tuple[np.ndarray | None, float]:
+    """Infinite-shot limit of `run_shots`: the kept amplitudes and keep probability.
 
-
-def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumState | None, float]:
-    """Infinite-shot limit of `run_shots`: the kept state and keep probability.
-
-    Walks the `_Measurement` nodes of `run_shots` with a weight in place of
-    shots: every outcome of nonzero weight that sets no select bit becomes a
-    branch, its weight multiplied by the outcome's.  The readout, the plan's
-    last instruction, keeps its data qubits coherent (`_Measurement.readout`).
-    The keep probability is the summed weight of the surviving branches; the
-    kept state is None when more than one survives, since it is then a
-    mixture.  Raises ImpossiblePostselectionError when every branch dies, and
-    ValidationError when data splits expand over MAX_STATE_AMPLITUDES.
+    `amplitudes` must meet `init_state`'s rule; they are read as given, never
+    rescaled.  Walks the `_Measurement` nodes of `run_shots` with a weight in
+    place of shots: every outcome of nonzero weight that sets no select bit
+    becomes a branch, its weight multiplied by the outcome's.  The readout,
+    the plan's last instruction, keeps its data qubits coherent
+    (`_Measurement.readout`).  The keep probability is the summed weight of
+    the surviving branches; the kept amplitudes are None when more than one
+    survives, since the kept state is then a mixture.  Raises
+    ImpossiblePostselectionError when every branch dies, and ValidationError
+    when data splits expand over MAX_STATE_AMPLITUDES.
     """
-    _check_input(plan, input_state)
+    amps0, _ = _unit_amplitudes(plan.n_qubits, amplitudes)
     nq, last = plan.n_qubits, len(plan.instructions) - 1
-    tasks = [(input_state.amplitudes.copy(), 0, 1.0)]
+    tasks = [(amps0.copy(), 0, 1.0)]
     expanded, kept, keep = 1, [], 0.0
     while tasks:
         amps, pc, weight = tasks.pop()
@@ -296,7 +287,7 @@ def run_exact(plan: CircuitPlan, input_state: QuantumState) -> tuple[QuantumStat
         tasks += [(*node.collapsed(o), weight * probs[o]) for o in outcomes]
     if not kept:
         raise ImpossiblePostselectionError("every branch failed a post-selection of weight zero")
-    return (QuantumState(nq, kept[0]) if len(kept) == 1 else None), keep
+    return (kept[0] if len(kept) == 1 else None), keep
 
 
 class _Measurement:
@@ -477,21 +468,21 @@ def _simulate_chunk(plan: CircuitPlan, trunk: list[_Measurement], seed: int, sta
     return counts, survivors
 
 
-def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: int) -> ShotHistogram:
+def run_shots(plan: CircuitPlan, amplitudes: np.ndarray, shots: int, seed: int) -> ShotHistogram:
     """Sample the plan shot by shot and histogram the meaningful records.
 
-    Every measurement samples via the Born rule (mid-circuit outcomes are
-    recorded, never forced).  A shot is dropped at its first failed
-    post-selection, that is, the first measurement that sets a select bit;
-    the shots that survive every measurement are the meaningful ones.
+    `amplitudes` must meet `init_state`'s rule; they are read as given, never
+    rescaled.  Every measurement samples via the Born rule (mid-circuit
+    outcomes are recorded, never forced).  A shot is dropped at its first
+    failed post-selection, that is, the first measurement that sets a select
+    bit; the shots that survive every measurement are the meaningful ones.
     """
     require_positive_int("shots", shots)
-    _check_input(plan, input_state)
+    amps0, _ = _unit_amplitudes(plan.n_qubits, amplitudes)
     if plan.n_data_bits > 64:
         raise ValidationError(
             "classical register too wide to sample: the data section is limited to 64 bits"
         )
-    amps0 = np.asarray(input_state.amplitudes, dtype=np.complex128)
     # the trunk lives for this call: every chunk reads the measurements it holds
     trunk = [_Measurement(plan, amps0, 0)] if any(
         isinstance(op, MeasureAll) for op in plan.instructions) else []
@@ -504,8 +495,10 @@ def run_shots(plan: CircuitPlan, input_state: QuantumState, shots: int, seed: in
                                       work)
         counts.update(tally)
         survivors = survivors + live
+    # a 0-bit register's only key is "", where format(0, "00b") gives "0"
     spec = f"0{plan.n_classical_bits}b"
-    keyed = {format(v, spec): c for v, c in sorted(counts.items())}
+    keyed = {format(v, spec) if plan.n_classical_bits else "": c
+             for v, c in sorted(counts.items())}
     return ShotHistogram(
         counts=keyed,
         total_shots=shots,

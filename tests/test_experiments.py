@@ -131,7 +131,7 @@ def test_run_exact_on_raw_plan_keeps_ancilla_zero():
     plan = build_t_plan(factors, n, 1)
     psi = positive_state(2 ** (n + 1), 17)
     out, keep = run_exact(plan, _embed_input(psi, n))
-    assert np.all(np.abs(out.amplitudes[2 ** (n + 1):]) == 0.0)
+    assert np.all(np.abs(out[2 ** (n + 1):]) == 0.0)
     assert 0 < keep <= 1
 
 
@@ -587,7 +587,7 @@ def test_terashima_plan_equals_single_dilation_plan():
         out_a, p_a = run_exact(single, state)
         out_b, p_b = run_exact(build_terashima_plan(d), state)
         np.testing.assert_allclose(
-            out_a.amplitudes[:4].real, out_b.amplitudes[:4].real, atol=1e-10
+            out_a[:4].real, out_b[:4].real, atol=1e-10
         )
         assert abs(p_a - p_b) < 1e-10
 

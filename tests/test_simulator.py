@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -16,13 +17,16 @@ from vertexsim import (
     ImpossiblePostselectionError,
     MeasureAll,
     ValidationError,
+    VertexSimError,
     acceptance_probability,
     build_d_test_plan,
     build_t_plan,
     build_terashima_plan,
     dilate,
+    export_circuit_text,
     generate_model,
     init_state,
+    parse_circuit_text,
     r_matrix,
     run_exact,
     run_shots,
@@ -65,9 +69,9 @@ def dilation_state(d, alpha):
 
 def test_init_state_examples():
     e0 = basis_state(3, 0)
-    assert e0.amplitudes[0] == 1.0
+    assert e0[0] == 1.0
     uni = init_state(2, np.full(4, 0.5))
-    np.testing.assert_allclose(np.abs(uni.amplitudes), 0.5)
+    np.testing.assert_allclose(np.abs(uni), 0.5)
 
 
 def test_init_state_pins_seeded_cli_vector():
@@ -76,7 +80,7 @@ def test_init_state_pins_seeded_cli_vector():
     v = v / np.linalg.norm(v)
     state = init_state(3, v)  # renormalization may shift the last bit
     np.testing.assert_allclose(
-        state.amplitudes.real[:4],
+        state.real[:4],
         [0.19280158714857806, 0.023338261680790895, 0.6153890933404162, 0.0754303767300095],
         rtol=1e-15,
     )
@@ -95,6 +99,38 @@ def test_init_state_errors():
             init_state(1, bad)
 
 
+@settings(max_examples=20)
+@given(n=hs.integers(1, 3), seed=hs.integers(0, 2 ** 32 - 1), position=hs.integers(0, 8))
+def test_init_state_and_both_runners_share_one_input_rule(n, seed, position):
+    # an unchecked input runs silently: a norm of sqrt(2) puts every shot of a
+    # one-qubit read on "0", and a NaN runs on after a RuntimeWarning
+    rng = np.random.default_rng(seed)
+    gateless = CircuitPlan(n, 0, [])
+    read = CircuitPlan(n, n, [MeasureAll(tuple(range(n)), tuple(range(n)))])
+    for extra in (0, -1, 1):
+        for norm in (1.0, 1 - 0.99e-9, 1 + 0.99e-9, 1 - 1.01e-9, 1 + 1.01e-9, math.sqrt(2.0)):
+            for bad in (None, np.nan, np.inf, -np.inf, complex(0.0, np.nan)):
+                size = 2 ** n + extra
+                v = rng.normal(size=size) + 1j * rng.normal(size=size)
+                v *= norm / np.linalg.norm(v)
+                if bad is not None:
+                    v[position % size] = bad
+                want = (DimensionError if extra else
+                        ValidationError if bad is not None or abs(norm - 1.0) > 1e-9 else None)
+                for run in (lambda: init_state(n, v), lambda: run_exact(gateless, v),
+                            lambda: run_shots(read, v, 5, seed)):
+                    try:
+                        run()
+                        got = None
+                    except VertexSimError as exc:
+                        got = type(exc)
+                    assert got is want, (extra, norm, bad)
+                if want is None:
+                    np.testing.assert_array_equal(init_state(n, v), v / np.linalg.norm(v))
+                    # the runners read the input as given: a norm off 1 is not divided out
+                    assert run_exact(gateless, v)[0].tobytes() == v.tobytes()
+
+
 def circuit(nq, *instructions):
     """Plan over nq qubits; a post-selection writes classical bit 0, a select bit."""
     n_post = sum(isinstance(i, MeasureAll) for i in instructions)
@@ -109,17 +145,17 @@ def postselect(qubit):
 def test_run_exact_x_gate():
     st = basis_state(1, 0)
     out, p = run_exact(circuit(1, ApplyUnitary(matrix=X_GATE, targets=(0,))), st)
-    assert out.amplitudes[1] == 1.0 and p == 1.0
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
-    assert st.amplitudes[0] == 1.0  # the input state is left as it was
+    assert out[1] == 1.0 and p == 1.0
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
+    assert st[0] == 1.0  # the input state is left as it was
 
 
 def test_trivial_dilation_flips_ancilla_sector_sign():
     g = dilate(np.array([1.0, 1.0, 1.0, 1.0]))
     amps = np.array([0.5, 0.5, 0.0, 0.0, 0.5, 0.0, 0.5, 0.0])
     out, _ = run_exact(circuit(3, ApplyUnitary(matrix=g, targets=(0, 1, 2))), init_state(3, amps))
-    np.testing.assert_allclose(out.amplitudes[:4].real, [0.5, 0.5, 0, 0], atol=1e-15)
-    np.testing.assert_allclose(out.amplitudes[4:].real, [-0.5, 0, -0.5, 0], atol=1e-15)
+    np.testing.assert_allclose(out[:4].real, [0.5, 0.5, 0, 0], atol=1e-15)
+    np.testing.assert_allclose(out[4:].real, [-0.5, 0, -0.5, 0], atol=1e-15)
 
 
 def test_svd_sandwich_reproduces_scaled_gate():
@@ -137,7 +173,7 @@ def test_svd_sandwich_reproduces_scaled_gate():
     out, p = run_exact(plan, dilation_state(f.d, alpha))
     want = R.entries @ alpha / f.d0_raw
     assert abs(p - want @ want) < 1e-12
-    np.testing.assert_allclose(out.amplitudes[:4].real, want / np.linalg.norm(want), atol=1e-12)
+    np.testing.assert_allclose(out[:4].real, want / np.linalg.norm(want), atol=1e-12)
 
 
 def test_postselect_examples(fixture_r):
@@ -153,7 +189,7 @@ def test_postselect_examples(fixture_r):
     plan = circuit(3, ApplyUnitary(matrix=dilate(f.d), targets=(0, 1, 2)), postselect(2))
     out, p = run_exact(plan, dilation_state(f.d, uniform))
     assert abs(p - float(np.sum(f.d ** 2)) / 4.0) < 1e-12
-    assert abs(np.linalg.norm(out.amplitudes) - 1.0) < 1e-12
+    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
 
 
 def test_postselect_impossible():
@@ -186,6 +222,32 @@ def test_apply_unitary_validates():
         circuit(2, ApplyUnitary(matrix=np.eye(4), targets=(0, 0)))  # repeated target
 
 
+def test_plans_are_frozen_and_compare_by_field():
+    plan = build_t_plan(svd_scaled(r_matrix(generate_model(0.4, 2.0, 7))), 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.n_qubits = 5
+    with pytest.raises(AttributeError):
+        plan.instructions.append(MeasureAll((0,), (0,)))
+    # the gate arrays the package builds into plans are read-only
+    assert not X_GATE.flags.writeable
+    for built in (plan, build_d_test_plan(np.array([1.0, 0.8, 0.5, 0.2])),
+                  build_terashima_plan(np.array([1.0, 0.8, 0.5, 0.2])),
+                  parse_circuit_text(export_circuit_text(plan))):
+        for ins in built.instructions:
+            if isinstance(ins, ApplyUnitary):
+                with pytest.raises(ValueError):
+                    ins.matrix[0, 0] = 2.0
+    base = dict(n_qubits=2, n_classical_bits=3, n_data_bits=2,
+                instructions=[ApplyUnitary(X_GATE, (0,)), MeasureAll((0, 1), (0, 1))])
+    assert CircuitPlan(**base) == CircuitPlan(**{**base, "instructions": tuple(base["instructions"])})
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    for field, value in (("n_qubits", 3), ("n_classical_bits", 4), ("n_data_bits", 1),
+                         ("instructions", [ApplyUnitary(hadamard, (0,)), MeasureAll((0, 1), (0, 1))]),
+                         ("instructions", [ApplyUnitary(X_GATE, (1,)), MeasureAll((0, 1), (0, 1))]),
+                         ("instructions", [ApplyUnitary(X_GATE, (0,)), MeasureAll((0, 1), (0, 2))])):
+        assert CircuitPlan(**base) != CircuitPlan(**{**base, field: value}), field
+
+
 def test_validate_checks_each_distinct_matrix_once():
     plan = build_t_plan(svd_scaled(r_matrix(generate_model(0.4, 2.0, 7))), 6, 2)
     gates = [ins for ins in plan.instructions if isinstance(ins, ApplyUnitary)]
@@ -214,6 +276,21 @@ def test_run_shots_trivial_plan_single_bin():
     assert hist.meaningful_shots == hist.total_shots == 500
 
 
+def test_zero_bit_register_keys_every_shot_by_the_empty_string():
+    # the full-width string of 0 bits is "", where format(0, "00b") gives "0"
+    hist = run_shots(CircuitPlan(1, 0, []), basis_state(1, 0), 5, seed=0)
+    assert hist.counts == {"": 5}
+    assert hist.meaningful_shots == 5 and hist.survivors == ()
+
+
+def test_a_data_bit_written_twice_holds_the_or_of_its_outcomes():
+    # reads 1, then 0, into c0: OpenQASM and Qiskit would keep the last, "0"
+    measure = MeasureAll((0,), (0,))
+    flip = ApplyUnitary(X_GATE, (0,))
+    plan = CircuitPlan(1, 1, [flip, measure, flip, measure])
+    assert run_shots(plan, basis_state(1, 0), 100, seed=3).counts == {"1": 100}
+
+
 def test_run_shots_deterministic_across_chunking():
     d = np.array([1.0, 0.8, 0.5, 0.2])
     plan = build_d_test_plan(d)
@@ -240,7 +317,7 @@ def test_run_shots_matches_exact_distribution_chi_square():
     shots = 100_000
     hist = run_shots(plan, st, shots, seed=7)
 
-    out = dilate(d) @ st.amplitudes
+    out = dilate(d) @ st
     probs = np.abs(out) ** 2
     counts = np.zeros(8)
     for key, cnt in hist.counts.items():
@@ -287,7 +364,7 @@ def test_run_exact_empty_plan():
     st = init_state(2, positive_state(4, 2))
     out, p = run_exact(plan, st)
     assert p == 1.0
-    np.testing.assert_array_equal(out.amplitudes, st.amplitudes)
+    np.testing.assert_array_equal(out, st)
 
 
 def test_run_exact_keep_probability_equals_norm():
@@ -306,7 +383,7 @@ def test_run_exact_keep_probability_equals_norm():
     assert abs(p - acceptance_probability(d, alpha)) < 1e-12
     want = d * alpha
     want /= np.linalg.norm(want)
-    np.testing.assert_allclose(out.amplitudes[:4].real, want, atol=1e-12)
+    np.testing.assert_allclose(out[:4].real, want, atol=1e-12)
 
 
 def test_run_exact_impossible_postselection():
@@ -417,8 +494,8 @@ def test_run_exact_d_test_keeps_the_select_bit_zero():
     out, keep = run_exact(plan, dilation_state(d, alpha))
     assert abs(keep - acceptance_probability(d, alpha)) < 1e-12
     want = d * alpha / np.linalg.norm(d * alpha)
-    np.testing.assert_allclose(out.amplitudes[:4].real, want, atol=1e-12)
-    assert not np.any(out.amplitudes[4:])
+    np.testing.assert_allclose(out[:4].real, want, atol=1e-12)
+    assert not np.any(out[4:])
 
 
 @pytest.mark.parametrize("name", ["d_test", "terashima", "mid_circuit", "t_3_2"])
@@ -699,7 +776,7 @@ def test_run_exact_is_pinned(name):
     plan, state = _golden_case(name)
     out, keep = run_exact(plan, state)
     assert (out is None) == (name == "mid_circuit")
-    blob = (b"" if out is None else out.amplitudes.tobytes()) + repr(keep).encode()
+    blob = (b"" if out is None else out.tobytes()) + repr(keep).encode()
     assert hashlib.sha256(blob).hexdigest() == EXACT_DIGESTS[name]
 
 
@@ -720,7 +797,7 @@ def reference_shots(plan, state, shots, seed):
     counts: dict[str, int] = {}
     for k in range(shots):
         sub = substream_seed(seed, np.array([k], dtype=np.uint64))
-        amps = state.amplitudes.astype(np.complex128)
+        amps = state.astype(np.complex128)
         word, event, alive = 0, 0, True
         for ins in plan.instructions:
             if isinstance(ins, ApplyUnitary):
@@ -816,7 +893,7 @@ def _state_with_t0(t0):
     for _ in range(4):
         for probe in (up, down):
             state = init_state(2, np.array([probe, 0.0, math.sqrt(1.0 - probe * probe), 0.0]))
-            p0 = _marginal_probs(state.amplitudes.astype(np.complex128), (1,), 2)[0]
+            p0 = _marginal_probs(state.astype(np.complex128), (1,), 2)[0]
             if math.ceil(p0 * 2.0 ** 53) == t0:
                 return state
         up, down = np.nextafter(up, 2.0), np.nextafter(down, 0.0)
@@ -855,7 +932,7 @@ def test_postselection_compares_raw_values_at_the_edges():
     for x in np.linspace(0.1, 0.9, 9):
         v = np.array([x, 1.0, 0.0, 0.0]) / math.hypot(x, 1.0)
         over = init_state(2, v)
-        if _marginal_probs(over.amplitudes.astype(np.complex128), (1,), 2)[0] > 1.0:
+        if _marginal_probs(over.astype(np.complex128), (1,), 2)[0] > 1.0:
             break
     else:
         pytest.fail("no state rounds p0 above 1")
@@ -932,4 +1009,4 @@ def test_trunk_drops_the_states_it_no_longer_reads():
     finally:
         tracemalloc.stop()
     assert hist.meaningful_shots > 0
-    assert peak <= 8 * state.amplitudes.nbytes
+    assert peak <= 8 * state.nbytes
