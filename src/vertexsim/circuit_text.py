@@ -92,8 +92,7 @@ def parse_circuit_text(text: str) -> CircuitPlan:
                     raise ValidationError(f"matrix {mid} row {j} has wrong width")
             m = np.array(rows)
             if np.all(m.imag == 0.0):
-                m = m.real.copy()
-            m.flags.writeable = False
+                m = m.real
             matrices[mid] = m
             i += 1 + dim
         else:

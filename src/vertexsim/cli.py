@@ -38,6 +38,7 @@ from .experiments import (
     build_t_plan,
     check_circuit_width,
     estimate_lambda1,
+    normalize_positive_input,
     simulated_t_action,
 )
 from .model import VertexModel, generate_model, model_from_json, model_to_json, r_matrix
@@ -176,13 +177,9 @@ def _csv(header: str, rows) -> str:
     return "\n".join([header] + [",".join(map(str, row)) for row in rows]) + "\n"
 
 
-def _random_positive_state(dim: int, seed: int) -> np.ndarray:
-    v = uniforms(seed, dim)
-    return v / np.linalg.norm(v)
-
-
-def _load_input_vector(path: Path, dim: int) -> np.ndarray:
-    v = np.zeros(dim)
+def _load_input_vector(path: Path, n: int) -> np.ndarray:
+    """The `index,value` lines of `path` as a unit input over n+1 data qubits."""
+    v = np.zeros(2 ** (n + 1))
     seen = set()
     for line in _read_text(path).splitlines():
         line = line.strip()
@@ -195,20 +192,13 @@ def _load_input_vector(path: Path, dim: int) -> np.ndarray:
             raise ValidationError(f"input file {path}: want 'index,value', got {line!r}") from exc
         if not math.isfinite(val):
             raise ValidationError(f"input file {path}: amplitude {val} is not finite")
-        if not 0 <= idx < dim:
-            raise ValidationError(f"input file {path}: index {idx} out of range for {dim} amplitudes")
+        if not 0 <= idx < len(v):
+            raise ValidationError(f"input file {path}: index {idx} out of range for {len(v)} amplitudes")
         if idx in seen:
             raise ValidationError(f"input file {path}: index {idx} appears twice")
         seen.add(idx)
         v[idx] = val
-    if not np.any(v):
-        raise ValidationError(f"input file {path} holds no amplitudes")
-    with np.errstate(over="ignore"):  # a norm that over- or underflows is redone below
-        norm = np.linalg.norm(v)
-    if norm == 0.0 or math.isinf(norm):
-        v = v / np.abs(v).max()
-        norm = np.linalg.norm(v)
-    return v / norm
+    return normalize_positive_input(v, n)
 
 
 def cmd_gen_model(args) -> int:
@@ -237,11 +227,10 @@ def cmd_simulate(args) -> int:
     check_circuit_width(args.n)
     seed = _resolve_seed(args)
     model = _load_model(args, seed)
-    dim = 2 ** (args.n + 1)
     if args.input_file is not None:
-        vec = _load_input_vector(args.input_file, dim)
+        vec = _load_input_vector(args.input_file, args.n)
     else:
-        vec = np.zeros(dim)
+        vec = np.zeros(2 ** (args.n + 1))
         vec[0] = 1.0
     result, diag = simulated_t_action(
         model, args.n, args.m, vec, shots=args.shots, seed=seed,
@@ -298,12 +287,12 @@ def cmd_estimate(args) -> int:
     check_circuit_width(args.n)
     seed = _resolve_seed(args)
     model = _load_model(args, seed)
-    dim = 2 ** (args.n + 1)
     backend = "exact" if args.mode == "exact" else "shot"
     if args.input_file is not None:
-        inputs = [_load_input_vector(args.input_file, dim)]
+        inputs = [_load_input_vector(args.input_file, args.n)]
     else:  # drawn as each estimate runs, so the K inputs are never all in memory
-        inputs = (_random_positive_state(dim, seed + 1 + k) for k in range(args.inputs))
+        inputs = (normalize_positive_input(uniforms(seed + 1 + k, 2 ** (args.n + 1)), args.n)
+                  for k in range(args.inputs))
     reports = [
         estimate_lambda1(model, args.n, vec, shots=args.shots, seed=seed + 7919 * (k + 1),
                          backend=backend, meaningful_floor=args.meaningful_floor)

@@ -24,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError, require_positive_real
+from .errors import NumericalError, ValidationError
 from .model import RMatrix
+
+SVD_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)  # by identity: `svd_scaled` shares one per distinct gate
@@ -41,25 +43,24 @@ class SVDFactors:
         return self.u @ np.diag(self.d0_raw * self.d) @ self.v
 
 
-def svd_scaled(r: RMatrix, tol: float = 1e-12) -> SVDFactors:
+def svd_scaled(r: RMatrix) -> SVDFactors:
     """Factorize a Boltzmann gate and rescale by its top singular value.
 
     numpy's SVD fixes each singular vector pair only up to a common sign; the
     gauge here makes the first entry above 1e-14 of each column of u positive
     and flips the matching row of v, so the factors are deterministic.  Both
-    self-checks, reconstruction and orthogonality, must hold to `tol`, a
-    positive finite real number.
+    self-checks, reconstruction and orthogonality, must hold to SVD_TOL, or
+    NumericalError is raised.
 
-    Results are memoized on the bytes of R and `tol` (the last few distinct
-    pairs), so an equal gate returns the same factors object, whose arrays are
+    Results are memoized on the bytes of R (the last few distinct gates), so
+    an equal gate returns the same factors object, whose arrays are
     read-only.  A factorization that fails its checks is not memoized.
     """
-    require_positive_real("tol", tol)
-    return _factorize(r.entries.tobytes(), tol)
+    return _factorize(r.entries.tobytes())
 
 
 @functools.lru_cache(maxsize=8)
-def _factorize(entries: bytes, tol: float) -> SVDFactors:
+def _factorize(entries: bytes) -> SVDFactors:
     r = np.frombuffer(entries).reshape(4, 4)
     u, s, v = np.linalg.svd(r)
     flip = np.sign(u[np.argmax(np.abs(u) > 1e-14, axis=0), np.arange(4)])
@@ -76,7 +77,7 @@ def _factorize(entries: bytes, tol: float) -> SVDFactors:
         np.max(np.abs(u.T @ u - np.eye(4))),
         np.max(np.abs(v @ v.T - np.eye(4))),
     )
-    if resid > tol or ortho > tol:
+    if resid > SVD_TOL or ortho > SVD_TOL:
         raise NumericalError(
             f"SVD failed its own checks: reconstruction {resid:.3e}, orthogonality {ortho:.3e}"
         )

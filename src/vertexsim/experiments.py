@@ -94,7 +94,6 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     ancilla = n + 1
     width = n * m_power + n + 1
     dil = dilate(factors.d)
-    dil.flags.writeable = False  # a plan's gates are read-only, as the factors are
     ins: list = []
     for block in range(m_power):
         for j in range(n):
@@ -127,13 +126,11 @@ def build_d_test_plan(d: np.ndarray) -> CircuitPlan:
     the final measurement is also the post-selection: meaningful records
     are those with value < 4, and `run_exact` keeps the ancilla-0 branch.
     """
-    gate = dilate(d)
-    gate.flags.writeable = False
     return CircuitPlan(
         n_qubits=3,
         n_classical_bits=3,
         instructions=[
-            ApplyUnitary(matrix=gate, targets=(0, 1, 2)),
+            ApplyUnitary(matrix=dilate(d), targets=(0, 1, 2)),
             MeasureAll(qubits=(0, 1, 2), cbits=(0, 1, 2)),
         ],
         n_data_bits=2,
@@ -148,9 +145,7 @@ def build_terashima_plan(d: np.ndarray) -> CircuitPlan:
     for idx, step in enumerate(steps):
         for t in step.x_targets:
             ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,)))
-        reflection = controlled_reflection(step.a)
-        reflection.flags.writeable = False
-        ins.append(ApplyUnitary(matrix=reflection, targets=(0, 1, 2)))
+        ins.append(ApplyUnitary(matrix=controlled_reflection(step.a), targets=(0, 1, 2)))
         ins.append(MeasureAll(qubits=(2,), cbits=(width - 1 - idx,)))
         for t in step.x_targets:
             ins.append(ApplyUnitary(matrix=X_GATE, targets=(t,)))
@@ -181,7 +176,16 @@ def check_circuit_width(n: int) -> None:
         )
 
 
-def _validate_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray:
+def normalize_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray:
+    """The one rule for a positive input over n+1 data qubits, from the library
+    or the CLI: 2^(n+1) real entries, finite, nonnegative and not all zero.
+    Returns the input divided by its norm, a float64 unit vector.
+
+    A norm below 2^-500, whose squares may have lost bits to underflow, or an
+    infinite one, whose squares overflowed, is redone on the vector divided by
+    its largest entry, so the result does not depend on the input's scale; any
+    other norm is used as computed, so an input in range keeps its bits.
+    """
     check_circuit_width(n)
     if np.iscomplexobj(input_amplitudes):
         raise ValidationError(
@@ -194,9 +198,13 @@ def _validate_positive_input(input_amplitudes: np.ndarray, n: int) -> np.ndarray
         )
     if np.any(v < 0) or np.any(~np.isfinite(v)):
         raise ValidationError("input amplitudes must be finite and nonnegative")
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
+    if not np.any(v):
         raise ValidationError("input amplitudes must not all vanish")
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(v)
+    if not 2.0 ** -500 <= nrm < math.inf:
+        v = v / v.max()
+        nrm = np.linalg.norm(v)
     return v / nrm
 
 
@@ -268,7 +276,7 @@ def simulated_t_action(model: VertexModel, n: int, m_power: int, input_amplitude
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     check_plan_size(n, m_power)
-    vec = _validate_positive_input(input_amplitudes, n)
+    vec = normalize_positive_input(input_amplitudes, n)
     if mode != "exact":
         require_positive_int("shots", shots)
     factors = svd_scaled(r_matrix(model))
@@ -341,7 +349,7 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
         vec = np.zeros(2 ** (n + 1))
         vec[0] = 1.0
     else:
-        vec = _validate_positive_input(start, n)
+        vec = normalize_positive_input(start, n)
     return _iterate_psi0(plan, vec, n, shots, seed, max_steps, tol, meaningful_floor)
 
 
@@ -383,14 +391,14 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     ratio of `spectral_summary` (the default Arnoldi method) for n <= 18,
     None where the operator's sweep cap rejects n (the circuits run to 22).
     """
-    vec = _validate_positive_input(input_amplitudes, n)
+    vec = normalize_positive_input(input_amplitudes, n)
     require_positive_int("psi0_iterations", psi0_iterations)
     shots = _backend_shots(backend, shots)
     r = r_matrix(model)
     plan = _t_plan(svd_scaled(r), n, 1)
     # The circuits start from the unit input normalized once more, which can
     # move its last bits; the pinned exact-backend numbers depend on that.
-    start = _validate_positive_input(vec, n)
+    start = normalize_positive_input(vec, n)
     steps, tol = (400, 1e-13) if shots is None else (psi0_iterations, 0.0)
     psi0 = _iterate_psi0(plan, start, n, shots, seed, steps, tol, meaningful_floor)
     action, _ = _block_action(plan, start, n, shots, _step_seed(seed, 1 << 20), meaningful_floor)

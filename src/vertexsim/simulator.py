@@ -176,6 +176,9 @@ class CircuitPlan:
     to count as meaningful.  None (the default) makes every bit data.  A data
     bit written by several measurements holds the OR of their outcomes.  A
     plan is validated when built and frozen after, `instructions` as a tuple.
+    It holds one read-only copy of each distinct gate array it was given,
+    shared by every instruction that shares the array, so a caller that
+    writes into its own array later cannot change a validated plan.
     """
 
     n_qubits: int
@@ -184,12 +187,8 @@ class CircuitPlan:
     n_data_bits: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "instructions", tuple(self.instructions))
         if self.n_data_bits is None:
             object.__setattr__(self, "n_data_bits", self.n_classical_bits)
-        self.validate()
-
-    def validate(self) -> None:
         if self.n_qubits < 1:
             raise ValidationError("plan needs at least one qubit")
         if not 0 <= self.n_data_bits <= self.n_classical_bits:
@@ -197,18 +196,23 @@ class CircuitPlan:
                 f"bad register layout: {self.n_data_bits} data bits in "
                 f"{self.n_classical_bits} classical bits"
             )
-        # checked in this call: target tuples, and matrices by (id, width)
-        checked_targets, checked = set(), set()
-        for ins in self.instructions:
+        # checked here: each (matrix id, targets) once, a matrix once per (id, width);
+        # one read-only copy per id, and one instruction per (id, targets) sharing it
+        given = tuple(self.instructions)  # holds every matrix, so no id is reused as a key
+        checked, copies, gates, instructions = set(), {}, {}, []
+        for ins in given:
             if isinstance(ins, ApplyUnitary):
-                targets = tuple(ins.targets)
-                if targets not in checked_targets:
+                mid, targets = id(ins.matrix), tuple(ins.targets)
+                if (mid, targets) not in gates:
                     check_targets(targets, self.n_qubits)
-                    checked_targets.add(targets)
-                key = (id(ins.matrix), len(ins.targets))
-                if key not in checked:
-                    _check_unitary(ins.matrix, len(ins.targets))
-                    checked.add(key)
+                    if (mid, len(targets)) not in checked:
+                        _check_unitary(ins.matrix, len(targets))
+                        checked.add((mid, len(targets)))
+                    if mid not in copies:
+                        copies[mid] = np.array(ins.matrix)
+                        copies[mid].flags.writeable = False
+                    gates[mid, targets] = ApplyUnitary(copies[mid], targets)
+                ins = gates[mid, targets]
             elif isinstance(ins, MeasureAll):
                 if not ins.qubits:
                     raise ValidationError("measure needs at least one qubit")
@@ -220,6 +224,8 @@ class CircuitPlan:
                         raise ValidationError(f"classical bit {cb} out of range")
             else:
                 raise ValidationError(f"unknown instruction {ins!r}")
+            instructions.append(ins)
+        object.__setattr__(self, "instructions", tuple(instructions))
 
     def count_unitaries(self) -> int:
         return sum(isinstance(i, ApplyUnitary) for i in self.instructions)
@@ -479,10 +485,6 @@ def run_shots(plan: CircuitPlan, amplitudes: np.ndarray, shots: int, seed: int) 
     """
     require_positive_int("shots", shots)
     amps0, _ = _unit_amplitudes(plan.n_qubits, amplitudes)
-    if plan.n_data_bits > 64:
-        raise ValidationError(
-            "classical register too wide to sample: the data section is limited to 64 bits"
-        )
     # the trunk lives for this call: every chunk reads the measurements it holds
     trunk = [_Measurement(plan, amps0, 0)] if any(
         isinstance(op, MeasureAll) for op in plan.instructions) else []

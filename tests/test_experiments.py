@@ -1,11 +1,12 @@
 import hashlib
 import json
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vertexsim import (
@@ -32,7 +33,7 @@ from vertexsim import (
     wire_to_dense_map,
 )
 from vertexsim import experiments, transfer
-from vertexsim.experiments import MODES, _embed_input
+from vertexsim.experiments import MODES, _embed_input, normalize_positive_input
 from vertexsim.model import VertexModel, energy_index
 from vertexsim.rng import uniforms
 
@@ -71,7 +72,8 @@ def test_plan_matches_published_five_qubit_layout():
     assert [p.cbits for p in post] == [(8,), (7,), (6,), (5,)]
     assert all(p.qubits == (5,) for p in post)
     v, dil, post0, u = plan.instructions[:4]
-    assert v.matrix is factors.v and u.matrix is factors.u and post0 is post[0]
+    assert np.array_equal(v.matrix, factors.v) and np.array_equal(u.matrix, factors.u)
+    assert post0 is post[0]
     np.testing.assert_array_equal(dil.matrix, dilate(factors.d))
     first_targets = plan.instructions[0].targets
     assert first_targets == (3, 4)  # rightmost column gate first
@@ -167,6 +169,25 @@ def test_action_validates_input():
 _MODEL = generate_model(0.4, 2.0, 8)
 _FACTORS = svd_scaled(r_matrix(_MODEL))
 _PSI = positive_state(8, 1)
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 2), k=st.integers(-1000, 1000),
+       ints=st.lists(st.integers(0, 2 ** 20), min_size=8, max_size=8).filter(lambda v: any(v[:4])))
+@example(n=1, k=-540, ints=[1000003, 999983, 77777, 5] * 2)  # squares sum to a subnormal
+@example(n=1, k=600, ints=[1000003, 999983, 77777, 5] * 2)  # squares overflow
+def test_positive_input_is_scale_free(n, k, ints):
+    # 2^k scales every entry exactly, so the input's norm may under- or overflow
+    # but the rule returns the same unit vector, and every output follows
+    v = np.array(ints[: 2 ** (n + 1)], dtype=float)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outputs = [(normalize_positive_input(x, n),
+                    simulated_t_action(_MODEL, n, 1, x, mode="exact")[0],
+                    power_iterate_psi0(_MODEL, n, backend="exact", start=x, max_steps=2,
+                                       tol=0.0).vector) for x in (v, v * 2.0 ** k)]
+    for want, got in zip(*outputs):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("call", [

@@ -228,15 +228,7 @@ def test_plans_are_frozen_and_compare_by_field():
         plan.n_qubits = 5
     with pytest.raises(AttributeError):
         plan.instructions.append(MeasureAll((0,), (0,)))
-    # the gate arrays the package builds into plans are read-only
-    assert not X_GATE.flags.writeable
-    for built in (plan, build_d_test_plan(np.array([1.0, 0.8, 0.5, 0.2])),
-                  build_terashima_plan(np.array([1.0, 0.8, 0.5, 0.2])),
-                  parse_circuit_text(export_circuit_text(plan))):
-        for ins in built.instructions:
-            if isinstance(ins, ApplyUnitary):
-                with pytest.raises(ValueError):
-                    ins.matrix[0, 0] = 2.0
+    assert not X_GATE.flags.writeable  # shared by plans and callers alike
     base = dict(n_qubits=2, n_classical_bits=3, n_data_bits=2,
                 instructions=[ApplyUnitary(X_GATE, (0,)), MeasureAll((0, 1), (0, 1))])
     assert CircuitPlan(**base) == CircuitPlan(**{**base, "instructions": tuple(base["instructions"])})
@@ -249,13 +241,13 @@ def test_plans_are_frozen_and_compare_by_field():
 
 
 def test_validate_checks_each_distinct_matrix_once():
-    plan = build_t_plan(svd_scaled(r_matrix(generate_model(0.4, 2.0, 7))), 6, 2)
+    factors = svd_scaled(r_matrix(generate_model(0.4, 2.0, 7)))
+    with mock.patch.object(simulator, "_check_unitary", wraps=simulator._check_unitary) as check:
+        plan = build_t_plan(factors, 6, 2)
+    assert check.call_count == 3
     gates = [ins for ins in plan.instructions if isinstance(ins, ApplyUnitary)]
     distinct = {(id(g.matrix), len(g.targets)) for g in gates}
     assert len(gates) == 36 and len(distinct) == 3
-    with mock.patch.object(simulator, "_check_unitary", wraps=simulator._check_unitary) as check:
-        plan.validate()
-    assert check.call_count == 3
     # an object is checked again at each new width, and every other object once
     bad = np.diag([1.0, 1.0, 1.0, 1.5])
     for matrix, targets in ((X_GATE, (0, 1)), (bad, (0, 1))):
@@ -263,6 +255,31 @@ def test_validate_checks_each_distinct_matrix_once():
             circuit(2, ApplyUnitary(matrix=np.eye(4), targets=(0, 1)),
                     ApplyUnitary(matrix=X_GATE, targets=(0,)),
                     ApplyUnitary(matrix=matrix, targets=targets))
+
+
+def test_a_plan_copies_its_gates_read_only():
+    # a caller that writes into its own array after validation changes nothing
+    m = np.eye(2)
+    plan = circuit(1, ApplyUnitary(m, (0,)), postselect(0))
+    m[0, 0] = 3.0
+    assert run_exact(plan, basis_state(1, 0))[1] == 1.0
+    # every plan holds one read-only copy per distinct array it was given
+    factors = svd_scaled(r_matrix(generate_model(0.4, 2.0, 7)))
+    t_plan = build_t_plan(factors, 2)
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    given_arrays = [factors.u, factors.v, X_GATE, hadamard]
+    hand_built = circuit(2, ApplyUnitary(hadamard, (0,)), ApplyUnitary(hadamard, (1,)))
+    for built in (t_plan, build_d_test_plan(np.array([1.0, 0.8, 0.5, 0.2])),
+                  build_terashima_plan(np.array([1.0, 0.8, 0.5, 0.2])),
+                  parse_circuit_text(export_circuit_text(t_plan)), hand_built):
+        gates = [ins.matrix for ins in built.instructions if isinstance(ins, ApplyUnitary)]
+        assert gates and not any(g is a for g in gates for a in given_arrays)
+        for g in gates:
+            with pytest.raises(ValueError):
+                g[0, 0] = 2.0
+    # instructions that share an array share its copy
+    first, second = hand_built.instructions
+    assert first.matrix is second.matrix and np.array_equal(first.matrix, hadamard)
 
 
 def test_run_shots_trivial_plan_single_bin():
@@ -430,14 +447,19 @@ def test_meaningful_fraction_tracks_exact_keep_probability_mid_circuit():
 
 
 def test_register_width_guard():
-    plan = CircuitPlan(
-        n_qubits=2,
-        n_classical_bits=70,
-        instructions=[],
-        n_data_bits=70,
-    )
-    with pytest.raises(ValidationError, match="64"):
-        run_shots(plan, basis_state(2, 0), 10, seed=0)
+    # data words are Python ints, so a register wider than 64 bits samples as
+    # any other: 70 data bits, each written by H then a measurement of q0
+    # beside a select bit that q1 (always 0) writes
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    ins = []
+    for j in range(70):
+        ins += [ApplyUnitary(hadamard, (0,)), MeasureAll((0, 1), (j, 70 + j))]
+    plan = CircuitPlan(n_qubits=2, n_classical_bits=140, instructions=ins, n_data_bits=70)
+    hist = run_shots(plan, basis_state(2, 0), 300, seed=5)
+    counts, meaningful, survivors = reference_shots(plan, basis_state(2, 0), 300, 5)
+    assert (hist.counts, hist.meaningful_shots, hist.survivors) == (counts, meaningful, survivors)
+    assert meaningful == 300 and len(counts) == 300
+    assert any(int(key, 2) >= 1 << 64 for key in counts)
 
 
 @pytest.mark.parametrize("kwargs", [

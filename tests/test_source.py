@@ -97,3 +97,11 @@ def test_eigensolvers_stay_in_the_transfer_module():
     readers = [p.stem for p in SRC.glob("*.py")
                if names_read(p.read_text()) & {"eig", "eigvals"}]
     assert readers == ["transfer"]
+
+
+def test_plans_and_experiments_own_the_input_rules():
+    # `CircuitPlan` alone makes a plan's gates read-only, and
+    # `experiments.normalize_positive_input` alone normalizes a positive input
+    for stem in ("experiments", "circuit_text", "cli"):
+        assert not names_read((SRC / f"{stem}.py").read_text()) & {"writeable", "setflags"}, stem
+    assert not names_read((SRC / "cli.py").read_text()) & {"linalg", "norm"}
