@@ -226,15 +226,18 @@ def _embed_input(dense_vec: np.ndarray, n: int) -> np.ndarray:
 
 
 def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None, seed: int,
-                  meaningful_floor: int) -> tuple[np.ndarray, float | ShotHistogram]:
+                  meaningful_floor: int) -> tuple[np.ndarray, float, ShotHistogram | None]:
     """Run a transfer-block plan on a dense-basis input and read the kept data back.
 
-    shots None runs the exact projection (`run_exact`) and returns the
-    output with the product of the keep probabilities.  Otherwise `shots`
-    shots are sampled with `seed` and the output is sqrt(count/meaningful)
-    per data record, returned with the histogram; fewer meaningful shots
-    than `meaningful_floor` raise InsufficientStatisticsError.  The output
-    is a dense-basis, entrywise nonnegative unit vector.
+    Returns the output, the fraction of the run that survived post-selection,
+    a number in [0, 1], and the histogram.  shots None runs the exact
+    projection (`run_exact`): the fraction is the product of the keep
+    probabilities, the infinite-shot limit of the meaningful fraction, and
+    the histogram is None.  Otherwise `shots` shots are sampled with `seed`,
+    the output is sqrt(count/meaningful) per data record and the fraction is
+    the histogram's meaningful fraction; fewer meaningful shots than
+    `meaningful_floor` raise InsufficientStatisticsError.  The output is a
+    dense-basis, entrywise nonnegative unit vector.
     """
     require_positive_int("meaningful_floor", meaningful_floor)
     state = _embed_input(vec, n)
@@ -242,7 +245,7 @@ def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None,
         out, keep = run_exact(plan, state)
         data = np.clip(np.real(out[: 2 ** (n + 1)]), 0.0, None)
         data /= np.linalg.norm(data)
-        return dense_from_wire(data, n), keep
+        return dense_from_wire(data, n), keep, None
     hist = run_shots(plan, state, shots, seed)
     if hist.meaningful_shots < meaningful_floor:
         raise InsufficientStatisticsError(
@@ -253,7 +256,7 @@ def _block_action(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None,
     probs = np.zeros(2 ** (n + 1))
     probs[[int(key, 2) for key in hist.counts]] = list(hist.counts.values())
     probs /= hist.meaningful_shots
-    return dense_from_wire(np.sqrt(probs), n), hist
+    return dense_from_wire(np.sqrt(probs), n), hist.meaningful_fraction, hist
 
 
 def _step_seed(seed: int, step: int) -> int:
@@ -267,64 +270,73 @@ def simulated_t_action(model: VertexModel, n: int, m_power: int, input_amplitude
     """Simulate m_power transfer blocks acting on a positive input vector.
 
     mode "deep" runs one circuit with all blocks and converts the final
-    histogram to amplitudes; "refeed" runs one block at a time, feeding
-    sqrt(count/meaningful) back in as the next input (larger meaningful
-    fraction per run, extra sampling noise per step); "exact" is the
-    infinite-shot projection reference.  Input and output are dense-basis,
-    entrywise nonnegative unit vectors.
+    histogram to amplitudes; "exact" runs the same circuit as the
+    infinite-shot projection reference and reports its keep probability.
+    "refeed" is `_iterate_psi0`, the power iteration's loop, run for m_power
+    steps: one block at a time, feeding sqrt(count/meaningful) back in as the
+    next input (larger meaningful fraction per run, extra sampling noise per
+    step), step k sampled with substream k of `seed`; its diagnostics hold
+    one meaningful fraction in [0, 1] per step and the last step's
+    histogram.  Input and output are dense-basis, entrywise nonnegative unit
+    vectors.
     """
     if mode not in MODES:
         raise ValidationError(f"mode must be one of {MODES}, got {mode!r}")
     check_plan_size(n, m_power)
     vec = normalize_positive_input(input_amplitudes, n)
-    if mode != "exact":
-        require_positive_int("shots", shots)
-    factors = svd_scaled(r_matrix(model))
+    shots = _backend_shots("exact" if mode == "exact" else "shot", shots)
+    plan = _t_plan(svd_scaled(r_matrix(model)), n, 1 if mode == "refeed" else m_power)
     if mode == "refeed":
-        plan = _t_plan(factors, n, 1)
-        fractions = []
-        for step in range(m_power):
-            vec, hist = _block_action(plan, vec, n, shots, _step_seed(seed, step), meaningful_floor)
-            fractions.append(hist.meaningful_fraction)
-        return vec, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=shots * m_power,
-                                      meaningful_fractions=fractions, final_histogram=hist)
-    plan = _t_plan(factors, n, m_power)
-    if mode == "exact":
-        out, keep = _block_action(plan, vec, n, None, seed, meaningful_floor)
-        return out, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=0,
-                                      meaningful_fractions=[], keep_probability=keep)
-    out, hist = _block_action(plan, vec, n, shots, seed, meaningful_floor)
-    return out, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=shots,
-                                  meaningful_fractions=[hist.meaningful_fraction],
+        res = _iterate_psi0(plan, vec, n, shots, seed, m_power, 0.0, meaningful_floor)
+        return res.vector, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=res.shots_used,
+                                             meaningful_fractions=res.meaningful_fractions,
+                                             final_histogram=res.final_histogram)
+    out, fraction, hist = _block_action(plan, vec, n, shots, seed, meaningful_floor)
+    return out, ActionDiagnostics(mode=mode, m_power=m_power, shots_used=shots or 0,
+                                  meaningful_fractions=[] if hist is None else [fraction],
+                                  keep_probability=fraction if hist is None else None,
                                   final_histogram=hist)
 
 
 @dataclass
 class PowerIterationResult:
+    """One refeed run: `meaningful_fractions` holds one entry in [0, 1] per step,
+    the meaningful fraction of its histogram, or on the exact backend the
+    step's keep probability, the fraction's infinite-shot limit.
+    `final_histogram` is the last step's histogram, None on the exact backend."""
+
     vector: np.ndarray
     steps: int
     converged: bool
     last_delta: float
     shots_used: int
+    meaningful_fractions: list[float]
+    final_histogram: ShotHistogram | None
 
 
 def _iterate_psi0(plan: CircuitPlan, vec: np.ndarray, n: int, shots: int | None, seed: int,
                   max_steps: int, tol: float, meaningful_floor: int) -> PowerIterationResult:
-    """Refeed `vec` through the one-block `plan`; step k samples with _step_seed(seed, k)."""
-    shots_used = 0
-    delta = math.inf
+    """The one refeed loop: feed `vec` through the one-block `plan` up to max_steps >= 1
+    times, step k sampled with _step_seed(seed, k), and record each step's
+    fraction from `_block_action`.  tol > 0 stops at the first step that moves
+    the vector by less than tol, and raises ConvergenceError if none does;
+    tol <= 0 runs all max_steps steps."""
+    fractions = []
     for step in range(max_steps):
-        new, _ = _block_action(plan, vec, n, shots, _step_seed(seed, step), meaningful_floor)
-        shots_used += shots or 0
+        new, fraction, hist = _block_action(plan, vec, n, shots, _step_seed(seed, step),
+                                            meaningful_floor)
+        fractions.append(fraction)
         delta = float(np.linalg.norm(new - vec))
         vec = new
         if tol > 0 and delta < tol:
-            return PowerIterationResult(vec, step + 1, True, delta, shots_used)
-    if tol > 0:
-        raise ConvergenceError(
-            f"power iteration did not reach tol {tol} in {max_steps} steps", delta
-        )
-    return PowerIterationResult(vec, max_steps, False, delta, shots_used)
+            break
+    else:
+        if tol > 0:
+            raise ConvergenceError(
+                f"power iteration did not reach tol {tol} in {max_steps} steps", delta
+            )
+    return PowerIterationResult(vec, len(fractions), tol > 0 and delta < tol, delta,
+                                (shots or 0) * len(fractions), fractions, hist)
 
 
 def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
@@ -401,7 +413,8 @@ def estimate_lambda1(model: VertexModel, n: int, input_amplitudes: np.ndarray,
     start = normalize_positive_input(vec, n)
     steps, tol = (400, 1e-13) if shots is None else (psi0_iterations, 0.0)
     psi0 = _iterate_psi0(plan, start, n, shots, seed, steps, tol, meaningful_floor)
-    action, _ = _block_action(plan, start, n, shots, _step_seed(seed, 1 << 20), meaningful_floor)
+    action, _, _ = _block_action(plan, start, n, shots, _step_seed(seed, 1 << 20),
+                                 meaningful_floor)
     f0 = float(psi0.vector @ vec)
     f1 = float(psi0.vector @ action)
     shots_used = psi0.shots_used + (shots or 0)

@@ -177,8 +177,9 @@ class CircuitPlan:
     bit written by several measurements holds the OR of their outcomes.  A
     plan is validated when built and frozen after, `instructions` as a tuple.
     It holds one read-only copy of each distinct gate array it was given,
-    shared by every instruction that shares the array, so a caller that
-    writes into its own array later cannot change a validated plan.
+    shared by every instruction that shares the array, and each measurement's
+    qubits and cbits as tuples, so a caller that writes into its own array or
+    list later cannot change a validated plan.
     """
 
     n_qubits: int
@@ -197,7 +198,8 @@ class CircuitPlan:
                 f"{self.n_classical_bits} classical bits"
             )
         # checked here: each (matrix id, targets) once, a matrix once per (id, width);
-        # one read-only copy per id, and one instruction per (id, targets) sharing it
+        # one read-only copy per id, and one instruction per (id, targets) sharing it;
+        # a measurement given anything but tuples is rebuilt on tuple copies
         given = tuple(self.instructions)  # holds every matrix, so no id is reused as a key
         checked, copies, gates, instructions = set(), {}, {}, []
         for ins in given:
@@ -214,6 +216,9 @@ class CircuitPlan:
                     gates[mid, targets] = ApplyUnitary(copies[mid], targets)
                 ins = gates[mid, targets]
             elif isinstance(ins, MeasureAll):
+                qubits, cbits = tuple(ins.qubits), tuple(ins.cbits)
+                if qubits is not ins.qubits or cbits is not ins.cbits:
+                    ins = MeasureAll(qubits, cbits)
                 if not ins.qubits:
                     raise ValidationError("measure needs at least one qubit")
                 check_targets(ins.qubits, self.n_qubits)

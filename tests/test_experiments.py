@@ -373,6 +373,36 @@ def test_power_iteration_fixed_step_mode():
     assert res.steps == 4 and not res.converged
 
 
+@settings(max_examples=15)
+@given(n=st.integers(1, 3), m=st.integers(1, 3), model_seed=st.integers(0, 2 ** 16),
+       c=st.sampled_from([0.0, 0.4, 2.0]), seed=st.integers(0, 2 ** 32),
+       psi=st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16))
+def test_refeed_runs_the_power_iteration_loop(n, m, model_seed, c, seed, psi):
+    # a refeed through m blocks and m fixed power-iteration steps are one loop
+    model = generate_model(c, 2.0, model_seed)
+    vec = np.array(psi[: 2 ** (n + 1)])
+    out, diag = simulated_t_action(model, n, m, vec, shots=2_000, seed=seed, mode="refeed",
+                                   meaningful_floor=1)
+    res = power_iterate_psi0(model, n, shots_per_step=2_000, seed=seed, max_steps=m, tol=0.0,
+                             start=vec, meaningful_floor=1)
+    assert out.tobytes() == res.vector.tobytes()
+    assert diag.shots_used == res.shots_used == 2_000 * m
+    assert diag.meaningful_fractions == res.meaningful_fractions
+    assert len(res.meaningful_fractions) == m
+    assert all(0.0 <= f <= 1.0 for f in res.meaningful_fractions)
+    assert res.final_histogram is not None and diag.final_histogram == res.final_histogram
+    # on the exact backend step k records the keep probability of one block on
+    # step k-1's output; the action renormalizes that input, so allow for rounding
+    exact = power_iterate_psi0(model, n, backend="exact", max_steps=m, tol=0.0, start=vec)
+    assert exact.final_histogram is None and exact.shots_used == 0
+    for k, fraction in enumerate(exact.meaningful_fractions):
+        previous = vec if k == 0 else power_iterate_psi0(model, n, backend="exact", max_steps=k,
+                                                         tol=0.0, start=vec).vector
+        _, one = simulated_t_action(model, n, 1, previous, mode="exact")
+        assert abs(fraction - one.keep_probability) <= 1e-12 * one.keep_probability
+        assert 0.0 < fraction <= 1.0
+
+
 def symmetric_model(beta=2.0, seed=0):
     """Energy table with eps(d,u,l,r) = eps(u,d,r,l), so the n=1 transfer
     matrix is symmetric and the estimator bound is provable."""

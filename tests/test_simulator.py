@@ -282,6 +282,29 @@ def test_a_plan_copies_its_gates_read_only():
     assert first.matrix is second.matrix and np.array_equal(first.matrix, hadamard)
 
 
+def test_a_plan_copies_its_measurement_lists():
+    # a caller that changes its own qubit or bit lists after validation changes nothing
+    q, c = [0], [0]
+    single = CircuitPlan(1, 1, [MeasureAll(q, c)])
+    assert single == CircuitPlan(1, 1, [MeasureAll((0,), (0,))])
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+    select, data = [1], [2]  # post-select qubit 1 into bit 1, read qubit 2 into bit 0
+    plan = CircuitPlan(3, 2, [ApplyUnitary(hadamard, (1,)), ApplyUnitary(hadamard, (2,)),
+                              MeasureAll(select, [1]), MeasureAll(data, [0])], n_data_bits=1)
+    assert plan == CircuitPlan(3, 2, [ApplyUnitary(hadamard, (1,)), ApplyUnitary(hadamard, (2,)),
+                                      MeasureAll((1,), (1,)), MeasureAll((2,), (0,))],
+                               n_data_bits=1)
+    runs = ((single, basis_state(1, 1)), (plan, basis_state(3, 0)))
+    before = [(run_shots(built, start, 2000, 9), run_exact(built, start))
+              for built, start in runs]
+    q[0], c[0], select[0], data[0] = 3, 5, 0, 7
+    for (built, start), (hist, (kept, keep)) in zip(runs, before):
+        assert run_shots(built, start, 2000, 9) == hist
+        again, again_keep = run_exact(built, start)
+        assert np.array_equal(again, kept) and again_keep == keep
+    assert abs(before[1][1][1] - 0.5) < 1e-12  # the post-selection keeps half
+
+
 def test_run_shots_trivial_plan_single_bin():
     plan = CircuitPlan(
         n_qubits=3,
