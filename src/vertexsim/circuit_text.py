@@ -77,8 +77,9 @@ def parse_circuit_text(text: str) -> CircuitPlan:
         ln = lines[i]
         if ln.startswith("matrix "):
             parts = ln.split()
-            if len(parts) != 3 or not parts[2].isdecimal() or int(parts[2]) < 1:
-                raise ValidationError(f"bad matrix header {ln!r}")
+            if (len(parts) != 3 or not parts[2].isdecimal() or int(parts[2]) < 1
+                    or parts[1] in matrices):
+                raise ValidationError(f"bad or repeated matrix header {ln!r}")
             mid, dim = parts[1], int(parts[2])
             rows = []
             for j in range(dim):
@@ -105,12 +106,12 @@ def parse_circuit_text(text: str) -> CircuitPlan:
         if parts[0] == "unitary":
             if len(parts) < 2 or parts[1] not in matrices:
                 raise ValidationError(f"instruction references an unknown matrix: {ln!r}")
-            targets = tuple(_qubit(p) for p in parts[2:])
+            targets = tuple(_index(p) for p in parts[2:])
             instructions.append(ApplyUnitary(matrix=matrices[parts[1]], targets=targets))
         elif parts[0] == "measure_postselect0":
             if len(parts) != 4 or parts[2] != "->":
                 raise ValidationError(f"bad post-selection line {ln!r}")
-            qubit, cbit = _qubit(parts[1]), _cbit(parts[3])
+            qubit, cbit = _index(parts[1]), _index(parts[3], "c")
             if cbit < n_data:
                 raise ValidationError(f"post-selection into data bit c{cbit}: {ln!r}")
             instructions.append(MeasureAll(qubits=(qubit,), cbits=(cbit,)))
@@ -118,8 +119,8 @@ def parse_circuit_text(text: str) -> CircuitPlan:
             if "->" not in parts:
                 raise ValidationError(f"bad measure line {ln!r}")
             arrow = parts.index("->")
-            qubits = tuple(_qubit(p) for p in parts[1:arrow])
-            cbits = tuple(_cbit(p) for p in parts[arrow + 1:])
+            qubits = tuple(_index(p) for p in parts[1:arrow])
+            cbits = tuple(_index(p, "c") for p in parts[arrow + 1:])
             instructions.append(MeasureAll(qubits=qubits, cbits=cbits))
         else:
             raise ValidationError(f"unknown instruction {ln!r}")
@@ -131,17 +132,11 @@ def parse_circuit_text(text: str) -> CircuitPlan:
     )
 
 
-def _qubit(tok: str) -> int:
+def _index(tok: str, prefix: str = "") -> int:
+    """A qubit token ("3") or, with prefix "c", a classical bit token ("c3") as an int."""
     try:
-        return int(tok)
-    except ValueError as exc:
-        raise ValidationError(f"qubit index must be an integer, got {tok!r}") from exc
-
-
-def _cbit(tok: str) -> int:
-    try:
-        if tok.startswith("c"):
-            return int(tok[1:])
+        if tok.startswith(prefix):
+            return int(tok[len(prefix):])
     except ValueError:
         pass
-    raise ValidationError(f"classical bit reference must look like c3, got {tok!r}")
+    raise ValidationError(f"expected an index like {prefix}3, got {tok!r}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ValidationError
+from .errors import NumericalError, ValidationError, require_finite_real
 from .model import RMatrix
 
 SVD_TOL = 1e-12
@@ -143,7 +143,7 @@ def controlled_reflection(a: float) -> np.ndarray:
     S(a) = [[a, sqrt(1-a^2)], [sqrt(1-a^2), -a]]; identity elsewhere.
     Ancilla is the most significant of the three qubits.
     """
-    if not -1.0 <= a <= 1.0:
+    if not -1.0 <= require_finite_real("reflection parameter", a) <= 1.0:
         raise ValidationError(f"reflection parameter must lie in [-1, 1], got {a}")
     comp = math.sqrt(max(0.0, 1.0 - a * a))
     m = np.eye(8)

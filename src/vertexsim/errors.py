@@ -2,6 +2,9 @@
 
 ValidationError covers bad user input (CLI exit code 2), the statistics and
 numerics errors map to exit codes 3 and 4 respectively.
+
+The `require_*` helpers are the package's only number rules: Python and numpy
+numbers pass, bools never do, and each returns the plain Python number.
 """
 
 import math
@@ -48,13 +51,41 @@ class InsufficientStatisticsError(VertexSimError):
         self.fraction = fraction
 
 
-def require_positive_int(name: str, value) -> None:
-    """Raise ValidationError unless value is an integer >= 1 (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < 1:
+def require_int(name: str, value) -> int:
+    """`value` as a Python int, or ValidationError unless it is an integer."""
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, Integral)):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def require_positive_int(name: str, value) -> int:
+    """`value` as a Python int, or ValidationError unless it is an integer >= 1."""
+    if require_int(name, value) < 1:
         raise ValidationError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
 
 
-def require_positive_real(name: str, value) -> None:
-    """Raise ValidationError unless value is a real number in (0, inf) (bools and nan excluded)."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < math.inf:
+def require_finite_real(name: str, value) -> float:
+    """`value` as a Python float, or ValidationError unless its float is finite."""
+    try:
+        x = math.nan if isinstance(value, bool) or not isinstance(value, Real) else float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ValidationError(f"{name} must be a finite real number, got {value!r}")
+    return x
+
+
+def require_positive_real(name: str, value) -> float:
+    """`value` as a Python float, or ValidationError unless it is a finite real > 0."""
+    if require_finite_real(name, value) <= 0:
         raise ValidationError(f"{name} must be a positive finite real number, got {value!r}")
+    return float(value)
+
+
+def require_each(rule, name: str, values) -> tuple:
+    """`rule(name, v)` for each v in `values`, as a tuple, or ValidationError."""
+    try:
+        return tuple([rule(name, v) for v in values])
+    except TypeError:  # `values` cannot be iterated
+        raise ValidationError(f"expected a sequence of {name} values, got {values!r}") from None

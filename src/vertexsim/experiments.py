@@ -26,13 +26,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Real
 
 import numpy as np
 
 from .dilation import SVDFactors, X_GATE, controlled_reflection, dilate, svd_scaled, terashima_decomposition
 from .errors import (ConvergenceError, DimensionError, InsufficientStatisticsError, ValidationError,
-                     require_positive_int)
+                     require_finite_real, require_positive_int)
 from .model import VertexModel, r_matrix
 from .rng import substream_seed
 from .simulator import (
@@ -59,7 +58,7 @@ MODES = ("deep", "refeed", "exact")
 
 def wire_to_dense_map(n: int) -> np.ndarray:
     """dense_index[wire_index]: rotate the lateral bond from wire n to qubit 0."""
-    w = np.arange(2 ** (n + 1))
+    w = np.arange(2 ** (require_positive_int("n", n) + 1))
     return ((w & (2 ** n - 1)) << 1) | (w >> n)
 
 
@@ -94,14 +93,12 @@ def build_t_plan(factors: SVDFactors, n: int, m_power: int = 1) -> CircuitPlan:
     ancilla = n + 1
     width = n * m_power + n + 1
     dil = dilate(factors.d)
+    gates = [(ApplyUnitary(factors.v, (k - 1, n)), ApplyUnitary(dil, (k - 1, n, ancilla)),
+              ApplyUnitary(factors.u, (k - 1, n))) for k in range(n, 0, -1)]  # rightmost first
     ins: list = []
-    for block in range(m_power):
-        for j in range(n):
-            k = n - j  # rightmost factor first
-            ins.append(ApplyUnitary(matrix=factors.v, targets=(k - 1, n)))
-            ins.append(ApplyUnitary(matrix=dil, targets=(k - 1, n, ancilla)))
-            ins.append(MeasureAll(qubits=(ancilla,), cbits=(width - 1 - j - block * n,)))
-            ins.append(ApplyUnitary(matrix=factors.u, targets=(k - 1, n)))
+    for block in range(m_power):  # every block reuses the gate objects, checked once
+        for j, (v, d, u) in enumerate(gates):
+            ins += [v, d, MeasureAll(qubits=(ancilla,), cbits=(width - 1 - j - block * n,)), u]
     ins.append(MeasureAll(qubits=tuple(range(n + 1)), cbits=tuple(range(n + 1))))
     return CircuitPlan(
         n_qubits=n + 2,
@@ -214,8 +211,7 @@ def _backend_shots(backend: str, shots: int) -> int | None:
         return None
     if backend != "shot":
         raise ValidationError(f"backend must be 'shot' or 'exact', got {backend!r}")
-    require_positive_int("shots", shots)
-    return shots
+    return require_positive_int("shots", shots)
 
 
 def _embed_input(dense_vec: np.ndarray, n: int) -> np.ndarray:
@@ -354,8 +350,7 @@ def power_iterate_psi0(model: VertexModel, n: int, shots_per_step: int = 40_000,
     check_circuit_width(n)
     shots = _backend_shots(backend, shots_per_step)
     require_positive_int("max_steps", max_steps)
-    if isinstance(tol, bool) or not isinstance(tol, Real) or not math.isfinite(tol):
-        raise ValidationError(f"tol must be a finite real number, got {tol!r}")
+    tol = require_finite_real("tol", tol)
     plan = _t_plan(svd_scaled(r_matrix(model)), n, 1)
     if start is None:
         vec = np.zeros(2 ** (n + 1))

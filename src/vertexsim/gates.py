@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_each, require_int
 
 
 @functools.lru_cache(maxsize=1024)
@@ -45,9 +45,11 @@ def apply_matrix(amps: np.ndarray, matrix: np.ndarray, targets: list[int] | tupl
     return np.ascontiguousarray(tensor.reshape(cube).transpose(undo_back)).reshape(-1)
 
 
-def check_targets(targets, n_qubits: int) -> None:
+def check_targets(targets, n_qubits: int) -> tuple[int, ...]:
+    """The targets as a tuple of distinct Python ints in [0, n_qubits), or ValidationError."""
+    targets = require_each(require_int, "target qubit", targets)
     if len(set(targets)) != len(targets):
-        raise ValidationError(f"target qubits must be distinct, got {tuple(targets)}")
-    for q in targets:
-        if not 0 <= q < n_qubits:
-            raise ValidationError(f"target qubit {q} out of range for {n_qubits} qubits")
+        raise ValidationError(f"target qubits must be distinct, got {targets}")
+    if not all(0 <= q < n_qubits for q in targets):
+        raise ValidationError(f"target qubits {targets} out of range for {n_qubits} qubits")
+    return targets

@@ -21,13 +21,13 @@ The 4x4 Boltzmann gate R holds exp(-beta * eps) at row 2*l + d, column
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
-from .rng import _u64, stream_u64, to_unit
+from .errors import (ValidationError, require_each, require_finite_real, require_int,
+                     require_positive_real)
+from .rng import stream_u64, to_unit
 
 DELTA = 1.0  # unit of energy; not a tunable
 
@@ -42,7 +42,10 @@ class VertexModel:
     """A 16-entry bond-energy table plus inverse temperature.
 
     `energies` is indexed by `energy_index`; `c` and `seed` record how the
-    table was generated (informational once `energies` is fixed).
+    table was generated (informational once `energies` is fixed).  Each field
+    follows a number rule of `errors` and is stored as a Python number (16
+    finite floats, beta > 0, a finite c, an int seed or None), so every model
+    reads back equal from `model_from_json(model_to_json(model))`.
     """
 
     energies: tuple[float, ...]
@@ -51,12 +54,13 @@ class VertexModel:
     seed: int | None = None
 
     def __post_init__(self):
-        if len(self.energies) != 16:
-            raise ValidationError(f"energy table must have 16 entries, got {len(self.energies)}")
-        if not all(math.isfinite(e) for e in self.energies):
-            raise ValidationError("all bond energies must be finite")
-        if not (math.isfinite(self.beta) and self.beta > 0):
-            raise ValidationError(f"beta must be positive and finite, got {self.beta}")
+        energies = require_each(require_finite_real, "bond energy", self.energies)
+        if len(energies) != 16:
+            raise ValidationError(f"energy table must have 16 entries, got {len(energies)}")
+        seed = None if self.seed is None else require_int("seed", self.seed)
+        for name, value in (("energies", energies), ("beta", require_positive_real("beta", self.beta)),
+                            ("c", require_finite_real("c", self.c)), ("seed", seed)):
+            object.__setattr__(self, name, value)
 
     def energy(self, d: int, u: int, l: int, r: int) -> float:
         return self.energies[energy_index(d, u, l, r)]
@@ -91,17 +95,15 @@ def generate_model(c: float, beta: float, seed: int) -> VertexModel:
     """Seeded random model: eps_i = c * popcount(i) + Uniform[0,1).
 
     The perturbation is drawn from the package's counter-based stream, so the
-    table is bit-identical across platforms for a fixed seed.
+    table is bit-identical across platforms for a fixed seed.  The arguments
+    follow `VertexModel`'s rules; c is checked first, as the energies use it.
     """
-    if not (math.isfinite(beta) and beta > 0):
-        raise ValidationError(f"beta must be positive and finite, got {beta}")
-    if not math.isfinite(c):
-        raise ValidationError(f"c must be finite, got {c}")
+    c = require_finite_real("c", c)
     noise = to_unit(stream_u64(seed, 16))
     ramp = np.array([bin(i).count("1") for i in range(16)], dtype=np.float64)
     with np.errstate(over="ignore"):  # an infinite energy fails VertexModel's check
-        energies = (c * ramp * DELTA + noise * DELTA).tolist()
-    return VertexModel(energies=tuple(energies), beta=float(beta), c=float(c), seed=int(seed))
+        energies = c * ramp * DELTA + noise * DELTA
+    return VertexModel(energies=energies, beta=beta, c=c, seed=seed)
 
 
 def r_matrix(model: VertexModel) -> RMatrix:
@@ -121,37 +123,22 @@ def model_to_json(model: VertexModel) -> str:
     return json.dumps(payload, indent=2)
 
 
-def _json_number(value) -> float:
-    """A model-file number as a float; JSON strings, true and false are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
 def model_from_json(text: str) -> VertexModel:
     """Parse the model file format.
 
     An explicit "energies" list takes precedence over (c, seed); when it is
-    absent the model is regenerated from (c, seed).
+    absent the model is regenerated from (c, seed).  The values go to
+    `VertexModel` or `generate_model` as read, under their number rules.
     """
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over Python's digit limit
         raise ValidationError(f"model file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "beta" not in payload:
         raise ValidationError("model file must be a JSON object that supplies 'beta'")
-    try:
-        beta = _json_number(payload["beta"])
-        c = _json_number(payload.get("c", 0.0))
-        seed = payload.get("seed")
-        if seed is not None:
-            _u64(seed)  # the package's seed rule: integers only, bools rejected
-        energies = (tuple(_json_number(e) for e in payload["energies"])
-                    if "energies" in payload else None)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"model file has a malformed field: {exc}") from exc
-    if energies is not None:
-        return VertexModel(energies=energies, beta=beta, c=c, seed=seed)
+    beta, c, seed = payload["beta"], payload.get("c", 0.0), payload.get("seed")
+    if "energies" in payload:
+        return VertexModel(energies=payload["energies"], beta=beta, c=c, seed=seed)
     if seed is None:
         raise ValidationError("model file needs either 'energies' or both 'c' and 'seed'")
     return generate_model(c, beta, seed)

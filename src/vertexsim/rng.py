@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import require_int
 
 GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 LEAP = np.uint64(0xD1B54A32D192ED03)
@@ -61,10 +61,8 @@ def mix64(x: np.ndarray | int) -> np.ndarray | np.uint64:
 
 
 def _u64(seed: int) -> np.uint64:
-    """A seed as uint64 (mod 2^64): any Python or numpy integer, bools excluded."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValidationError(f"seed must be an integer, got {seed!r}")
-    return np.uint64(int(seed) & _MASK)
+    """A seed as uint64 (mod 2^64), by the package's integer rule."""
+    return np.uint64(require_int("seed", seed) & _MASK)
 
 
 def stream_u64(seed: int, count: int, start: int = 0) -> np.ndarray:

@@ -64,7 +64,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (DimensionError, ImpossiblePostselectionError, ValidationError,
-                     require_positive_int)
+                     require_each, require_int, require_positive_int)
 from .gates import apply_matrix, check_targets, target_axes
 from .rng import substream_seed, substream_value
 
@@ -97,9 +97,7 @@ def _unit_amplitudes(n: int, amplitudes: np.ndarray) -> tuple[np.ndarray, float]
 def init_state(n: int, amplitudes: np.ndarray) -> np.ndarray:
     """Check an amplitude vector over n qubits by the runners' input rule and
     return it normalized: flat complex128, the input divided by its norm."""
-    if n < 1:
-        raise ValidationError(f"need at least one qubit, got {n}")
-    amps, nrm = _unit_amplitudes(n, amplitudes)
+    amps, nrm = _unit_amplitudes(require_positive_int("n", n), amplitudes)
     return amps / nrm
 
 
@@ -156,7 +154,6 @@ class ApplyUnitary:
         return (
             isinstance(other, ApplyUnitary)
             and self.targets == other.targets
-            and self.matrix.shape == other.matrix.shape
             and np.array_equal(self.matrix, other.matrix)
         )
 
@@ -176,10 +173,13 @@ class CircuitPlan:
     to count as meaningful.  None (the default) makes every bit data.  A data
     bit written by several measurements holds the OR of their outcomes.  A
     plan is validated when built and frozen after, `instructions` as a tuple.
-    It holds one read-only copy of each distinct gate array it was given,
-    shared by every instruction that shares the array, and each measurement's
-    qubits and cbits as tuples, so a caller that writes into its own array or
-    list later cannot change a validated plan.
+    Its counts, targets, qubits and classical bits follow `errors.require_int`
+    and are held as Python ints, so every plan reads back equal from
+    `parse_circuit_text(export_circuit_text(plan))`.  It holds one read-only
+    copy of each distinct gate array it was given, shared by every
+    instruction that shares the array, and each measurement's qubits and
+    cbits as tuples, so a caller that writes into its own array or list
+    later cannot change a validated plan.
     """
 
     n_qubits: int
@@ -188,25 +188,23 @@ class CircuitPlan:
     n_data_bits: int | None = None
 
     def __post_init__(self):
-        if self.n_data_bits is None:
-            object.__setattr__(self, "n_data_bits", self.n_classical_bits)
-        if self.n_qubits < 1:
-            raise ValidationError("plan needs at least one qubit")
-        if not 0 <= self.n_data_bits <= self.n_classical_bits:
-            raise ValidationError(
-                f"bad register layout: {self.n_data_bits} data bits in "
-                f"{self.n_classical_bits} classical bits"
-            )
-        # checked here: each (matrix id, targets) once, a matrix once per (id, width);
-        # one read-only copy per id, and one instruction per (id, targets) sharing it;
-        # a measurement given anything but tuples is rebuilt on tuple copies
-        given = tuple(self.instructions)  # holds every matrix, so no id is reused as a key
-        checked, copies, gates, instructions = set(), {}, {}, []
+        nq = require_positive_int("n_qubits", self.n_qubits)
+        width = require_int("n_classical_bits", self.n_classical_bits)
+        data = width if self.n_data_bits is None else require_int("n_data_bits", self.n_data_bits)
+        if not 0 <= data <= width:
+            raise ValidationError(f"bad register layout: {data} data bits in {width} classical bits")
+        # checked here: each given instruction once, each (matrix id, targets) once,
+        # a matrix once per (id, width); one read-only copy per id, one instruction
+        # per (id, targets) sharing it, and each measurement on its checked tuples
+        given = tuple(self.instructions)  # holds every object, so no id is reused as a key
+        done, checked, copies, gates = {}, set(), {}, {}
         for ins in given:
+            key = id(ins)
+            if key in done:
+                continue
             if isinstance(ins, ApplyUnitary):
-                mid, targets = id(ins.matrix), tuple(ins.targets)
+                mid, targets = id(ins.matrix), check_targets(ins.targets, nq)
                 if (mid, targets) not in gates:
-                    check_targets(targets, self.n_qubits)
                     if (mid, len(targets)) not in checked:
                         _check_unitary(ins.matrix, len(targets))
                         checked.add((mid, len(targets)))
@@ -216,21 +214,18 @@ class CircuitPlan:
                     gates[mid, targets] = ApplyUnitary(copies[mid], targets)
                 ins = gates[mid, targets]
             elif isinstance(ins, MeasureAll):
-                qubits, cbits = tuple(ins.qubits), tuple(ins.cbits)
-                if qubits is not ins.qubits or cbits is not ins.cbits:
-                    ins = MeasureAll(qubits, cbits)
-                if not ins.qubits:
-                    raise ValidationError("measure needs at least one qubit")
-                check_targets(ins.qubits, self.n_qubits)
-                if len(ins.cbits) != len(ins.qubits):
-                    raise ValidationError("measure needs one classical bit per qubit")
-                for cb in ins.cbits:
-                    if not 0 <= cb < self.n_classical_bits:
-                        raise ValidationError(f"classical bit {cb} out of range")
+                ins = MeasureAll(check_targets(ins.qubits, nq),
+                                 require_each(require_int, "classical bit", ins.cbits))
+                if not ins.qubits or len(ins.cbits) != len(ins.qubits):
+                    raise ValidationError("measure needs one classical bit per qubit, at least one")
+                if not all(0 <= cb < width for cb in ins.cbits):
+                    raise ValidationError(f"classical bits {ins.cbits} out of range")
             else:
                 raise ValidationError(f"unknown instruction {ins!r}")
-            instructions.append(ins)
-        object.__setattr__(self, "instructions", tuple(instructions))
+            done[key] = ins
+        for name, value in (("n_qubits", nq), ("n_classical_bits", width), ("n_data_bits", data),
+                            ("instructions", tuple(done[id(ins)] for ins in given))):
+            object.__setattr__(self, name, value)
 
     def count_unitaries(self) -> int:
         return sum(isinstance(i, ApplyUnitary) for i in self.instructions)

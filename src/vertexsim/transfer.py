@@ -473,8 +473,5 @@ def boundary_strings(bottom_cols: str, top_cols: str, corners: tuple[int, int]) 
 
 def free_energy_density(z: float, shape: LatticeShape, beta: float) -> float:
     """Free energy per vertex, -ln(z) / (beta * N * M)."""
-    if not 0 < z < math.inf:
-        raise ValidationError(f"partition function must be positive and finite, got {z}")
-    if not 0 < beta < math.inf:
-        raise ValidationError(f"beta must be positive and finite, got {beta}")
-    return -math.log(z) / (beta * shape.n_cols * shape.n_rows)
+    z = require_positive_real("partition function", z)
+    return -math.log(z) / (require_positive_real("beta", beta) * shape.n_cols * shape.n_rows)

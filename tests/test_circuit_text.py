@@ -117,6 +117,8 @@ def test_parser_rejects_malformed_input():
         header + "matrix m0 -1\n1 0\n0 1\n",
         header + "matrix m0 -3\n",
         header + "matrix m0 0\n",
+        # a matrix id defined twice: the last definition used to win silently
+        header + "unitary m0 0\nmatrix m0 2\n1 0\n0 1\nmatrix m0 2\n0 1\n1 0\n",
     ):
         with pytest.raises(ValidationError):
             parse_circuit_text(text)

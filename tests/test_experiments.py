@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from vertexsim import (
     ConvergenceError,
     InsufficientStatisticsError,
+    LatticeShape,
     MeasureAll,
     ValidationError,
     apply_transfer,
@@ -20,7 +21,9 @@ from vertexsim import (
     dense_from_wire,
     dilate,
     estimate_lambda1,
+    free_energy_density,
     generate_model,
+    init_state,
     partition_element,
     power_iterate_psi0,
     r_matrix,
@@ -33,6 +36,7 @@ from vertexsim import (
     wire_to_dense_map,
 )
 from vertexsim import experiments, transfer
+from vertexsim.dilation import controlled_reflection
 from vertexsim.experiments import MODES, _embed_input, normalize_positive_input
 from vertexsim.model import VertexModel, energy_index
 from vertexsim.rng import uniforms
@@ -225,6 +229,25 @@ def test_positive_input_is_scale_free(n, k, ints):
                  id="psi0-floor0"),
 ])
 def test_experiment_counts_must_be_positive_integers(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: init_state(True, np.ones(2) / math.sqrt(2)), id="init_state-nTrue"),
+    pytest.param(lambda: init_state(2.0, np.full(4, 0.5)), id="init_state-n2.0"),
+    pytest.param(lambda: init_state("2", np.full(4, 0.5)), id="init_state-n'2'"),
+    pytest.param(lambda: controlled_reflection("0.5"), id="reflection-a'0.5'"),
+    pytest.param(lambda: controlled_reflection(True), id="reflection-aTrue"),
+    pytest.param(lambda: free_energy_density("1", LatticeShape(1, 1), 2.0), id="free-z'1'"),
+    pytest.param(lambda: free_energy_density(1.0, LatticeShape(1, 1), "2"), id="free-beta'2'"),
+    pytest.param(lambda: free_energy_density(10 ** 400, LatticeShape(1, 1), 2.0), id="free-z10^400"),
+    pytest.param(lambda: wire_to_dense_map("2"), id="wire-n'2'"),
+    pytest.param(lambda: wire_to_dense_map(2.0), id="wire-n2.0"),
+    pytest.param(lambda: wire_to_dense_map(-1), id="wire-n-1"),
+])
+def test_public_scalars_follow_the_number_rules(call):
+    # bools, integral floats and strings end in ValidationError, never a raw TypeError
     with pytest.raises(ValidationError):
         call()
 

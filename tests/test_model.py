@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vertexsim import (
     RMatrix,
@@ -170,6 +172,11 @@ BAD_MODEL_FIELDS = [
     {"beta": 2.0, "energies": [1.0] * 15 + [False]},
     {"beta": "2", "c": 0.4, "seed": 3},
     {"beta": 2.0, "energies": "0123456789012345"},
+    {"beta": 10 ** 400, "c": 0.4, "seed": 3},  # a JSON integer beyond the double range
+    {"beta": 2.0, "energies": [1.0] * 15 + [-10 ** 400]},
+    {"beta": 2.0, "c": "0.4", "seed": 3},
+    {"beta": 2.0, "energies": [1.0] * 16, "c": None},
+    {"beta": 2.0, "energies": [1.0] * 16, "seed": 2.0},
 ]
 
 
@@ -183,5 +190,66 @@ def test_json_validation_errors():
     with pytest.raises(ValidationError):
         model_from_json(json.dumps({"beta": 2.0, "energies": [1.0] * 7}))
     for payload in BAD_MODEL_FIELDS:
+        with pytest.raises(ValidationError):
+            model_from_json(json.dumps(payload))
+
+
+def _build(payload):
+    """The model a payload describes, built without a file."""
+    if "energies" in payload:
+        return VertexModel(energies=payload["energies"], beta=payload["beta"],
+                           c=payload.get("c", 0.0), seed=payload.get("seed"))
+    return generate_model(payload.get("c", 0.0), payload["beta"], payload.get("seed"))
+
+
+@pytest.mark.parametrize("payload", BAD_MODEL_FIELDS)
+def test_bad_model_fields_fail_without_a_file(payload):
+    # the file and the constructors share one rule, so neither accepts more
+    with pytest.raises(ValidationError):
+        _build(payload)
+
+
+_REAL = (st.floats(allow_nan=False, allow_infinity=False, width=64)
+         | st.integers(-10 ** 6, 10 ** 6)
+         | st.floats(-1e6, 1e6).map(np.float64) | st.floats(-1e6, 1e6, width=32).map(np.float32)
+         | st.integers(-10 ** 6, 10 ** 6).map(np.int64))
+_SEED = st.none() | st.integers(-2 ** 70, 2 ** 70) | st.integers(0, 2 ** 62).map(np.int64)
+
+
+@settings(max_examples=60)
+@given(energies=st.lists(_REAL, min_size=16, max_size=16), as_array=st.booleans(),
+       beta=_REAL.filter(lambda b: b > 0), c=_REAL, seed=_SEED)
+def test_every_accepted_model_reads_back_equal(energies, as_array, beta, c, seed):
+    table = np.array(energies, dtype=np.float64) if as_array else energies
+    model = VertexModel(energies=table, beta=beta, c=c, seed=seed)
+    assert model_from_json(model_to_json(model)) == model
+    assert all(type(e) is float for e in model.energies)
+    assert type(model.beta) is float and type(model.c) is float
+    assert seed is None and model.seed is None or type(model.seed) is int
+
+
+_NOT_NUMBER = st.booleans() | st.text(max_size=3) | st.none() | st.just([1.0])
+_NOT_REAL = _NOT_NUMBER | st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400, -10 ** 400])
+
+
+@settings(max_examples=80)
+@given(data=st.data(), field=st.sampled_from(["beta", "c", "seed", "energy"]),
+       with_energies=st.booleans())
+def test_a_bad_model_number_fails_directly_and_through_the_file(data, field, with_energies):
+    payload = {"beta": 2.0, "c": 0.4, "seed": 3}
+    if with_energies or field == "energy":
+        payload["energies"] = [0.5] * 16
+    if field == "energy":
+        payload["energies"][data.draw(st.integers(0, 15))] = data.draw(_NOT_REAL)
+    elif field == "seed":  # None is no bad seed: beside energies it is allowed
+        payload["seed"] = data.draw(_NOT_NUMBER.filter(lambda v: v is not None)
+                                    | st.floats() | st.just(np.float64(3.0)))
+    elif field == "c":
+        payload["c"] = data.draw(_NOT_REAL | st.just(np.float64(math.nan)))
+    else:
+        payload["beta"] = data.draw(_NOT_REAL | st.floats(max_value=0.0))
+    with pytest.raises(ValidationError):
+        _build(payload)
+    if not any(isinstance(v, np.generic) for v in payload.values()):
         with pytest.raises(ValidationError):
             model_from_json(json.dumps(payload))

@@ -305,6 +305,41 @@ def test_a_plan_copies_its_measurement_lists():
     assert abs(before[1][1][1] - 0.5) < 1e-12  # the post-selection keeps half
 
 
+_PLAN_NUMBERS = {"n_qubits": 2, "n_classical_bits": 2, "n_data_bits": 1, "target": 1, "qubit": 1,
+                 "cbit": 1}
+
+
+def _plan_with(field, value):
+    """A valid plan on 2 qubits and 2 bits (1 data bit) with the number `field` set to `value`."""
+    numbers = {**_PLAN_NUMBERS, field: value}
+    # the gate is first met with an int target, so the bad one cannot pass as an equal key
+    return CircuitPlan(numbers["n_qubits"], numbers["n_classical_bits"],
+                       [ApplyUnitary(X_GATE, (1,)), ApplyUnitary(X_GATE, (numbers["target"],)),
+                        MeasureAll((0, numbers["qubit"]), (0, numbers["cbit"]))],
+                       n_data_bits=numbers["n_data_bits"])
+
+
+@settings(max_examples=60)
+@given(field=hs.sampled_from(sorted(_PLAN_NUMBERS)),
+       kind=hs.sampled_from([bool, float, str, np.float64]),
+       other=hs.floats() | hs.text(max_size=2) | hs.booleans(), use_other=hs.booleans())
+def test_a_plan_takes_only_integer_counts_and_indices(field, kind, other, use_other):
+    # a numpy integer passes and is stored as an int; a bool, float or string never passes
+    plan = _plan_with(field, np.int64(_PLAN_NUMBERS[field]))
+    gate, measure = plan.instructions[1:]
+    assert {type(x) for x in (plan.n_qubits, plan.n_classical_bits, plan.n_data_bits,
+                              *gate.targets, *measure.qubits, *measure.cbits)} == {int}
+    with pytest.raises(ValidationError):
+        _plan_with(field, other if use_other else kind(_PLAN_NUMBERS[field]))
+
+
+def test_a_plan_takes_only_sequences_of_qubits_and_bits():
+    for ins in (ApplyUnitary(X_GATE, 0), ApplyUnitary(X_GATE, 0.0), MeasureAll(0, (0,)),
+                MeasureAll((0,), "0"), MeasureAll((0,), None)):
+        with pytest.raises(ValidationError):
+            CircuitPlan(1, 1, [ins])
+
+
 def test_run_shots_trivial_plan_single_bin():
     plan = CircuitPlan(
         n_qubits=3,

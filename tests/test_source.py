@@ -105,3 +105,25 @@ def test_plans_and_experiments_own_the_input_rules():
     for stem in ("experiments", "circuit_text", "cli"):
         assert not names_read((SRC / f"{stem}.py").read_text()) & {"writeable", "setflags"}, stem
     assert not names_read((SRC / "cli.py").read_text()) & {"linalg", "norm"}
+
+
+def spells_a_number_rule(source: str) -> bool:
+    """Whether a module imports `numbers` or tests a value with isinstance(..., bool)."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else node.args[1:]
+            if any(getattr(kind, "id", None) == "bool" for kind in kinds):
+                return True
+    return "numbers" in imported_modules(source)
+
+
+def test_spells_a_number_rule_finds_both_spellings():
+    assert spells_a_number_rule("from numbers import Real\n")
+    assert spells_a_number_rule("isinstance(x, (int, bool))\n")
+    assert not spells_a_number_rule("isinstance(x, int)\nrequire_int('n', x)\n")
+
+
+def test_errors_alone_spells_the_number_rules():
+    # `errors.require_*` own the integer and real rules; a second spelling would
+    # let one reader accept a number that another rejects
+    assert sorted(p.stem for p in SRC.glob("*.py") if spells_a_number_rule(p.read_text())) == ["errors"]
